@@ -35,9 +35,6 @@ def build_parser():
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads (recorded in provenance; the "
-                            "numerics are deterministic regardless)")
 
     p_list = sub.add_parser("list", help="list bundled scenarios")
     p_list.add_argument("--emit", default=None, metavar="NAME",
@@ -117,7 +114,7 @@ def cmd_run(args):
                         SupportViolationError, FloatingPointError,
                         np.linalg.LinAlgError, ValueError)
     try:
-        result = run_scenario(config, args.out, threads=args.threads)
+        result = run_scenario(config, args.out)
     except numerical_errors as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

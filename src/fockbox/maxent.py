@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fock import FieldOperator
+from .propagate import Spectrum
 
 MATCH_TOL = 1e-9
 MAX_NEWTON_ITERS = 60
@@ -66,8 +68,12 @@ class RelevantSet:
     def basis(self):
         return self.operators[0].basis
 
-    def dense_stack(self):
-        return np.array([op.to_dense() for op in self.operators])
+    @cached_property
+    def rows(self):
+        """The members flattened into the rows of one sparse (n, d*d) matrix."""
+        d = self.basis.dim
+        return sp.vstack([op.matrix.reshape(1, d * d) for op in self.operators],
+                         format="csr")
 
 
 def relevant_set(labels, operators, weights=None, div_currents=None):
@@ -102,22 +108,20 @@ def exponent_matrix(relevant, zeta):
     zeta = np.asarray(zeta, float)
     if not np.all(np.isfinite(zeta)):
         raise ValueError("zeta contains non-finite entries")
-    acc = np.zeros((relevant.basis.dim, relevant.basis.dim), dtype=complex)
-    for z, w, op in zip(zeta, relevant.weights, relevant.operators):
-        if z != 0.0:
-            acc -= z * w * op.to_dense()
-    return acc
+    d = relevant.basis.dim
+    return (relevant.rows.T @ (-zeta * relevant.weights)).reshape(d, d)
 
 
-def state_from_exponent(x):
-    """(rho, logZ) from a Hermitian exponent, overflow-safe via log-sum-exp."""
-    w, v = np.linalg.eigh(x)
-    shift = w.max()
-    boltz = np.exp(w - shift)
-    z = boltz.sum()
-    rho = (v * (boltz / z)) @ v.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho, float(shift + np.log(z))
+def state_from_exponent(x, sectors=None):
+    """(rho, logZ) from a Hermitian exponent, overflow-safe via log-sum-exp.
+
+    sectors, when given, are the particle-number blocks to diagonalize x
+    by, should it couple none of them.
+    """
+    spectrum = Spectrum(x, sectors=sectors)
+    p, logz = spectrum.gibbs()
+    rho = (spectrum.v * p) @ spectrum.v.conj().T
+    return 0.5 * (rho + rho.conj().T), logz
 
 
 def gibbs_state(relevant, zeta):
@@ -128,7 +132,7 @@ def gibbs_state(relevant, zeta):
     overflow for finite zeta).
     """
     x = exponent_matrix(relevant, zeta)
-    rho, logz = state_from_exponent(x)
+    rho, logz = state_from_exponent(x, relevant.basis.sector_slices())
     zf = ZetaField(labels=relevant.labels, values=np.asarray(zeta, float).copy(),
                    zeta0=logz)
     return rho, zf
@@ -163,6 +167,30 @@ def _kubo_kernel(w):
     return kappa
 
 
+def kubo_matrix(p, cs, bs):
+    """Matrix of canonical correlations <C_j, B_l> in the state with eigenvalues p.
+
+    cs and bs are (n, d, d) stacks of operators already expressed in the
+    state's eigenbasis.  The connected part contracts each pair with the
+    closed-form divided-difference kernel (Higham, Functions of Matrices,
+    ch. 3); the disconnected part is Tr(C W) Tr(B W).
+    """
+    kappa = _kubo_kernel(p)
+    flat_b = bs.reshape(len(bs), -1)
+    connected = np.array([flat_b @ (c.T * kappa).ravel() for c in cs])
+    means_c = np.diagonal(cs, axis1=1, axis2=2) @ p
+    means_b = np.diagonal(bs, axis1=1, axis2=2) @ p
+    return connected - np.outer(means_c, means_b)
+
+
+def eigenbasis_stack(spectrum, ops):
+    """(n, d, d) stack of ops in the eigenbasis of spectrum."""
+    out = np.empty((len(ops),) + spectrum.v.shape, dtype=complex)
+    for j, op in enumerate(ops):
+        out[j] = spectrum.to_eigenbasis(op)
+    return out
+
+
 def kubo(C, B, W, eig_floor=EIG_FLOOR):
     """Canonical two-point correlation of C and B in the state W.
 
@@ -173,49 +201,35 @@ def kubo(C, B, W, eig_floor=EIG_FLOOR):
     regularization), unless eig_floor is None, in which case a singular W
     raises.
     """
-    w, v = np.linalg.eigh(np.asarray(W))
+    spectrum = Spectrum(W)
+    w = spectrum.w
     if w.min() < -1e-12:
         raise ValueError(f"W has negative eigenvalue {w.min():.3e}")
-    if eig_floor is None:
-        if w.min() <= 0.0:
-            raise ValueError(
-                "W is singular; pass eig_floor (e.g. 1e-14) to regularize"
-            )
-    else:
-        w = np.clip(w, eig_floor, None)
-    cm = _to_basis(C, v)
-    bm = _to_basis(B, v)
-    kappa = _kubo_kernel(w)
-    connected = np.sum(cm.T * bm * kappa)
-    disconnected = np.sum(np.diag(cm) * w) * np.sum(np.diag(bm) * w)
-    return complex(connected - disconnected)
-
-
-def _to_basis(A, v):
-    m = A.to_dense() if isinstance(A, FieldOperator) else np.asarray(A, dtype=complex)
-    return v.conj().T @ m @ v
+    if eig_floor is None and w.min() <= 0.0:
+        raise ValueError("W is singular; pass eig_floor (e.g. 1e-14) to regularize")
+    floored = w if eig_floor is None else np.clip(w, eig_floor, None)
+    mats = eigenbasis_stack(spectrum, [C, B])
+    return complex(kubo_matrix(floored, mats[:1], mats[1:])[0, 0])
 
 
 def cumulant_expect(C, A_exponent, B_perturbation, eig_floor=EIG_FLOOR):
     """First-order estimate of Tr C exp(A+B)/Tr exp(A+B).
 
     Tr(C W) + <C, B>_W with W = exp(A)/Tr exp(A); exact at B = 0 and with
-    an O(|B|^2) error for small perturbations.
+    an O(|B|^2) error for small perturbations.  Evaluated in the eigenbasis
+    of A, which is W's.
     """
-    a = _dense(A_exponent)
-    rho, _ = state_from_exponent(a)
-    base = np.trace(_dense(C) @ rho)
-    corr = kubo(C, B_perturbation, rho, eig_floor=eig_floor)
-    return float((base + corr).real)
-
-
-def _dense(A):
-    return A.to_dense() if isinstance(A, FieldOperator) else np.asarray(A, dtype=complex)
+    spectrum = Spectrum(A_exponent)
+    p, _ = spectrum.gibbs()
+    mats = eigenbasis_stack(spectrum, [C, B_perturbation])
+    floored = p if eig_floor is None else np.clip(p, eig_floor, None)
+    corr = kubo_matrix(floored, mats[:1], mats[1:])[0, 0]
+    return float((np.diagonal(mats[0]) @ p + corr).real)
 
 
 def expectations(relevant, rho):
-    rho = np.asarray(rho)
-    return np.array([np.trace(op.to_dense() @ rho).real for op in relevant.operators])
+    """Tr(A_j rho) for every member as one sparse product, O(nnz)."""
+    return (relevant.rows @ np.asarray(rho).T.ravel()).real
 
 
 def gauge_projector(relevant, tol=GAUGE_TOL):
@@ -224,15 +238,13 @@ def gauge_projector(relevant, tol=GAUGE_TOL):
     A direction c is pure gauge when sum_j c_j w_j A_j is proportional to
     the identity (including the zero operator); along it the state
     w[zeta] does not change, only zeta0 does.  Detected from the
-    Hilbert-Schmidt Gram matrix of the traceless parts.
+    Hilbert-Schmidt Gram matrix of the traceless parts,
+    Tr(A^dag B) - Tr(A^dag) Tr(B) / d, summed over the sparse entries.
     """
-    dim = relevant.basis.dim
-    traceless = []
-    for w_j, op in zip(relevant.weights, relevant.operators):
-        m = w_j * op.to_dense()
-        traceless.append(m - (np.trace(m) / dim) * np.eye(dim))
-    gram = np.array([[np.trace(a.conj().T @ b).real for b in traceless]
-                     for a in traceless])
+    d, w = relevant.basis.dim, relevant.weights
+    traces = w * np.array([op.trace() for op in relevant.operators])
+    gram = w[:, None] * (relevant.rows.conj() @ relevant.rows.T).toarray() * w[None, :]
+    gram = (gram - np.outer(traces.conj(), traces) / d).real
     evals, evecs = np.linalg.eigh(gram)
     scale = max(evals.max(), 1.0)
     keep = evals > tol * scale
@@ -242,19 +254,11 @@ def gauge_projector(relevant, tol=GAUGE_TOL):
 
 def kubo_gram(relevant, rho, eig_floor=EIG_FLOOR):
     """Symmetric matrix of pairwise correlations <A_j, A_l>_rho."""
-    n = len(relevant)
-    w, v = np.linalg.eigh(np.asarray(rho))
-    if eig_floor is not None:
-        w = np.clip(w, eig_floor, None)
-    kappa = _kubo_kernel(w)
-    mats = [_to_basis(op, v) for op in relevant.operators]
-    diag_exp = np.array([np.sum(np.diag(m) * w) for m in mats])
-    g = np.empty((n, n))
-    for j in range(n):
-        for l in range(j, n):
-            val = np.sum(mats[j].T * mats[l] * kappa) - diag_exp[j] * diag_exp[l]
-            g[j, l] = g[l, j] = float(val.real)
-    return g
+    spectrum = Spectrum(rho, sectors=relevant.basis.sector_slices())
+    floored = spectrum.w if eig_floor is None else np.clip(spectrum.w, eig_floor, None)
+    mats = eigenbasis_stack(spectrum, relevant.operators)
+    g = kubo_matrix(floored, mats, mats).real
+    return 0.5 * (g + g.T)
 
 
 ZETA_MAX = 20.0

@@ -21,17 +21,19 @@ import numpy as np
 
 from .fock import FieldOperator
 from .maxent import (
-    _kubo_kernel,
+    EIG_FLOOR,
+    eigenbasis_stack,
     entropy,
     exponent_matrix,
     expectations,
     gauge_projector,
+    gibbs_state,
+    kubo_matrix,
     match_expectations,
     state_from_exponent,
 )
-from .propagate import Dresser, evolve_state
+from .propagate import Spectrum
 
-EIG_FLOOR = 1e-14
 HERM_WARN = 1e-10
 HERM_FAIL = 1e-6
 
@@ -74,13 +76,6 @@ class HistoryTerm:
     operators: tuple
     coeffs: np.ndarray
     h: Callable
-
-    def combo_dense(self):
-        acc = None
-        for c, op in zip(self.coeffs, self.operators):
-            m = c * op.to_dense()
-            acc = m if acc is None else acc + m
-        return acc
 
 
 @dataclass(frozen=True)
@@ -137,6 +132,56 @@ def _checked_hermitian(x, what):
     return x
 
 
+def _weighted_sum(coeffs, mats):
+    """sum_k coeffs[k] mats[k] over an (n, d, d) stack."""
+    return (coeffs @ mats.reshape(len(mats), -1)).reshape(mats.shape[1:])
+
+
+def _dressed_integral(spectrum, s, nodes, combos):
+    """Trapezoid over nodes t' of combo(t') dressed by -(s - t'), in the eigenbasis."""
+    acc = np.zeros_like(spectrum.v)
+    for tp, wq, combo in zip(nodes, _trapezoid_weights(nodes), combos):
+        acc += wq * spectrum.dress_eig(combo, -(s - tp))
+    return acc
+
+
+class _PreparedHistory:
+    """The [T, t0] record and terminal term, combined in the eigenbasis of H."""
+
+    def __init__(self, relevant, history, spectrum):
+        self.history = history
+        self.spectrum = spectrum
+        self.combos = np.array([
+            _weighted_sum(term.coeffs, eigenbasis_stack(spectrum, term.operators))
+            for term in history.terms])
+        self.gamma = None if history.gamma_T is None else _weighted_sum(
+            np.asarray(history.gamma_T, float) * relevant.weights,
+            eigenbasis_stack(spectrum, relevant.operators))
+
+    def operand(self, s, cutoff=-np.inf):
+        """History exponent of the operator prepared at s, in the eigenbasis.
+
+        Test-function integrals over [T, t0] are dressed by -(s - t') and the
+        terminal -gamma_T term by -(s - T); nodes before cutoff are dropped,
+        and the terminal term with them once T falls behind it.
+        """
+        terms = self.history.terms
+        nodes = self.history.prep_grid() if terms else np.array([])
+        nodes = nodes[nodes >= cutoff]
+        combos = (_weighted_sum([term.h(tp) for term in terms], self.combos)
+                  for tp in nodes)
+        acc = _dressed_integral(self.spectrum, s, nodes, combos)
+        if self.gamma is not None and self.history.T >= cutoff:
+            acc -= self.spectrum.dress_eig(self.gamma, -(s - self.history.T))
+        return acc
+
+
+def history_exponent(relevant, history, spectrum, s):
+    """History contribution to the exponent of the operator prepared at s."""
+    past = _PreparedHistory(relevant, history, spectrum)
+    return spectrum.from_eigenbasis(past.operand(s))
+
+
 def build_rho_t0(relevant, zeta_t0, history, H, hbar=1.0):
     """Prepared statistical operator at the isolation time t0.
 
@@ -145,46 +190,14 @@ def build_rho_t0(relevant, zeta_t0, history, H, hbar=1.0):
     negative delay), minus the terminal term gamma_T.  All-zero history
     reduces exactly to the generalized Gibbs state.  Returns (rho, logZ).
     """
+    return _prepared_state(relevant, zeta_t0, history, Spectrum(H, hbar=hbar))
+
+
+def _prepared_state(relevant, zeta_t0, history, spectrum):
     x = exponent_matrix(relevant, zeta_t0)
-    x = x + history_exponent(relevant, history, H, s=history.t0, hbar=hbar)
-    x = _checked_hermitian(x, "prepared")
-    rho, logz = state_from_exponent(x)
-    return rho, logz
-
-
-def history_exponent(relevant, history, H, s, hbar=1.0):
-    """History contribution to the exponent of the operator prepared at s.
-
-    Covers both the [T, t0] test-function integrals (dressed by -(s - t'))
-    and the terminal -gamma_T term dressed by -(s - T).
-    """
-    dim = relevant.basis.dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    needs_dresser = bool(history.terms) or history.gamma_T is not None
-    if not needs_dresser:
-        return acc
-    dresser = Dresser(H, hbar=hbar)
-    grid = history.prep_grid()
-    if history.terms and len(grid):
-        weights = _trapezoid_weights(grid)
-        for term in history.terms:
-            combo = dresser.to_eigenbasis(term.combo_dense())
-            for tp, wq in zip(grid, weights):
-                hval = term.h(tp)
-                if hval == 0.0 or wq == 0.0:
-                    continue
-                acc += wq * hval * dresser.from_eigenbasis(
-                    dresser.dress_eig(combo, -(s - tp)))
-    if history.gamma_T is not None:
-        gam = np.asarray(history.gamma_T, float)
-        combo = None
-        for g, w_j, op in zip(gam, relevant.weights, relevant.operators):
-            if g != 0.0:
-                m = g * w_j * op.to_dense()
-                combo = m if combo is None else combo + m
-        if combo is not None:
-            acc -= dresser.dress(combo, -(s - history.T))
-    return acc
+    x = x + history_exponent(relevant, history, spectrum, s=history.t0)
+    return state_from_exponent(_checked_hermitian(x, "prepared"),
+                               relevant.basis.sector_slices())
 
 
 # ---- evolve and rewrite ------------------------------------------------------
@@ -217,16 +230,24 @@ def evolve_and_rewrite(relevant, zeta_t0, history, H, t, zeta_of_t,
     """
     if relevant.div_currents is None:
         raise ValueError("relevant set needs div_currents for the rewrite")
-    rho0, _ = build_rho_t0(relevant, zeta_t0, history, H, hbar=hbar)
-    rho_direct = evolve_state(rho0, H, history.t0, t, hbar=hbar)
+    spectrum = Spectrum(H, hbar=hbar)
+    rho0, _ = _prepared_state(relevant, zeta_t0, history, spectrum)
+    u = spectrum.unitary(t - history.t0)
+    rho_direct = u @ rho0 @ u.conj().T
+    x_past = (exponent_matrix(relevant, zeta_of_t(t))
+              + history_exponent(relevant, history, spectrum, s=t))
+    ad_eig = eigenbasis_stack(spectrum, relevant.operators + relevant.div_currents)
 
     def rewritten(nq):
-        x = exponent_matrix(relevant, zeta_of_t(t))
-        x = x + history_exponent(relevant, history, H, s=t, hbar=hbar)
-        x = x + _spontaneous_exponent(relevant, H, history.t0, t, zeta_of_t,
-                                      nq, hbar)
-        x = _checked_hermitian(x, "rewritten")
-        rho, _ = state_from_exponent(x)
+        x = x_past
+        if t != history.t0:
+            grid = np.linspace(history.t0, t, nq)
+            zetas = np.array([zeta_of_t(tp) for tp in grid])
+            zdots = np.gradient(zetas, grid, axis=0)
+            x = x + spectrum.from_eigenbasis(_spontaneous_exponent(
+                relevant, spectrum, ad_eig, t, grid, zetas, zdots))
+        rho, _ = state_from_exponent(_checked_hermitian(x, "rewritten"),
+                                     relevant.basis.sector_slices())
         return rho
 
     rho_fine = rewritten(n_quad)
@@ -239,25 +260,16 @@ def evolve_and_rewrite(relevant, zeta_t0, history, H, t, zeta_of_t,
                          quadrature_suspect=bool(suspect))
 
 
-def _spontaneous_exponent(relevant, H, t0, t, zeta_of_t, n_quad, hbar):
-    dim = relevant.basis.dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    if t == t0:
-        return acc
-    dresser = Dresser(H, hbar=hbar)
-    grid = np.linspace(t0, t, n_quad)
-    zetas = np.array([zeta_of_t(tp) for tp in grid])
-    zdots = np.gradient(zetas, grid, axis=0)
-    weights = _trapezoid_weights(grid)
-    a_eig = [dresser.to_eigenbasis(op.to_dense()) for op in relevant.operators]
-    d_eig = [dresser.to_eigenbasis(dv.to_dense()) for dv in relevant.div_currents]
-    for k, (tp, wq) in enumerate(zip(grid, weights)):
-        combo = None
-        for l, w_l in enumerate(relevant.weights):
-            m = w_l * (zdots[k, l] * a_eig[l] - zetas[k, l] * d_eig[l])
-            combo = m if combo is None else combo + m
-        acc += wq * dresser.from_eigenbasis(dresser.dress_eig(combo, -(t - tp)))
-    return acc
+def _spontaneous_exponent(relevant, spectrum, ad_eig, s, nodes, zetas, zdots):
+    """Trapezoid over nodes of sum_l w_l (zdot_l A_l - zeta_l div J_l)(-(s - t')).
+
+    ad_eig stacks the A_l and then the div J_l in the eigenbasis of H; the
+    result stays in that basis.
+    """
+    w = relevant.weights
+    combos = (_weighted_sum(np.concatenate([w * zdot, -w * zeta]), ad_eig)
+              for zeta, zdot in zip(zetas, zdots))
+    return _dressed_integral(spectrum, s, nodes, combos)
 
 
 def macrostate_of(rho, relevant, zeta_guess=None):
@@ -309,58 +321,11 @@ class ZetaTrajectory:
         return rows
 
 
-def _kubo_pair(cm, bm, p, kappa):
-    connected = np.sum(cm.T * bm * kappa)
-    disconnected = np.sum(np.diag(cm) * p) * np.sum(np.diag(bm) * p)
-    return connected - disconnected
-
-
-class _RhsContext:
-    """Per-evaluation workspace: state eigenbasis and transformed operators."""
-
-    def __init__(self, engine, zeta):
-        self.engine = engine
-        x = exponent_matrix(engine.relevant, zeta)
-        xw, xv = np.linalg.eigh(x)
-        boltz = np.exp(xw - xw.max())
-        self.p = np.clip(boltz / boltz.sum(), EIG_FLOOR, None)
-        self.v = xv
-        self.kappa = _kubo_kernel(self.p)
-        self.a_mats = [self._transform(m) for m in engine.a_dense]
-        self.c_mats = [self._transform(m) for m in engine.c_dense]
-
-    def _transform(self, m):
-        return self.v.conj().T @ m @ self.v
-
-    def gram(self):
-        n = len(self.a_mats)
-        g = np.empty((n, n))
-        for j in range(n):
-            for l in range(j, n):
-                val = _kubo_pair(self.a_mats[j], self.a_mats[l], self.p, self.kappa)
-                g[j, l] = g[l, j] = float(val.real)
-        return g
-
-    def cross_gram(self):
-        """K[j, l] = <C_j, A_l> in the current state."""
-        n = len(self.a_mats)
-        k = np.empty((n, n))
-        for j in range(n):
-            for l in range(n):
-                k[j, l] = float(
-                    _kubo_pair(self.c_mats[j], self.a_mats[l], self.p,
-                               self.kappa).real)
-        return k
-
-    def drift(self):
-        return np.array([float(np.sum(np.diag(c) * self.p).real)
-                         for c in self.c_mats])
-
-    def kubo_against_commutators(self, operand_eig_dressed):
-        """<C_j, O> for a dressed operand given in the H eigenbasis."""
-        om = self._transform(self.engine.dresser.from_eigenbasis(operand_eig_dressed))
-        return np.array([float(_kubo_pair(c, om, self.p, self.kappa).real)
-                         for c in self.c_mats])
+def _macrostate(relevant, zeta):
+    """Eigenbasis of w[zeta] and its eigenvalues, floored at EIG_FLOOR."""
+    state = Spectrum(exponent_matrix(relevant, zeta),
+                     sectors=relevant.basis.sector_slices())
+    return state, np.clip(state.gibbs()[0], EIG_FLOOR, None)
 
 
 class _DynamicsEngine:
@@ -368,99 +333,52 @@ class _DynamicsEngine:
         if relevant.div_currents is None:
             raise ValueError("relevant set needs div_currents for the dynamics")
         self.relevant = relevant
-        self.history = history
-        self.hbar = hbar
         self.tau_cut = tau_cut
         self.cond_max = cond_max
-        self.dresser = Dresser(H, hbar=hbar)
-        hd = H.to_dense()
-        self.a_dense = [op.to_dense() for op in relevant.operators]
-        self.d_dense = [dv.to_dense() for dv in relevant.div_currents]
-        self.c_dense = [(1j / hbar) * (hd @ a - a @ hd) for a in self.a_dense]
-        self.a_eig = [self.dresser.to_eigenbasis(m) for m in self.a_dense]
-        self.d_eig = [self.dresser.to_eigenbasis(m) for m in self.d_dense]
-        self.prep_grid = history.prep_grid()
-        self.prep_combos = [self.dresser.to_eigenbasis(term.combo_dense())
-                            for term in history.terms]
-        gam = history.gamma_T
-        self.gamma_combo = None
-        if gam is not None and np.any(np.asarray(gam) != 0.0):
-            combo = np.zeros_like(self.a_dense[0])
-            for g, w_j, m in zip(np.asarray(gam, float), relevant.weights,
-                                 self.a_dense):
-                combo += g * w_j * m
-            self.gamma_combo = self.dresser.to_eigenbasis(combo)
+        self.spectrum = Spectrum(H, hbar=hbar)
+        self.commutators = [(1j / hbar) * (H @ a - a @ H) for a in relevant.operators]
+        self.ad_eig = eigenbasis_stack(self.spectrum,
+                                       relevant.operators + relevant.div_currents)
+        self.past = _PreparedHistory(relevant, history, self.spectrum)
         self.proj = gauge_projector(relevant)
-        self.weights = relevant.weights
-
-    def _spont_combo_eig(self, zeta, zdot):
-        combo = None
-        for l, w_l in enumerate(self.weights):
-            m = w_l * (zdot[l] * self.a_eig[l] - zeta[l] * self.d_eig[l])
-            combo = m if combo is None else combo + m
-        return combo
 
     def derivative(self, t, zeta, hist_times, hist_zetas, hist_zdots):
         """zeta-dot at (t, zeta) given the stored spontaneous history.
 
-        The memory endpoint at t' = t involves the unknown zeta-dot and is
-        kept on the left-hand side of the linear solve.
+        The history integrand enters linearly through <C_j, O>, so all its
+        pieces are summed in the eigenbasis of H before one correlation.
         """
-        ctx = _RhsContext(self, zeta)
-        gram = ctx.gram()
-        rhs = ctx.drift()
+        state, p = _macrostate(self.relevant, zeta)
+        a_st = eigenbasis_stack(state, self.relevant.operators)
+        c_st = eigenbasis_stack(state, self.commutators)
+        gram = kubo_matrix(p, a_st, a_st).real
+        rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
 
+        # preparation branch and terminal gamma(T) term; a memory cutoff
+        # drops the latter together with the rest of the preparation record
+        # once T falls behind the window, which is what makes the truncated
+        # dynamics depend on the state parameters alone
         cutoff = -np.inf if self.tau_cut is None else t - self.tau_cut
+        operand = self.past.operand(t, cutoff)
 
-        # preparation branch of the history integral
-        if len(self.prep_grid):
-            mask = self.prep_grid >= cutoff
-            nodes = self.prep_grid[mask]
-            if len(nodes) >= 2:
-                wq = _trapezoid_weights(nodes)
-                for term, combo in zip(self.history.terms, self.prep_combos):
-                    for tp, w in zip(nodes, wq):
-                        hval = term.h(tp)
-                        if hval == 0.0 or w == 0.0:
-                            continue
-                        dressed = self.dresser.dress_eig(combo, -(t - tp))
-                        rhs += w * hval * ctx.kubo_against_commutators(dressed)
-
-        # spontaneous branch over stored nodes, endpoint t handled implicitly
-        nodes = [tp for tp in hist_times if tp >= cutoff]
-        offset = len(hist_times) - len(nodes)
-        all_nodes = np.array(nodes + [t])
-        w_end = 0.0
-        if len(all_nodes) >= 2:
-            wq = _trapezoid_weights(all_nodes)
-            w_end = wq[-1]
-            for i, tp in enumerate(nodes):
-                if wq[i] == 0.0:
-                    continue
-                combo = self._spont_combo_eig(hist_zetas[offset + i],
-                                              hist_zdots[offset + i])
-                dressed = self.dresser.dress_eig(combo, -(t - tp))
-                rhs += wq[i] * ctx.kubo_against_commutators(dressed)
-            # explicit part of the endpoint: the current -zeta div J piece
-            div_combo = None
-            for l, w_l in enumerate(self.weights):
-                m = -w_l * zeta[l] * self.d_eig[l]
-                div_combo = m if div_combo is None else div_combo + m
-            rhs += w_end * ctx.kubo_against_commutators(div_combo)
-
-        # terminal gamma(T) term; a memory cutoff drops it together with the
-        # rest of the preparation record once T falls behind the window,
-        # which is what makes the truncated dynamics depend on the state
-        # parameters alone
-        if self.gamma_combo is not None and self.history.T >= cutoff:
-            dressed = self.dresser.dress_eig(self.gamma_combo,
-                                             -(t - self.history.T))
-            rhs -= ctx.kubo_against_commutators(dressed)
+        # spontaneous branch over the stored nodes and the endpoint t, where
+        # only the explicit -zeta div J piece enters: the unknown zeta-dot
+        # stays on the left-hand side of the linear solve
+        kept = [k for k, tp in enumerate(hist_times) if tp >= cutoff]
+        nodes = [hist_times[k] for k in kept] + [t]
+        operand += _spontaneous_exponent(
+            self.relevant, self.spectrum, self.ad_eig, t, nodes,
+            [hist_zetas[k] for k in kept] + [zeta],
+            [hist_zdots[k] for k in kept] + [np.zeros_like(zeta)])
+        w_end = _trapezoid_weights(nodes)[-1]
+        to_state = state.v.conj().T @ self.spectrum.v
+        operand = to_state @ operand @ to_state.conj().T
+        rhs += kubo_matrix(p, c_st, operand[None])[:, 0].real
 
         # ---- linear solve:  -(G + w_end K) diag(w) zdot = rhs -------------
-        kmat = ctx.cross_gram() if w_end else 0.0
+        kmat = kubo_matrix(p, c_st, a_st).real if w_end else 0.0
         m = gram + w_end * kmat
-        mw = m * self.weights[None, :]
+        mw = m * self.relevant.weights[None, :]
         cond = self._deflated_condition(gram)
         if cond > self.cond_max:
             raise GramConditionError(cond, t, self.cond_max)
@@ -469,7 +387,8 @@ class _DynamicsEngine:
         return zdot, cond
 
     def _deflated_condition(self, gram):
-        s = gram * np.sqrt(self.weights)[None, :] * np.sqrt(self.weights)[:, None]
+        d_sqrt = np.sqrt(self.relevant.weights)
+        s = gram * d_sqrt[None, :] * d_sqrt[:, None]
         evals = np.linalg.eigvalsh(self.proj @ s @ self.proj)
         rank = int(round(np.trace(self.proj)))
         if rank == 0:
@@ -521,7 +440,7 @@ def zeta_dynamics(relevant, zeta_t0, history, H, t0, t_end, step,
         zetas=np.array(zs),
         zdots=np.array(zdots),
         memory=MemoryKernelState(tau_cut=tau_cut,
-                                 prep_nodes=len(engine.prep_grid),
+                                 prep_nodes=len(history.prep_grid()),
                                  step=step),
         gram_cond_max=cond_seen,
     )
@@ -556,28 +475,17 @@ def decay_time(relevant, zeta, H, horizon, n_samples=61, threshold=0.05,
     aggregate contracts l with the current parameters (uniformly when zeta
     vanishes) and takes the 2-norm over j.
     """
-    engine_relevant = relevant
-    dresser = Dresser(H, hbar=hbar)
-    x = exponent_matrix(engine_relevant, zeta)
-    xw, xv = np.linalg.eigh(x)
-    boltz = np.exp(xw - xw.max())
-    p = np.clip(boltz / boltz.sum(), EIG_FLOOR, None)
-    kappa = _kubo_kernel(p)
-    hd = H.to_dense()
-    to_state = lambda m: xv.conj().T @ m @ xv
-    a_dense = [op.to_dense() for op in relevant.operators]
-    c_mats = [to_state((1j / hbar) * (hd @ a - a @ hd)) for a in a_dense]
-    a_eig = [dresser.to_eigenbasis(a) for a in a_dense]
-
+    spectrum = Spectrum(H, hbar=hbar)
+    state, p = _macrostate(relevant, zeta)
+    c_st = eigenbasis_stack(state, [(1j / hbar) * (H @ a - a @ H)
+                                    for a in relevant.operators])
+    a_eig = eigenbasis_stack(spectrum, relevant.operators)
+    to_state = state.v.conj().T @ spectrum.v
     times = np.linspace(0.0, horizon, n_samples)
-    n = len(relevant)
-    table = np.empty((n_samples, n, n))
-    for k, s in enumerate(times):
-        for l in range(n):
-            dressed = dresser.from_eigenbasis(dresser.dress_eig(a_eig[l], -s))
-            am = to_state(dressed)
-            for j in range(n):
-                table[k, j, l] = float(_kubo_pair(c_mats[j], am, p, kappa).real)
+    table = np.array([
+        kubo_matrix(p, c_st, to_state @ spectrum.dress_eig(a_eig, -s)
+                    @ to_state.conj().T).real
+        for s in times])
 
     zeta = np.asarray(zeta, float)
     v = relevant.weights * (zeta if np.max(np.abs(zeta)) > 0 else 1.0)
@@ -629,8 +537,7 @@ def entropy_monitor(trajectory, relevant, conserved=None, step_tol=1e-6):
     dist = np.full(n_t, np.nan)
     relevant_states = []
     for i in range(n_t):
-        x = exponent_matrix(relevant, trajectory.zetas[i])
-        rho, _ = state_from_exponent(x)
+        rho, _ = gibbs_state(relevant, trajectory.zetas[i])
         relevant_states.append(rho)
         s_vals[i] = entropy(rho)
     if conserved is not None:
@@ -639,8 +546,7 @@ def entropy_monitor(trajectory, relevant, conserved=None, step_tol=1e-6):
             targets = expectations(conserved, rho)
             zf = match_expectations(conserved, targets, zeta_init=guess)
             guess = zf.values
-            x_eq = exponent_matrix(conserved, zf.values)
-            rho_eq, _ = state_from_exponent(x_eq)
+            rho_eq, _ = gibbs_state(conserved, zf.values)
             dist[i] = float(np.linalg.norm(rho - rho_eq))
     steps = np.diff(s_vals)
     bad = tuple(int(i) for i in np.flatnonzero(steps < -step_tol))

@@ -14,40 +14,82 @@ import numpy as np
 from .fock import FieldOperator
 
 UNITARITY_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-10
+
+
+class Spectrum:
+    """Eigendecomposition of a Hermitian operator, blocked by particle number.
+
+    op is a FieldOperator or a dense Hermitian matrix.  It is diagonalized
+    block by block over the particle-number sectors of its basis (or the
+    given sectors, for a dense matrix) when it couples none of them, and
+    whole otherwise.  Dressing A -> exp(+iHt/hbar) A exp(-iHt/hbar) is an
+    elementwise phase mask in the eigenbasis, computed afresh on each call;
+    negative times give the retarded operators A(-s) of the history
+    integrals.
+    """
+
+    def __init__(self, op, hbar=1.0, sectors=None):
+        if isinstance(op, FieldOperator):
+            sectors = op.basis.sector_slices()
+            op = op.to_dense()
+        m = np.asarray(op, dtype=complex)
+        dev = float(np.max(np.abs(m - m.conj().T)))
+        if dev >= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m)))):
+            raise ValueError(f"operator is not Hermitian: ||A - A^dag||_max = {dev:.3e}")
+        if sectors is not None and np.count_nonzero(m) != sum(
+                np.count_nonzero(m[sl, sl]) for _, sl in sectors):
+            sectors = None
+        self.hbar = hbar
+        if sectors is None:
+            self.w, self.v = np.linalg.eigh(m)
+            return
+        self.w = np.empty(len(m))
+        self.v = np.zeros_like(m)
+        for _, sl in sectors:
+            self.w[sl], self.v[sl, sl] = np.linalg.eigh(m[sl, sl])
+
+    def to_eigenbasis(self, A):
+        m = A.matrix if isinstance(A, FieldOperator) else np.asarray(A)
+        return self.v.conj().T @ (m @ self.v)
+
+    def from_eigenbasis(self, m):
+        return self.v @ m @ self.v.conj().T
+
+    def dress_eig(self, A_eig, t):
+        """Dress an operator already expressed in the eigenbasis."""
+        phase = np.exp(1j * self.w * t / self.hbar)
+        return np.outer(phase, phase.conj()) * A_eig
+
+    def dress(self, A, t):
+        return self.from_eigenbasis(self.dress_eig(self.to_eigenbasis(A), t))
+
+    def unitary(self, t):
+        """exp(-i op t / hbar) as a dense matrix."""
+        return (self.v * np.exp(-1j * self.w * t / self.hbar)) @ self.v.conj().T
+
+    def gibbs(self):
+        """Weights of exp(op)/Z on the eigenvectors and log Z, via log-sum-exp."""
+        shift = self.w.max()
+        boltz = np.exp(self.w - shift)
+        z = boltz.sum()
+        return boltz / z, float(shift + np.log(z))
+
+
+# the Heisenberg-dressing name of the same object
+Dresser = Spectrum
 
 
 def hermitian_eig(op):
-    """Eigenpairs of a Hermitian FieldOperator, ascending, deterministic.
-
-    Uses per-sector dense diagonalization when the operator conserves
-    particle number.
-    """
-    if not op.is_hermitian(tol=1e-10):
-        raise ValueError("operator is not Hermitian")
-    dim = op.basis.dim
-    dense = op.to_dense()
-    if not op.number_conserving:
-        return np.linalg.eigh(dense)
-    w = np.empty(dim)
-    v = np.zeros((dim, dim), dtype=complex)
-    for _, sl in op.basis.sector_slices():
-        block = dense[sl, sl]
-        wb, vb = np.linalg.eigh(block)
-        w[sl] = wb
-        v[sl, sl] = vb
-    return w, v
+    """Eigenpairs of a Hermitian FieldOperator, ascending within each sector."""
+    spectrum = Spectrum(op)
+    return spectrum.w, spectrum.v
 
 
 def propagator(H, dt, hbar=1.0):
     """U = exp(-i H dt / hbar) for Hermitian H."""
-    dev = (H - H.dag()).max_abs()
-    if dev >= 1e-10:
-        raise ValueError(f"propagator needs Hermitian H, ||H - H^dag||_max = {dev:.3e}")
-    w, v = hermitian_eig(H.as_hermitian(tol=1e-10))
-    phases = np.exp(-1j * w * dt / hbar)
-    u = (v * phases) @ v.conj().T
-    unit_dev = np.max(np.abs(u @ u.conj().T - np.eye(len(w))))
+    u = Spectrum(H, hbar=hbar).unitary(dt)
+    unit_dev = np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
     if unit_dev >= UNITARITY_TOL:
         raise AssertionError(f"propagator lost unitarity: {unit_dev:.3e}")
     return FieldOperator(H.basis, u, hermitian=False,
@@ -55,15 +97,14 @@ def propagator(H, dt, hbar=1.0):
 
 
 def _step_unitaries(H_of_t, t0, t1, n_steps, hbar):
-    """Midpoint-sampled piecewise-constant propagators, first step first."""
+    """Dense midpoint-sampled propagators, first step first; one for a fixed H."""
+    if isinstance(H_of_t, FieldOperator):
+        return [propagator(H_of_t, t1 - t0, hbar=hbar).to_dense()]
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
     dt = (t1 - t0) / n_steps
-    out = []
-    for k in range(n_steps):
-        tm = t0 + (k + 0.5) * dt
-        out.append(propagator(H_of_t(tm), dt, hbar=hbar))
-    return out
+    return [propagator(H_of_t(t0 + (k + 0.5) * dt), dt, hbar=hbar).to_dense()
+            for k in range(n_steps)]
 
 
 def evolve_state(rho, H_of_t, t0, t1, n_steps=1, hbar=1.0):
@@ -72,69 +113,22 @@ def evolve_state(rho, H_of_t, t0, t1, n_steps=1, hbar=1.0):
     H_of_t may be a FieldOperator (time-independent) or a callable t -> H.
     Unitary conjugation preserves trace, Hermiticity and spectrum exactly.
     """
-    if isinstance(H_of_t, FieldOperator):
-        fixed = H_of_t
-        H_of_t = lambda t: fixed
-        n_steps = 1
     m = np.asarray(rho, dtype=complex)
     for u in _step_unitaries(H_of_t, t0, t1, n_steps, hbar):
-        ud = u.to_dense()
-        m = ud @ m @ ud.conj().T
+        m = u @ m @ u.conj().T
     return m
 
 
 def heisenberg(A, H_of_t, t0, t1, n_steps=1, hbar=1.0):
     """Heisenberg-evolved observable, the dual dressing of evolve_state.
 
-    Satisfies Tr(A rho(t1)) = Tr(heisenberg(A) rho) for any initial rho.
+    Satisfies Tr(A rho(t1)) = Tr(heisenberg(A) rho) for any initial rho:
+    the steps act on A last step first.
     """
-    if isinstance(H_of_t, FieldOperator):
-        fixed = H_of_t
-        H_of_t = lambda t: fixed
-        n_steps = 1
     m = A.to_dense() if isinstance(A, FieldOperator) else np.asarray(A, dtype=complex)
-    basis = A.basis if isinstance(A, FieldOperator) else None
-    for u in _step_unitaries(H_of_t, t0, t1, n_steps, hbar):
-        ud = u.to_dense()
-        m = ud.conj().T @ m @ ud
-    if basis is None:
+    for u in reversed(_step_unitaries(H_of_t, t0, t1, n_steps, hbar)):
+        m = u.conj().T @ m @ u
+    if not isinstance(A, FieldOperator):
         return m
-    return FieldOperator(basis, m, hermitian=False, number_conserving=False,
+    return FieldOperator(A.basis, m, hermitian=False, number_conserving=False,
                          check=False)
-
-
-class Dresser:
-    """Cached Heisenberg dressing A -> exp(+iHt/hbar) A exp(-iHt/hbar).
-
-    Diagonalizes the (time-independent) Hamiltonian once; each dressing is
-    then an elementwise phase mask in the eigenbasis.  Negative times give
-    the retarded operators A(-s) used by the history integrals.
-    """
-
-    def __init__(self, H, hbar=1.0):
-        self.hbar = hbar
-        self.w, self.v = hermitian_eig(H.as_hermitian(tol=1e-10))
-        self._phase_cache = {}
-
-    def to_eigenbasis(self, A):
-        m = A.to_dense() if isinstance(A, FieldOperator) else np.asarray(A)
-        return self.v.conj().T @ m @ self.v
-
-    def from_eigenbasis(self, m):
-        return self.v @ m @ self.v.conj().T
-
-    def _mask(self, t):
-        key = float(t)
-        mask = self._phase_cache.get(key)
-        if mask is None:
-            phase = np.exp(1j * self.w * t / self.hbar)
-            mask = np.outer(phase, phase.conj())
-            self._phase_cache[key] = mask
-        return mask
-
-    def dress_eig(self, A_eig, t):
-        """Dress an operator already expressed in the eigenbasis."""
-        return self._mask(t) * A_eig
-
-    def dress(self, A, t):
-        return self.from_eigenbasis(self.dress_eig(self.to_eigenbasis(A), t))

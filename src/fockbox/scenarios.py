@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.stats import spearmanr
 
 from . import __version__
 from .config import build_model, default_model, deep_merge, feasibility_findings
@@ -84,6 +83,17 @@ def check_ge(name, value, threshold):
                           comparison=">=")
 
 
+def spearman(a, b):
+    """Spearman rank correlation; tied values share their average rank."""
+
+    def ranks(x):
+        _, inverse, counts = np.unique(np.asarray(x, float), return_inverse=True,
+                                       return_counts=True)
+        return (np.cumsum(counts) - 0.5 * (counts + 1))[inverse]
+
+    return float(np.corrcoef(ranks(a), ranks(b))[0, 1])
+
+
 # ---- deterministic writers ---------------------------------------------------
 
 
@@ -110,7 +120,7 @@ def config_hash(config):
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
-def write_summary(path, config, result, threads=1):
+def write_summary(path, config, result):
     doc = {
         "scenario": result.name,
         "passed": result.passed,
@@ -128,7 +138,6 @@ def write_summary(path, config, result, threads=1):
         "provenance": {
             "config_sha256": config_hash(config),
             "seed": config.get("seed", 0),
-            "threads": threads,
             "versions": {
                 "fockbox": __version__,
                 "numpy": np.__version__,
@@ -271,7 +280,7 @@ def run_embedding_check(config, out_dir):
         residuals.append(r)
         norms.append(s)
         rows.append((float(c), r, s))
-    rank_corr, _ = spearmanr(residuals, norms)
+    rank_corr = spearman(residuals, norms)
     write_csv(Path(out_dir) / "sweep.csv",
               ["center", "residual", "surface_norm"], rows)
 
@@ -679,13 +688,13 @@ def validate_config(config):
     return findings
 
 
-def run_scenario(config, out_dir, threads=1):
+def run_scenario(config, out_dir):
     """Execute a merged configuration, write artifacts, return the result."""
     merged = merged_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = CATALOG[merged["scenario"]][2]
     result = runner(merged, out)
-    write_summary(out / "summary.json", merged, result, threads=threads)
+    write_summary(out / "summary.json", merged, result)
     result.artifacts.append("summary.json")
     return result

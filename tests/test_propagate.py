@@ -115,3 +115,20 @@ def test_dresser_matches_heisenberg(box):
     for t in (0.5, -1.2):
         direct = heisenberg(a, h, 0.0, t)
         assert np.max(np.abs(d.dress(a, t) - direct)) < 1e-10
+
+
+def test_heisenberg_duality_time_dependent():
+    basis = build_basis(BOSE, L=3, g=1, n_max=1)
+    h0 = build_hamiltonian(basis, LatticeModel(L=3, dx=1.0))
+    n1 = number_operator(basis, 1)
+
+    def h_of(t):
+        return (h0 + np.sin(3.0 * t) * n1).as_hermitian()
+
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(basis.dim, basis.dim))
+    rho = m @ m.T / np.trace(m @ m.T)
+    a = n1.to_dense()
+    lhs = np.trace(a @ evolve_state(rho, h_of, 0.0, 1.0, n_steps=4))
+    rhs = np.trace(heisenberg(a, h_of, 0.0, 1.0, n_steps=4) @ rho)
+    assert abs(lhs - rhs) < 1e-12

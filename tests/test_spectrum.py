@@ -1,0 +1,340 @@
+"""Spectrum and kubo_matrix against the slow full-space paths they replaced.
+
+The oracles below are the per-pair Kubo double loop over a full-space
+eigendecomposition of the state, Heisenberg dressing by a full-space eigh
+of H, scipy's expm, and a per-history-node evaluation of the parameter
+derivative.  Models are drawn at random: Bose and Fermi boxes, free (with
+the degenerate many-body levels of a symmetric box), interacting, or a
+multiple of the total number operator (fully degenerate in each sector);
+the operands include field operators that change the particle number.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fockbox.fock import (
+    BOSE,
+    FERMI,
+    annihilation,
+    build_basis,
+    field_operator,
+    identity,
+    number_operator,
+    zero_operator,
+)
+from fockbox.lattice import (
+    MASS,
+    LatticeModel,
+    build_hamiltonian,
+    current_ops,
+    density_ops,
+    divergence_ops,
+    pair_preset,
+    potential_preset,
+)
+from fockbox.maxent import (
+    eigenbasis_stack,
+    expectations,
+    exponent_matrix,
+    gauge_projector,
+    kubo_gram,
+    kubo_matrix,
+    relevant_set,
+)
+from fockbox.neqso import (
+    HistorySpec,
+    HistoryTerm,
+    _DynamicsEngine,
+    cosine_test_function,
+)
+from fockbox.propagate import Spectrum
+
+# a fixed seed keeps the suite reproducible; model construction is the slow part
+SETTINGS = settings(max_examples=30, deadline=None, database=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---- test-only oracles -------------------------------------------------------
+
+
+def oracle_kernel(w):
+    logw = np.log(w)
+    d = logw[:, None] - logw[None, :]
+    num = w[:, None] - w[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = num / d
+    small = np.abs(d) < 1e-7
+    geo = np.sqrt(w[:, None] * w[None, :])
+    return np.where(small, geo * (1.0 + d * d / 24.0), kappa)
+
+
+def oracle_kubo_matrix(cs, bs, rho, eig_floor=1e-14):
+    """Per-pair Kubo double loop over a full-space eigh of rho."""
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, eig_floor, None)
+    kappa = oracle_kernel(w)
+    out = np.empty((len(cs), len(bs)), dtype=complex)
+    for j, c in enumerate(cs):
+        cm = v.conj().T @ c @ v
+        for l, b in enumerate(bs):
+            bm = v.conj().T @ b @ v
+            connected = np.sum(cm.T * bm * kappa)
+            disconnected = np.sum(np.diag(cm) * w) * np.sum(np.diag(bm) * w)
+            out[j, l] = connected - disconnected
+    return out
+
+
+def oracle_dress(h_dense, a, t, hbar=1.0):
+    """exp(+iHt/hbar) A exp(-iHt/hbar) from a full-space eigh of H."""
+    w, v = np.linalg.eigh(h_dense)
+    phase = np.exp(1j * w * t / hbar)
+    return (v * phase) @ (v.conj().T @ a @ v) @ (v * phase).conj().T
+
+
+def oracle_gibbs(x):
+    e = scipy.linalg.expm(x)
+    return e / np.trace(e).real
+
+
+# ---- random models -------------------------------------------------------------
+
+
+@st.composite
+def models(draw):
+    statistics = draw(st.sampled_from([BOSE, FERMI]))
+    L = draw(st.integers(1, 3))
+    g = draw(st.integers(1, 2)) if statistics == FERMI else 1
+    n_max = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["free", "interacting", "number"]))
+    basis = build_basis(statistics, L, g=g, n_max=n_max)
+    if kind == "interacting":
+        values = draw(st.lists(st.floats(-1.0, 1.0), min_size=L, max_size=L))
+        v, rv = pair_preset("contact", v0=draw(st.floats(0.0, 1.0)))
+        model = LatticeModel(L=L, g=g, statistics=statistics,
+                             U=potential_preset("table", L, values=values),
+                             V=v, range_V=rv)
+    else:
+        model = LatticeModel(L=L, g=g, statistics=statistics)
+    h = build_hamiltonian(basis, model)
+    if kind == "number":
+        h = draw(st.sampled_from([0.5, 1.0, 2.0])) * number_operator(basis)
+    return basis, model, h
+
+
+def operands(basis, model, draw):
+    """A number-conserving density, a field operator and a Hermitian field."""
+    site = draw(st.integers(0, model.L - 1))
+    psi = field_operator(basis, model, site)
+    return [density_ops(basis, model)[site], psi, psi + psi.dag()]
+
+
+def random_state_exponent(basis, model, h, draw):
+    """-sum z_j A_j over N, H and one density; all-zero gives a flat spectrum."""
+    ops = [number_operator(basis), h, density_ops(basis, model)[0]]
+    zeta = draw(st.one_of(st.just([0.0] * 3),
+                          st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0]),
+                                   min_size=3, max_size=3)))
+    return sum((-z * op.to_dense() for z, op in zip(zeta, ops)),
+               np.zeros((basis.dim, basis.dim), dtype=complex))
+
+
+# ---- Spectrum ----------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_dress_matches_full_space_eigh(data):
+    basis, model, h = data.draw(models())
+    t = data.draw(st.floats(-2.0, 2.0))
+    spectrum = Spectrum(h)
+    blocks = sum((b - a) ** 2 for _, a, b in basis.sectors)
+    assert np.count_nonzero(spectrum.v) <= blocks
+    for op in operands(basis, model, data.draw):
+        want = oracle_dress(h.to_dense(), op.to_dense(), t)
+        got = spectrum.dress(op, t)
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
+@SETTINGS
+@given(st.data())
+def test_unitary_matches_expm(data):
+    basis, _, h = data.draw(models())
+    t = data.draw(st.floats(-3.0, 3.0))
+    want = scipy.linalg.expm(-1j * t * h.to_dense())
+    assert np.max(np.abs(Spectrum(h).unitary(t) - want)) < 1e-10
+    dense = Spectrum(h.to_dense(), sectors=basis.sector_slices())
+    assert np.max(np.abs(dense.unitary(t) - want)) < 1e-10
+
+
+@SETTINGS
+@given(st.data())
+def test_gibbs_matches_expm(data):
+    basis, model, h = data.draw(models())
+    x = random_state_exponent(basis, model, h, data.draw)
+    spectrum = Spectrum(x, sectors=basis.sector_slices())
+    p, log_z = spectrum.gibbs()
+    rho = (spectrum.v * p) @ spectrum.v.conj().T
+    assert np.max(np.abs(rho - oracle_gibbs(x))) < 1e-10
+    assert abs(log_z - np.log(np.trace(scipy.linalg.expm(x)).real)) < 1e-10
+
+
+def test_non_hermitian_input_rejected():
+    basis = build_basis(BOSE, L=2, g=1, n_max=1)
+    for op in (annihilation(basis, 0), annihilation(basis, 0).to_dense()):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Spectrum(op)
+
+
+# ---- kubo_matrix ---------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_kubo_matrix_matches_pairwise_oracle(data):
+    basis, model, h = data.draw(models())
+    x = random_state_exponent(basis, model, h, data.draw)
+    state = Spectrum(x, sectors=basis.sector_slices())
+    p = np.clip(state.gibbs()[0], 1e-14, None)
+    ops = operands(basis, model, data.draw) + [h]
+    stack = eigenbasis_stack(state, ops)
+    got = kubo_matrix(p, stack, stack)
+    dense = [op.to_dense() for op in ops]
+    want = oracle_kubo_matrix(dense, dense, oracle_gibbs(x))
+    assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+@SETTINGS
+@given(st.data())
+def test_kubo_gram_matches_pairwise_oracle(data):
+    basis, model, h = data.draw(models())
+    rel = relevant_set([f"rho[{x}]" for x in range(model.L)] + ["H"],
+                       list(density_ops(basis, model)) + [h])
+    rho = oracle_gibbs(random_state_exponent(basis, model, h, data.draw))
+    if data.draw(st.booleans()):
+        # a state that couples the particle-number sectors
+        m = np.random.default_rng(data.draw(st.integers(0, 99))).normal(
+            size=(basis.dim, basis.dim))
+        rho = 0.5 * rho + 0.5 * (m @ m.T) / np.trace(m @ m.T)
+    g = kubo_gram(rel, rho)
+    assert np.array_equal(g, g.T)
+    dense = [op.to_dense() for op in rel.operators]
+    want = oracle_kubo_matrix(dense, dense, rho).real
+    assert np.max(np.abs(g - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+@SETTINGS
+@given(st.data())
+def test_gauge_projector_matches_dense_gram(data):
+    basis, model, h = data.draw(models())
+    # the identity is a pure gauge direction; the densities sum to m N
+    ops = list(density_ops(basis, model)) + [number_operator(basis), h, identity(basis)]
+    weights = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                 min_size=len(ops), max_size=len(ops)))
+    rel = relevant_set([str(j) for j in range(len(ops))], ops, weights)
+    eye = np.eye(basis.dim)
+    traceless = [w * op.to_dense() - (w * op.trace() / basis.dim) * eye
+                 for w, op in zip(weights, ops)]
+    gram = np.array([[np.trace(a.conj().T @ b).real for b in traceless]
+                     for a in traceless])
+    evals, evecs = np.linalg.eigh(gram)
+    keep = evecs[:, evals > 1e-10 * max(evals.max(), 1.0)]
+    assert np.max(np.abs(gauge_projector(rel) - keep @ keep.T)) < 1e-9
+
+
+@SETTINGS
+@given(st.data())
+def test_expectations_match_dense_trace(data):
+    basis, model, h = data.draw(models())
+    # interior bond currents are imaginary Hermitian matrices
+    bonds = current_ops(basis, model, MASS).bonds[1:-1]
+    ops = list(density_ops(basis, model)) + list(bonds) + [h]
+    rel = relevant_set([str(j) for j in range(len(ops))], ops)
+    rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+    m = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+    rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
+    want = [np.trace(op.to_dense() @ rho).real for op in ops]
+    assert np.max(np.abs(expectations(rel, rho) - want)) < 1e-12
+
+
+# ---- parameter derivative -------------------------------------------------------
+
+
+def oracle_derivative(rel, history, h, t, zeta, times, zetas, zdots,
+                      tau_cut):
+    """The memory integral with one Kubo evaluation per history node."""
+    hd = h.to_dense()
+    rho = oracle_gibbs(exponent_matrix(rel, zeta))
+    a = [op.to_dense() for op in rel.operators]
+    dv = [op.to_dense() for op in rel.div_currents]
+    cs = [1j * (hd @ m - m @ hd) for m in a]
+    w = rel.weights
+
+    def against_c(operand):
+        return oracle_kubo_matrix(cs, [operand], rho)[:, 0].real
+
+    def spont(z, zd):
+        return sum(w[l] * (zd[l] * a[l] - z[l] * dv[l]) for l in range(len(a)))
+
+    gram = oracle_kubo_matrix(a, a, rho).real
+    rhs = np.array([np.trace(c @ rho).real for c in cs])
+    cutoff = -np.inf if tau_cut is None else t - tau_cut
+    nodes = history.prep_grid()
+    nodes = nodes[nodes >= cutoff]
+    wq = np.zeros(len(nodes))
+    if len(nodes) >= 2:
+        wq[:-1] += 0.5 * np.diff(nodes)
+        wq[1:] += 0.5 * np.diff(nodes)
+    for term in history.terms:
+        combo = sum(c * op.to_dense() for c, op in zip(term.coeffs, term.operators))
+        for tp, wt in zip(nodes, wq):
+            rhs += wt * term.h(tp) * against_c(oracle_dress(hd, combo, -(t - tp)))
+    kept = [i for i, tp in enumerate(times) if tp >= cutoff]
+    all_nodes = np.array([times[i] for i in kept] + [t])
+    wq = np.zeros(len(all_nodes))
+    if len(all_nodes) >= 2:
+        wq[:-1] += 0.5 * np.diff(all_nodes)
+        wq[1:] += 0.5 * np.diff(all_nodes)
+    for k, i in enumerate(kept):
+        dressed = oracle_dress(hd, spont(zetas[i], zdots[i]), -(t - times[i]))
+        rhs += wq[k] * against_c(dressed)
+    rhs += wq[-1] * against_c(spont(zeta, np.zeros_like(zeta)))
+    if history.T >= cutoff:
+        gamma = sum(g * w[l] * a[l] for l, g in enumerate(history.gamma_T))
+        rhs -= against_c(oracle_dress(hd, gamma, -(t - history.T)))
+    kmat = oracle_kubo_matrix(cs, a, rho).real
+    m = (gram + wq[-1] * kmat) * w[None, :]
+    u, *_ = np.linalg.lstsq(m, -rhs, rcond=1e-13)
+    return gauge_projector(rel) @ u
+
+
+@settings(SETTINGS, max_examples=10)
+@given(zeta=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+       tau_cut=st.sampled_from([None, 0.25, 0.6]))
+def test_derivative_matches_per_node_oracle(zeta, tau_cut):
+    v, rv = pair_preset("contact", v0=0.6)
+    model = LatticeModel(L=2, dx=1.0, V=v, range_V=rv)
+    basis = build_basis(BOSE, L=2, g=1, n_max=2)
+    h = build_hamiltonian(basis, model)
+    cells = density_ops(basis, model)
+    rel = relevant_set(["rho[0]", "rho[1]", "H"], list(cells) + [h],
+                       div_currents=list(divergence_ops(
+                           current_ops(basis, model, MASS), model))
+                       + [zero_operator(basis)])
+    history = HistorySpec(
+        T=-0.5, t0=0.0, n_quad=6, gamma_T=np.array([0.2, -0.2, 0.1]),
+        terms=(HistoryTerm("drive", (cells[0],), np.array([0.3]),
+                           cosine_test_function(2.0)),))
+    engine = _DynamicsEngine(rel, history, h, 1.0, tau_cut)
+    zeta = np.array(zeta)
+    rng = np.random.default_rng(0)
+    times = [0.0, 0.1, 0.2]
+    zetas = [zeta + 0.1 * rng.normal(size=3) for _ in times]
+    zdots = [rng.normal(size=3) for _ in times]
+    t = 0.3
+    got, _ = engine.derivative(t, zeta, times, zetas, zdots)
+    want = oracle_derivative(rel, history, h, t, zeta, times, zetas,
+                             zdots, tau_cut)
+    assert np.max(np.abs(got - want)) < 1e-8 * max(1.0, np.max(np.abs(want)))
