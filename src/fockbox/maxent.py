@@ -120,8 +120,22 @@ def state_from_exponent(x, sectors=None):
     """
     spectrum = Spectrum(x, sectors=sectors)
     p, logz = spectrum.gibbs()
+    return _density(spectrum, p), logz
+
+
+def _density(spectrum, p):
+    """sum_a p_a |a><a| over the eigenvectors of spectrum, exactly Hermitian."""
     rho = (spectrum.v * p) @ spectrum.v.conj().T
-    return 0.5 * (rho + rho.conj().T), logz
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _gibbs(relevant, zeta):
+    """(spectrum, p, logZ): the exponent of w[zeta], diagonalized by sector, with
+    its Gibbs weights; w[zeta] shares the exponent's eigenvectors."""
+    spectrum = Spectrum(exponent_matrix(relevant, zeta),
+                        sectors=relevant.basis.sector_slices())
+    p, logz = spectrum.gibbs()
+    return spectrum, p, logz
 
 
 def gibbs_state(relevant, zeta):
@@ -131,11 +145,10 @@ def gibbs_state(relevant, zeta):
     eigendecomposition with a log-sum-exp shift, so the exponent cannot
     overflow for finite zeta).
     """
-    x = exponent_matrix(relevant, zeta)
-    rho, logz = state_from_exponent(x, relevant.basis.sector_slices())
+    spectrum, p, logz = _gibbs(relevant, zeta)
     zf = ZetaField(labels=relevant.labels, values=np.asarray(zeta, float).copy(),
                    zeta0=logz)
-    return rho, zf
+    return _density(spectrum, p), zf
 
 
 def entropy(rho, tol=1e-9):
@@ -256,8 +269,13 @@ def kubo_gram(relevant, rho, eig_floor=EIG_FLOOR):
     """Symmetric matrix of pairwise correlations <A_j, A_l>_rho."""
     spectrum = Spectrum(rho, sectors=relevant.basis.sector_slices())
     floored = spectrum.w if eig_floor is None else np.clip(spectrum.w, eig_floor, None)
+    return _gram(relevant, spectrum, floored)
+
+
+def _gram(relevant, spectrum, p):
+    """kubo_gram in the state with eigenvalues p on the eigenvectors of spectrum."""
     mats = eigenbasis_stack(spectrum, relevant.operators)
-    g = kubo_matrix(floored, mats, mats).real
+    g = kubo_matrix(p, mats, mats).real
     return 0.5 * (g + g.T)
 
 
@@ -284,13 +302,15 @@ def match_expectations(relevant, targets, zeta_init=None, tol=MATCH_TOL,
         raise ValueError("zeta_init contains non-finite entries")
     proj = gauge_projector(relevant)
 
-    rho, zf = gibbs_state(relevant, zeta)
-    resid = expectations(relevant, rho) - targets
+    # one diagonalization per iterate: the exponent's spectrum gives both
+    # w[zeta] and its Gram matrix
+    state, p, logz = _gibbs(relevant, zeta)
+    resid = expectations(relevant, _density(state, p)) - targets
     for _ in range(max_iters):
         if np.max(np.abs(resid)) < tol:
             return ZetaField(labels=relevant.labels, values=zeta,
-                             zeta0=zf.zeta0, gauge_projector=proj)
-        gram = kubo_gram(relevant, rho)
+                             zeta0=logz, gauge_projector=proj)
+        gram = _gram(relevant, state, np.clip(p, EIG_FLOOR, None))
         # Newton system -G diag(w) step = -resid, solved in the symmetric
         # coordinates y = sqrt(w) step where S = sqrt(w) G sqrt(w); the
         # thresholded pseudo-inverse deflates the gauge null space
@@ -310,8 +330,8 @@ def match_expectations(relevant, targets, zeta_init=None, tol=MATCH_TOL,
         lam = 1.0
         for _ in range(40):
             trial = zeta + lam * step
-            rho_t, zf_t = gibbs_state(relevant, trial)
-            resid_t = expectations(relevant, rho_t) - targets
+            state_t, p_t, logz_t = _gibbs(relevant, trial)
+            resid_t = expectations(relevant, _density(state_t, p_t)) - targets
             if np.linalg.norm(resid_t) < norm0:
                 break
             lam *= 0.5
@@ -321,7 +341,7 @@ def match_expectations(relevant, targets, zeta_init=None, tol=MATCH_TOL,
                 "line search stalled; targets may lie outside the attainable set "
                 f"(residual inf-norm {np.max(np.abs(resid)):.3e})",
                 residual=resid, null_direction=null)
-        zeta, rho, zf, resid = trial, rho_t, zf_t, resid_t
+        zeta, state, p, logz, resid = trial, state_t, p_t, logz_t, resid_t
         if np.max(np.abs(zeta)) > zeta_max and np.max(np.abs(resid)) >= tol:
             raise MatchFailure(
                 "parameters diverged past "
@@ -329,7 +349,7 @@ def match_expectations(relevant, targets, zeta_init=None, tol=MATCH_TOL,
                 "outside) the boundary of the attainable expectation set",
                 residual=resid, null_direction=None)
     if np.max(np.abs(resid)) < tol:
-        return ZetaField(labels=relevant.labels, values=zeta, zeta0=zf.zeta0,
+        return ZetaField(labels=relevant.labels, values=zeta, zeta0=logz,
                          gauge_projector=proj)
     raise MatchFailure(
         f"no convergence in {max_iters} iterations "

@@ -22,6 +22,7 @@ import numpy as np
 from .fock import FieldOperator
 from .maxent import (
     EIG_FLOOR,
+    _gibbs,
     eigenbasis_stack,
     entropy,
     exponent_matrix,
@@ -112,13 +113,10 @@ class HistorySpec:
 
 
 def _trapezoid_weights(nodes):
-    nodes = np.asarray(nodes, float)
-    if len(nodes) < 2:
-        return np.zeros(len(nodes))
     w = np.zeros(len(nodes))
-    d = np.diff(nodes)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
+    d = 0.5 * np.diff(nodes)
+    w[:-1] += d
+    w[1:] += d
     return w
 
 
@@ -132,17 +130,9 @@ def _checked_hermitian(x, what):
     return x
 
 
-def _weighted_sum(coeffs, mats):
-    """sum_k coeffs[k] mats[k] over an (n, d, d) stack."""
-    return (coeffs @ mats.reshape(len(mats), -1)).reshape(mats.shape[1:])
-
-
-def _dressed_integral(spectrum, s, nodes, combos):
-    """Trapezoid over nodes t' of combo(t') dressed by -(s - t'), in the eigenbasis."""
-    acc = np.zeros_like(spectrum.v)
-    for tp, wq, combo in zip(nodes, _trapezoid_weights(nodes), combos):
-        acc += wq * spectrum.dress_eig(combo, -(s - tp))
-    return acc
+def _phased_integral(spectrum, s, weights, stack):
+    """sum_k weights[k] stack[k] dressed by -s: stack[k] is dressed by its t'."""
+    return spectrum.dress_eig(np.tensordot(weights, stack, 1), -s)
 
 
 class _PreparedHistory:
@@ -151,35 +141,31 @@ class _PreparedHistory:
     def __init__(self, relevant, history, spectrum):
         self.history = history
         self.spectrum = spectrum
-        self.combos = np.array([
-            _weighted_sum(term.coeffs, eigenbasis_stack(spectrum, term.operators))
-            for term in history.terms])
-        self.gamma = None if history.gamma_T is None else _weighted_sum(
+        terms = history.terms
+        self.nodes = history.prep_grid() if terms else np.array([])
+        h = np.array([[term.h(tp) for term in terms] for tp in self.nodes])
+        combos = np.array([
+            np.tensordot(term.coeffs, eigenbasis_stack(spectrum, term.operators), 1)
+            for term in terms], dtype=complex).reshape((len(terms),) + spectrum.v.shape)
+        # each node dressed once, by its t': mask(t' - s) = mask(-s) * mask(t')
+        self.stack = np.tensordot(h.reshape(len(self.nodes), len(terms)), combos, 1)
+        phase = np.exp(1j * np.multiply.outer(self.nodes, spectrum.w) / spectrum.hbar)
+        self.stack *= phase[:, :, None]
+        self.stack *= phase.conj()[:, None, :]
+        self.gamma = None if history.gamma_T is None else np.tensordot(
             np.asarray(history.gamma_T, float) * relevant.weights,
-            eigenbasis_stack(spectrum, relevant.operators))
+            eigenbasis_stack(spectrum, relevant.operators), 1)
 
     def operand(self, s, cutoff=-np.inf):
-        """History exponent of the operator prepared at s, in the eigenbasis.
-
-        Test-function integrals over [T, t0] are dressed by -(s - t') and the
-        terminal -gamma_T term by -(s - T); nodes before cutoff are dropped,
-        and the terminal term with them once T falls behind it.
-        """
-        terms = self.history.terms
-        nodes = self.history.prep_grid() if terms else np.array([])
-        nodes = nodes[nodes >= cutoff]
-        combos = (_weighted_sum([term.h(tp) for term in terms], self.combos)
-                  for tp in nodes)
-        acc = _dressed_integral(self.spectrum, s, nodes, combos)
+        """History exponent of the operator prepared at s, in the eigenbasis:
+        test-function integrals over [T, t0] dressed by -(s - t') minus gamma_T
+        dressed by -(s - T); nodes before cutoff drop out, gamma_T once T does."""
+        first = np.searchsorted(self.nodes, cutoff)
+        acc = _phased_integral(self.spectrum, s, _trapezoid_weights(self.nodes[first:]),
+                               self.stack[first:])
         if self.gamma is not None and self.history.T >= cutoff:
             acc -= self.spectrum.dress_eig(self.gamma, -(s - self.history.T))
         return acc
-
-
-def history_exponent(relevant, history, spectrum, s):
-    """History contribution to the exponent of the operator prepared at s."""
-    past = _PreparedHistory(relevant, history, spectrum)
-    return spectrum.from_eigenbasis(past.operand(s))
 
 
 def build_rho_t0(relevant, zeta_t0, history, H, hbar=1.0):
@@ -190,12 +176,13 @@ def build_rho_t0(relevant, zeta_t0, history, H, hbar=1.0):
     negative delay), minus the terminal term gamma_T.  All-zero history
     reduces exactly to the generalized Gibbs state.  Returns (rho, logZ).
     """
-    return _prepared_state(relevant, zeta_t0, history, Spectrum(H, hbar=hbar))
+    past = _PreparedHistory(relevant, history, Spectrum(H, hbar=hbar))
+    return _prepared_state(relevant, zeta_t0, past)
 
 
-def _prepared_state(relevant, zeta_t0, history, spectrum):
+def _prepared_state(relevant, zeta_t0, past):
     x = exponent_matrix(relevant, zeta_t0)
-    x = x + history_exponent(relevant, history, spectrum, s=history.t0)
+    x = x + past.spectrum.from_eigenbasis(past.operand(past.history.t0))
     return state_from_exponent(_checked_hermitian(x, "prepared"),
                                relevant.basis.sector_slices())
 
@@ -231,11 +218,12 @@ def evolve_and_rewrite(relevant, zeta_t0, history, H, t, zeta_of_t,
     if relevant.div_currents is None:
         raise ValueError("relevant set needs div_currents for the rewrite")
     spectrum = Spectrum(H, hbar=hbar)
-    rho0, _ = _prepared_state(relevant, zeta_t0, history, spectrum)
+    past = _PreparedHistory(relevant, history, spectrum)
+    rho0, _ = _prepared_state(relevant, zeta_t0, past)
     u = spectrum.unitary(t - history.t0)
     rho_direct = u @ rho0 @ u.conj().T
     x_past = (exponent_matrix(relevant, zeta_of_t(t))
-              + history_exponent(relevant, history, spectrum, s=t))
+              + spectrum.from_eigenbasis(past.operand(t)))
     ad_eig = eigenbasis_stack(spectrum, relevant.operators + relevant.div_currents)
 
     def rewritten(nq):
@@ -244,7 +232,7 @@ def evolve_and_rewrite(relevant, zeta_t0, history, H, t, zeta_of_t,
             grid = np.linspace(history.t0, t, nq)
             zetas = np.array([zeta_of_t(tp) for tp in grid])
             zdots = np.gradient(zetas, grid, axis=0)
-            x = x + spectrum.from_eigenbasis(_spontaneous_exponent(
+            x = x + spectrum.from_eigenbasis(_spontaneous_integral(
                 relevant, spectrum, ad_eig, t, grid, zetas, zdots))
         rho, _ = state_from_exponent(_checked_hermitian(x, "rewritten"),
                                      relevant.basis.sector_slices())
@@ -260,16 +248,16 @@ def evolve_and_rewrite(relevant, zeta_t0, history, H, t, zeta_of_t,
                          quadrature_suspect=bool(suspect))
 
 
-def _spontaneous_exponent(relevant, spectrum, ad_eig, s, nodes, zetas, zdots):
-    """Trapezoid over nodes of sum_l w_l (zdot_l A_l - zeta_l div J_l)(-(s - t')).
-
-    ad_eig stacks the A_l and then the div J_l in the eigenbasis of H; the
-    result stays in that basis.
-    """
+def _spontaneous_integral(relevant, spectrum, ad_eig, s, nodes, zetas, zdots):
+    """Trapezoid over nodes of sum_l w_l (zdot_l A_l - zeta_l div J_l)(-(s - t')),
+    with ad_eig the A_l then the div J_l in the eigenbasis of H, contracted as
+    one phase kernel sum_k c_kl mask(t_k - s) per member: no (nodes, d, d) stack."""
     w = relevant.weights
-    combos = (_weighted_sum(np.concatenate([w * zdot, -w * zeta]), ad_eig)
-              for zeta, zdot in zip(zetas, zdots))
-    return _dressed_integral(spectrum, s, nodes, combos)
+    coef = _trapezoid_weights(nodes)[:, None] * np.hstack([zdots * w, -zetas * w])
+    phase = np.exp(1j * np.multiply.outer(nodes - s, spectrum.w) / spectrum.hbar)
+    weighted = (coef[:, :, None] * phase[:, None, :]).reshape(len(nodes), -1)
+    kernels = (weighted.T @ phase.conj()).reshape(ad_eig.shape)
+    return np.einsum("lab,lab->ab", kernels, ad_eig)
 
 
 def macrostate_of(rho, relevant, zeta_guess=None):
@@ -323,12 +311,13 @@ class ZetaTrajectory:
 
 def _macrostate(relevant, zeta):
     """Eigenbasis of w[zeta] and its eigenvalues, floored at EIG_FLOOR."""
-    state = Spectrum(exponent_matrix(relevant, zeta),
-                     sectors=relevant.basis.sector_slices())
-    return state, np.clip(state.gibbs()[0], EIG_FLOOR, None)
+    state, p, _ = _gibbs(relevant, zeta)
+    return state, np.clip(p, EIG_FLOOR, None)
 
 
 class _DynamicsEngine:
+    """The parameter equation, with the spontaneous history as a stack of phased nodes."""
+
     def __init__(self, relevant, history, H, hbar, tau_cut, cond_max=1e12):
         if relevant.div_currents is None:
             raise ValueError("relevant set needs div_currents for the dynamics")
@@ -341,9 +330,21 @@ class _DynamicsEngine:
                                        relevant.operators + relevant.div_currents)
         self.past = _PreparedHistory(relevant, history, self.spectrum)
         self.proj = gauge_projector(relevant)
+        self.times = []
+        self.stack = np.zeros((0,) + self.spectrum.v.shape, dtype=complex)
 
-    def derivative(self, t, zeta, hist_times, hist_zetas, hist_zdots):
-        """zeta-dot at (t, zeta) given the stored spontaneous history.
+    def _combo(self, zeta, zdot):
+        w = self.relevant.weights
+        return np.tensordot(np.concatenate([w * zdot, -w * zeta]), self.ad_eig, 1)
+
+    def record(self, t, zeta, zdot):
+        """Store the spontaneous history node at t, after every node stored so far."""
+        self.times.append(t)
+        phased = self.spectrum.dress_eig(self._combo(zeta, zdot), t)
+        self.stack = np.concatenate([self.stack, phased[None]])
+
+    def derivative(self, t, zeta):
+        """zeta-dot at (t, zeta) given the recorded spontaneous history.
 
         The history integrand enters linearly through <C_j, O>, so all its
         pieces are summed in the eigenbasis of H before one correlation.
@@ -361,16 +362,13 @@ class _DynamicsEngine:
         cutoff = -np.inf if self.tau_cut is None else t - self.tau_cut
         operand = self.past.operand(t, cutoff)
 
-        # spontaneous branch over the stored nodes and the endpoint t, where
-        # only the explicit -zeta div J piece enters: the unknown zeta-dot
-        # stays on the left-hand side of the linear solve
-        kept = [k for k, tp in enumerate(hist_times) if tp >= cutoff]
-        nodes = [hist_times[k] for k in kept] + [t]
-        operand += _spontaneous_exponent(
-            self.relevant, self.spectrum, self.ad_eig, t, nodes,
-            [hist_zetas[k] for k in kept] + [zeta],
-            [hist_zdots[k] for k in kept] + [np.zeros_like(zeta)])
-        w_end = _trapezoid_weights(nodes)[-1]
+        # spontaneous branch over the recorded nodes in the window (a suffix:
+        # times increase) and the endpoint t, where only -zeta div J enters:
+        # the unknown zeta-dot stays on the left-hand side of the linear solve
+        first = np.searchsorted(self.times, cutoff)
+        *wq, w_end = _trapezoid_weights(np.append(self.times[first:], t))
+        operand += _phased_integral(self.spectrum, t, wq, self.stack[first:])
+        operand += w_end * self._combo(zeta, np.zeros_like(zeta))
         to_state = state.v.conj().T @ self.spectrum.v
         operand = to_state @ operand @ to_state.conj().T
         rhs += kubo_matrix(p, c_st, operand[None])[:, 0].real
@@ -422,15 +420,16 @@ def zeta_dynamics(relevant, zeta_t0, history, H, t0, t_end, step,
     cond_seen = 0.0
     t = t0
     for _ in range(n_steps):
-        f1, c1 = engine.derivative(t, zs[-1], ts[:-1], zs[:-1], zdots)
+        f1, c1 = engine.derivative(t, zs[-1])
+        engine.record(t, zs[-1], f1)
         zdots.append(f1)
         zm = zs[-1] + 0.5 * step * f1
-        f2, c2 = engine.derivative(t + 0.5 * step, zm, ts, zs, zdots)
+        f2, c2 = engine.derivative(t + 0.5 * step, zm)
         zs.append(zs[-1] + step * f2)
         t += step
         ts.append(t)
         cond_seen = max(cond_seen, c1, c2)
-    f_final, c_final = engine.derivative(t, zs[-1], ts[:-1], zs[:-1], zdots)
+    f_final, c_final = engine.derivative(t, zs[-1])
     zdots.append(f_final)
     cond_seen = max(cond_seen, c_final)
 

@@ -2,12 +2,16 @@
 
 The oracles below are the per-pair Kubo double loop over a full-space
 eigendecomposition of the state, Heisenberg dressing by a full-space eigh
-of H, scipy's expm, and a per-history-node evaluation of the parameter
-derivative.  Models are drawn at random: Bose and Fermi boxes, free (with
-the degenerate many-body levels of a symmetric box), interacting, or a
-multiple of the total number operator (fully degenerate in each sector);
-the operands include field operators that change the particle number.
+of H, scipy's expm, a per-history-node evaluation of the parameter
+derivative, and the memory integrals with every history node combined and
+dressed afresh on every call.  Models are drawn at random: Bose and Fermi
+boxes, free (with the degenerate many-body levels of a symmetric box),
+interacting, or a multiple of the total number operator (fully degenerate
+in each sector); the operands include field operators that change the
+particle number.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -36,19 +40,26 @@ from fockbox.lattice import (
     potential_preset,
 )
 from fockbox.maxent import (
+    _density,
+    _gibbs,
+    _gram,
     eigenbasis_stack,
     expectations,
     exponent_matrix,
     gauge_projector,
+    gibbs_state,
     kubo_gram,
     kubo_matrix,
     relevant_set,
+    state_from_exponent,
 )
 from fockbox.neqso import (
     HistorySpec,
     HistoryTerm,
     _DynamicsEngine,
     cosine_test_function,
+    evolve_and_rewrite,
+    zeta_dynamics,
 )
 from fockbox.propagate import Spectrum
 
@@ -227,6 +238,25 @@ def test_kubo_gram_matches_pairwise_oracle(data):
 
 @SETTINGS
 @given(st.data())
+def test_newton_gram_shares_the_exponent_spectrum(data):
+    basis, model, h = data.draw(models())
+    rel = relevant_set([f"rho[{x}]" for x in range(model.L)] + ["H"],
+                       list(density_ops(basis, model)) + [h])
+    zeta = data.draw(st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0]),
+                              min_size=len(rel), max_size=len(rel)))
+    state, p, log_z = _gibbs(rel, zeta)
+    rho = oracle_gibbs(exponent_matrix(rel, zeta))
+    assert np.max(np.abs(_density(state, p) - rho)) < 1e-10
+    assert np.array_equal(_density(state, p), gibbs_state(rel, zeta)[0])
+    assert log_z == gibbs_state(rel, zeta)[1].zeta0
+    g = _gram(rel, state, np.clip(p, 1e-14, None))
+    dense = [op.to_dense() for op in rel.operators]
+    want = oracle_kubo_matrix(dense, dense, rho).real
+    assert np.max(np.abs(g - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+@SETTINGS
+@given(st.data())
 def test_gauge_projector_matches_dense_gram(data):
     basis, model, h = data.draw(models())
     # the identity is a pure gauge direction; the densities sum to m N
@@ -334,7 +364,183 @@ def test_derivative_matches_per_node_oracle(zeta, tau_cut):
     zetas = [zeta + 0.1 * rng.normal(size=3) for _ in times]
     zdots = [rng.normal(size=3) for _ in times]
     t = 0.3
-    got, _ = engine.derivative(t, zeta, times, zetas, zdots)
+    for record in zip(times, zetas, zdots):
+        engine.record(*record)
+    got, _ = engine.derivative(t, zeta)
     want = oracle_derivative(rel, history, h, t, zeta, times, zetas,
                              zdots, tau_cut)
     assert np.max(np.abs(got - want)) < 1e-8 * max(1.0, np.max(np.abs(want)))
+
+
+# ---- memory integrals: per-node oracle -------------------------------------------
+
+
+def trapezoid(nodes):
+    nodes = np.asarray(nodes, float)
+    w = np.zeros(len(nodes))
+    if len(nodes) >= 2:
+        w[:-1] += 0.5 * np.diff(nodes)
+        w[1:] += 0.5 * np.diff(nodes)
+    return w
+
+
+def per_node_integral(spectrum, s, nodes, combos):
+    """Trapezoid over nodes t' of combo(t') dressed by -(s - t'), node by node."""
+    acc = np.zeros_like(spectrum.v)
+    for tp, wq, combo in zip(nodes, trapezoid(nodes), combos):
+        acc += wq * spectrum.dress_eig(combo, -(s - tp))
+    return acc
+
+
+def per_node_prep(rel, history, spectrum, s, cutoff):
+    """Preparation branch and terminal term, each node combined on the spot."""
+    nodes = history.prep_grid() if history.terms else np.array([])
+    nodes = nodes[nodes >= cutoff]
+    term_combos = [
+        np.tensordot(term.coeffs, eigenbasis_stack(spectrum, term.operators), 1)
+        for term in history.terms]
+    combos = [sum(term.h(tp) * c for term, c in zip(history.terms, term_combos))
+              for tp in nodes]
+    acc = per_node_integral(spectrum, s, nodes, combos)
+    if history.gamma_T is not None and history.T >= cutoff:
+        gamma = np.tensordot(history.gamma_T * rel.weights,
+                             eigenbasis_stack(spectrum, rel.operators), 1)
+        acc -= spectrum.dress_eig(gamma, -(s - history.T))
+    return acc
+
+
+def spont_combo(rel, ad_eig, zeta, zdot):
+    w = rel.weights
+    return np.tensordot(np.concatenate([w * zdot, -w * zeta]), ad_eig, 1)
+
+
+def per_node_derivative(engine, history, t, zeta, times, zetas, zdots):
+    """The derivative with the history passed in and re-dressed on every call."""
+    rel, spectrum = engine.relevant, engine.spectrum
+    state = Spectrum(exponent_matrix(rel, zeta), sectors=rel.basis.sector_slices())
+    p = np.clip(state.gibbs()[0], 1e-14, None)
+    a_st = eigenbasis_stack(state, rel.operators)
+    c_st = eigenbasis_stack(state, engine.commutators)
+    gram = kubo_matrix(p, a_st, a_st).real
+    rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
+    cutoff = -np.inf if engine.tau_cut is None else t - engine.tau_cut
+    operand = per_node_prep(rel, history, spectrum, t, cutoff)
+    kept = [k for k, tp in enumerate(times) if tp >= cutoff]
+    nodes = [times[k] for k in kept] + [t]
+    combos = [spont_combo(rel, engine.ad_eig, zetas[k], zdots[k]) for k in kept]
+    combos.append(spont_combo(rel, engine.ad_eig, zeta, np.zeros_like(zeta)))
+    operand += per_node_integral(spectrum, t, nodes, combos)
+    w_end = trapezoid(nodes)[-1]
+    to_state = state.v.conj().T @ spectrum.v
+    operand = to_state @ operand @ to_state.conj().T
+    rhs += kubo_matrix(p, c_st, operand[None])[:, 0].real
+    kmat = kubo_matrix(p, c_st, a_st).real if w_end else 0.0
+    mw = (gram + w_end * kmat) * rel.weights[None, :]
+    u, *_ = np.linalg.lstsq(mw, -rhs, rcond=1e-13)
+    return engine.proj @ u
+
+
+def per_node_trajectory(rel, zeta0, history, h, step, n_steps, tau_cut):
+    """Explicit midpoint as zeta_dynamics takes it, with the per-node derivative."""
+    engine = _DynamicsEngine(rel, history, h, 1.0, tau_cut)
+    ts, zs, zdots, t = [0.0], [np.asarray(zeta0, float)], [], 0.0
+    for _ in range(n_steps):
+        f1 = per_node_derivative(engine, history, t, zs[-1], ts[:-1], zs[:-1], zdots)
+        zdots.append(f1)
+        zm = zs[-1] + 0.5 * step * f1
+        f2 = per_node_derivative(engine, history, t + 0.5 * step, zm, ts, zs, zdots)
+        zs.append(zs[-1] + step * f2)
+        t += step
+        ts.append(t)
+    zdots.append(per_node_derivative(engine, history, t, zs[-1], ts[:-1], zs[:-1], zdots))
+    return np.array(zs), np.array(zdots)
+
+
+def per_node_rewritten(rel, zeta_of_t, history, h, t, n_quad):
+    """rho_rewritten of evolve_and_rewrite with both history branches per node."""
+    spectrum = Spectrum(h)
+    ad_eig = eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
+    grid = np.linspace(history.t0, t, n_quad)
+    zetas = np.array([zeta_of_t(tp) for tp in grid])
+    zdots = np.gradient(zetas, grid, axis=0)
+    combos = [spont_combo(rel, ad_eig, z, zd) for z, zd in zip(zetas, zdots)]
+    operand = (per_node_prep(rel, history, spectrum, t, -np.inf)
+               + per_node_integral(spectrum, t, grid, combos))
+    x = exponent_matrix(rel, zeta_of_t(t)) + spectrum.from_eigenbasis(operand)
+    return state_from_exponent(x, rel.basis.sector_slices())[0]
+
+
+def mass_relevant(basis, model, h):
+    """Per-cell densities and H, with the mass-current divergences."""
+    cells = density_ops(basis, model)
+    return relevant_set([f"rho[{x}]" for x in range(model.L)] + ["H"],
+                        list(cells) + [h],
+                        div_currents=list(divergence_ops(
+                            current_ops(basis, model, MASS), model))
+                        + [zero_operator(basis)])
+
+
+STEP, N_STEPS = 0.05, 6
+
+
+@SETTINGS
+@given(st.data())
+def test_trajectory_matches_per_node_oracle(data):
+    basis, model, h = data.draw(models())
+    rel = mass_relevant(basis, model, h)
+    zeta0 = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=len(rel),
+                                        max_size=len(rel))))
+    if data.draw(st.booleans()):
+        history = HistorySpec.empty(0.0)
+    else:
+        history = HistorySpec(
+            T=-0.4, t0=0.0, n_quad=7,
+            gamma_T=np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=len(rel),
+                                                max_size=len(rel)))),
+            terms=(HistoryTerm("drive", (rel.operators[0],), np.array([0.3]),
+                               cosine_test_function(2.0)),))
+    # the run spans 0.3 after a preparation of 0.4: cutoffs shorter than the
+    # run, cutting through the preparation record, and longer than both
+    tau_cut = data.draw(st.sampled_from([None, 0.12, 0.5, 1.0]))
+    traj = zeta_dynamics(rel, zeta0, history, h, 0.0, STEP * N_STEPS, STEP,
+                         tau_cut=tau_cut)
+    zetas, zdots = per_node_trajectory(rel, zeta0, history, h, STEP, N_STEPS, tau_cut)
+    for got, want in ((traj.zetas, zetas), (traj.zdots, zdots)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    t = STEP * N_STEPS
+    rep = evolve_and_rewrite(rel, zeta0, history, h, t, traj.interpolator(), n_quad=40)
+    want = per_node_rewritten(rel, traj.interpolator(), history, h, t, 40)
+    assert np.max(np.abs(rep.rho_rewritten - want)) <= 1e-12
+
+
+def footprint(obj):
+    """Bytes of each array an object holds and the length of each list."""
+    return {k: v.nbytes if isinstance(v, np.ndarray) else len(v)
+            for k, v in vars(obj).items() if isinstance(v, (np.ndarray, list, dict))}
+
+
+def test_engine_memory_is_one_node_per_record():
+    basis = build_basis(BOSE, L=3, g=1, n_max=2)
+    v, rv = pair_preset("contact", v0=0.6)
+    model = LatticeModel(L=3, V=v, range_V=rv)
+    h = build_hamiltonian(basis, model)
+    rel = mass_relevant(basis, model, h)
+    history = HistorySpec(
+        T=-0.5, t0=0.0, n_quad=9, gamma_T=np.full(len(rel), 0.1),
+        terms=(HistoryTerm("drive", (rel.operators[0],), np.array([0.3]),
+                           cosine_test_function(2.0)),))
+    engine = _DynamicsEngine(rel, history, h, 1.0, None)
+    rng = np.random.default_rng(1)
+    zeta = 0.2 * rng.normal(size=len(rel))
+    n_nodes = 15
+    for k in range(n_nodes):
+        engine.record(0.05 * k, zeta + 0.01 * k, rng.normal(size=len(rel)))
+    held = [footprint(x) for x in (engine, engine.past, engine.spectrum)]
+    for t, tau_cut in itertools.product([0.7, 0.725, 1.3, 4.0],
+                                        [None, 0.1, 0.4, 0.9, 10.0]):
+        engine.tau_cut = tau_cut
+        engine.derivative(t, zeta)
+    assert engine.stack.shape == (n_nodes, basis.dim, basis.dim)
+    assert len(engine.times) == n_nodes
+    assert [footprint(x) for x in (engine, engine.past, engine.spectrum)] == held
