@@ -205,38 +205,22 @@ def build_hamiltonian(basis, model, t=0.0):
     h1 = model.single_particle_matrix(t)
     coeff = np.kron(h1, np.eye(model.g))
     acc = _quadratic(basis, ops, coeff)
-    acc = acc + _interaction_terms(basis, model, ops)
+    for _, term in _interaction_cell_terms(model, ops):
+        acc = acc + term
     return FieldOperator(basis, acc, hermitian=True, number_conserving=True)
 
 
-def _interaction_terms(basis, model, ops):
+def _interaction_cell_terms(model, ops):
+    """(x, term) for each energy cell x with an interaction part,
+    (1/2) sum_y V(|x-y|) psi^dag_x psi^dag_y psi_y psi_x, as written cellwise."""
     v = model.pair_matrix()
-    acc = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     for x in range(model.L):
-        for y in range(model.L):
-            if v[x, y] == 0.0:
-                continue
-            for s in range(model.g):
-                for sp_ in range(model.g):
-                    term = (ops[x][s].dag() @ ops[y][sp_].dag()
-                            @ ops[y][sp_] @ ops[x][s]).matrix
-                    acc = acc + 0.5 * v[x, y] * term
-    return acc
-
-
-def _interaction_cell_terms(basis, model, ops, x):
-    """Interaction part of the energy cell at site x, as written cellwise."""
-    v = model.pair_matrix()
-    acc = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for y in range(model.L):
-        if v[x, y] == 0.0:
-            continue
-        for s in range(model.g):
-            for sp_ in range(model.g):
-                term = (ops[x][s].dag() @ ops[y][sp_].dag()
-                        @ ops[y][sp_] @ ops[x][s]).matrix
-                acc = acc + 0.5 * v[x, y] * term
-    return acc
+        terms = [0.5 * v[x, y] * (ops[x][s].dag() @ ops[y][sp_].dag()
+                                  @ ops[y][sp_] @ ops[x][s]).matrix
+                 for y in range(model.L) if v[x, y] != 0.0
+                 for s in range(model.g) for sp_ in range(model.g)]
+        if terms:
+            yield x, sum(terms[1:], terms[0])
 
 
 def density_ops(basis, model):
@@ -325,8 +309,8 @@ def energy_density_ops(basis, model, t=0.0):
                 cells[x] = cells[x] + 0.5 * bond
                 cells[x + 1] = cells[x + 1] + 0.5 * bond
             cells[x] = cells[x] + u[x] * n_x
-    for x in range(model.L):
-        cells[x] = cells[x] + _interaction_cell_terms(basis, model, ops, x)
+    for x, term in _interaction_cell_terms(model, ops):
+        cells[x] = cells[x] + term
     return [FieldOperator(basis, m * (1.0 / model.dx), hermitian=True,
                           number_conserving=True, check=False)
             for m in cells]

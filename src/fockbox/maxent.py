@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .propagate import Spectrum
+from .propagate import Spectrum, eigenbasis_stack, stacked
 
 MATCH_TOL = 1e-9
 MAX_NEWTON_ITERS = 60
@@ -75,6 +75,16 @@ class RelevantSet:
         return sp.vstack([op.matrix.reshape(1, d * d) for op in self.operators],
                          format="csr")
 
+    @cached_property
+    def columns(self):
+        """rows transposed: the members as the columns of a sparse (d*d, n) matrix."""
+        return self.rows.T
+
+    @cached_property
+    def stacked(self):
+        """The members as one sparse (n*d, d) matrix, for eigenbasis_stack."""
+        return stacked(self.operators)
+
 
 def relevant_set(labels, operators, weights=None, div_currents=None):
     weights = np.ones(len(operators)) if weights is None else np.asarray(weights, float)
@@ -109,7 +119,7 @@ def exponent_matrix(relevant, zeta):
     if not np.all(np.isfinite(zeta)):
         raise ValueError("zeta contains non-finite entries")
     d = relevant.basis.dim
-    return (relevant.rows.T @ (-zeta * relevant.weights)).reshape(d, d)
+    return (relevant.columns @ (-zeta * relevant.weights)).reshape(d, d)
 
 
 def state_from_exponent(x, sectors=None):
@@ -125,8 +135,8 @@ def state_from_exponent(x, sectors=None):
 
 def _density(spectrum, p):
     """sum_a p_a |a><a| over the eigenvectors of spectrum, exactly Hermitian."""
-    rho = (spectrum.v * p) @ spectrum.v.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    rho = spectrum.with_eigenvalues(p)
+    return (0.5 + 0j) * (rho + rho.conj().T)
 
 
 def _gibbs(relevant, zeta):
@@ -194,14 +204,6 @@ def kubo_matrix(p, cs, bs):
     means_c = np.diagonal(cs, axis1=1, axis2=2) @ p
     means_b = np.diagonal(bs, axis1=1, axis2=2) @ p
     return connected - np.outer(means_c, means_b)
-
-
-def eigenbasis_stack(spectrum, ops):
-    """(n, d, d) stack of ops in the eigenbasis of spectrum."""
-    out = np.empty((len(ops),) + spectrum.v.shape, dtype=complex)
-    for j, op in enumerate(ops):
-        out[j] = spectrum.to_eigenbasis(op)
-    return out
 
 
 def kubo(C, B, W, eig_floor=EIG_FLOOR):
@@ -274,7 +276,7 @@ def kubo_gram(relevant, rho, eig_floor=EIG_FLOOR):
 
 def _gram(relevant, spectrum, p):
     """kubo_gram in the state with eigenvalues p on the eigenvectors of spectrum."""
-    mats = eigenbasis_stack(spectrum, relevant.operators)
+    mats = eigenbasis_stack(spectrum, relevant.stacked)
     g = kubo_matrix(p, mats, mats).real
     return 0.5 * (g + g.T)
 

@@ -23,7 +23,6 @@ from .fock import FieldOperator
 from .maxent import (
     EIG_FLOOR,
     _gibbs,
-    eigenbasis_stack,
     entropy,
     exponent_matrix,
     expectations,
@@ -33,7 +32,7 @@ from .maxent import (
     match_expectations,
     state_from_exponent,
 )
-from .propagate import Spectrum
+from .propagate import Spectrum, eigenbasis_stack, stacked
 
 HERM_WARN = 1e-10
 HERM_FAIL = 1e-6
@@ -144,9 +143,10 @@ class _PreparedHistory:
         terms = history.terms
         self.nodes = history.prep_grid() if terms else np.array([])
         h = np.array([[term.h(tp) for term in terms] for tp in self.nodes])
+        d = len(spectrum.w)
         combos = np.array([
             np.tensordot(term.coeffs, eigenbasis_stack(spectrum, term.operators), 1)
-            for term in terms], dtype=complex).reshape((len(terms),) + spectrum.v.shape)
+            for term in terms], dtype=complex).reshape(len(terms), d, d)
         # each node dressed once, by its t': mask(t' - s) = mask(-s) * mask(t')
         self.stack = np.tensordot(h.reshape(len(self.nodes), len(terms)), combos, 1)
         phase = np.exp(1j * np.multiply.outer(self.nodes, spectrum.w) / spectrum.hbar)
@@ -326,12 +326,13 @@ class _DynamicsEngine:
         self.cond_max = cond_max
         self.spectrum = Spectrum(H, hbar=hbar)
         self.commutators = [(1j / hbar) * (H @ a - a @ H) for a in relevant.operators]
+        self.operands = stacked(list(relevant.operators) + self.commutators)
         self.ad_eig = eigenbasis_stack(self.spectrum,
                                        relevant.operators + relevant.div_currents)
         self.past = _PreparedHistory(relevant, history, self.spectrum)
         self.proj = gauge_projector(relevant)
         self.times = []
-        self.stack = np.zeros((0,) + self.spectrum.v.shape, dtype=complex)
+        self.stack = np.zeros((0,) + (len(self.spectrum.w),) * 2, dtype=complex)
 
     def _combo(self, zeta, zdot):
         w = self.relevant.weights
@@ -350,8 +351,7 @@ class _DynamicsEngine:
         pieces are summed in the eigenbasis of H before one correlation.
         """
         state, p = _macrostate(self.relevant, zeta)
-        a_st = eigenbasis_stack(state, self.relevant.operators)
-        c_st = eigenbasis_stack(state, self.commutators)
+        a_st, c_st = np.split(eigenbasis_stack(state, self.operands), 2)
         gram = kubo_matrix(p, a_st, a_st).real
         rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
 
@@ -369,8 +369,7 @@ class _DynamicsEngine:
         *wq, w_end = _trapezoid_weights(np.append(self.times[first:], t))
         operand += _phased_integral(self.spectrum, t, wq, self.stack[first:])
         operand += w_end * self._combo(zeta, np.zeros_like(zeta))
-        to_state = state.v.conj().T @ self.spectrum.v
-        operand = to_state @ operand @ to_state.conj().T
+        operand = state.from_other(self.spectrum, operand)
         rhs += kubo_matrix(p, c_st, operand[None])[:, 0].real
 
         # ---- linear solve:  -(G + w_end K) diag(w) zdot = rhs -------------
@@ -479,11 +478,10 @@ def decay_time(relevant, zeta, H, horizon, n_samples=61, threshold=0.05,
     c_st = eigenbasis_stack(state, [(1j / hbar) * (H @ a - a @ H)
                                     for a in relevant.operators])
     a_eig = eigenbasis_stack(spectrum, relevant.operators)
-    to_state = state.v.conj().T @ spectrum.v
     times = np.linspace(0.0, horizon, n_samples)
     table = np.array([
-        kubo_matrix(p, c_st, to_state @ spectrum.dress_eig(a_eig, -s)
-                    @ to_state.conj().T).real
+        kubo_matrix(p, c_st,
+                    state.from_other(spectrum, spectrum.dress_eig(a_eig, -s))).real
         for s in times])
 
     zeta = np.asarray(zeta, float)

@@ -2,14 +2,18 @@
 
 Propagators are built by Hermitian eigendecomposition rather than by any
 stepping scheme: at desk-scale dimensions exactness of the unitary matters
-more than speed.  Number-conserving generators are diagonalized per
-particle-number sector (the basis enumeration keeps sectors contiguous),
-which is the only performance lever needed here.
+more than speed.  Two structures of the box model keep that exactness
+cheap.  The basis enumeration keeps particle-number sectors contiguous, so
+a generator that couples no two sectors is diagonalized sector by sector,
+and every operand is transformed only on the sector pairs it connects.  The
+model is real in the occupation basis, so a generator or operand with no
+imaginary part is diagonalized and transformed in real arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fock import FieldOperator
 
@@ -22,51 +26,108 @@ class Spectrum:
 
     op is a FieldOperator or a dense Hermitian matrix.  It is diagonalized
     block by block over the particle-number sectors of its basis (or the
-    given sectors, for a dense matrix) when it couples none of them, and
-    whole otherwise.  Dressing A -> exp(+iHt/hbar) A exp(-iHt/hbar) is an
-    elementwise phase mask in the eigenbasis, computed afresh on each call;
-    negative times give the retarded operators A(-s) of the history
-    integrals.
+    given sectors, for a dense matrix) when it couples none of them, and as
+    one sector spanning the basis otherwise: blocks[i] holds the
+    eigenvectors of slices[i], real when op is, and v the full complex
+    eigenvector matrix, assembled on demand.  Changes of basis act on the
+    sector pairs an operand connects.  Dressing
+    A -> exp(+iHt/hbar) A exp(-iHt/hbar) is an elementwise phase mask in the
+    eigenbasis, computed afresh on each call; negative times give the
+    retarded operators A(-s) of the history integrals.
     """
 
     def __init__(self, op, hbar=1.0, sectors=None):
         if isinstance(op, FieldOperator):
             sectors = op.basis.sector_slices()
             op = op.to_dense()
-        m = np.asarray(op, dtype=complex)
+        m = np.asarray(op)
+        m = m.real if np.iscomplexobj(m) and not np.any(m.imag) else m
         dev = float(np.max(np.abs(m - m.conj().T)))
         if dev >= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m)))):
             raise ValueError(f"operator is not Hermitian: ||A - A^dag||_max = {dev:.3e}")
-        if sectors is not None and np.count_nonzero(m) != sum(
-                np.count_nonzero(m[sl, sl]) for _, sl in sectors):
-            sectors = None
+        self.slices = [sl for _, sl in sectors or ()]
+        if not self.slices or np.count_nonzero(m) != sum(
+                np.count_nonzero(m[sl, sl]) for sl in self.slices):
+            self.slices = [slice(0, len(m))]
         self.hbar = hbar
-        if sectors is None:
-            self.w, self.v = np.linalg.eigh(m)
-            return
-        self.w = np.empty(len(m))
-        self.v = np.zeros_like(m)
-        for _, sl in sectors:
-            self.w[sl], self.v[sl, sl] = np.linalg.eigh(m[sl, sl])
+        self.sector = np.repeat(np.arange(len(self.slices)),
+                                [sl.stop - sl.start for sl in self.slices])
+        eigs = [np.linalg.eigh(m[sl, sl]) for sl in self.slices]
+        self.w = np.concatenate([w for w, _ in eigs])
+        self.blocks = [v for _, v in eigs]
+
+    @property
+    def v(self):
+        """The full eigenvector matrix, complex, assembled on each call."""
+        return self._assembled(complex)
+
+    def _assembled(self, dtype):
+        """The eigenvector blocks as one dense block-diagonal matrix."""
+        v = np.zeros((len(self.w),) * 2, dtype=dtype)
+        for sl, b in zip(self.slices, self.blocks):
+            v[sl, sl] = b
+        return v
+
+    def _pairs(self, rows, cols):
+        """The sector pairs (r, c) holding the entries at (rows, cols)."""
+        k = len(self.slices)
+        counts = np.bincount(self.sector[rows] * k + self.sector[cols], minlength=k * k)
+        return [divmod(int(p), k) for p in np.flatnonzero(counts)]
+
+    def _sandwich(self, x, left, right):
+        """left[r] X_rc right[c] on each sector pair (r, c) that a dense matrix or
+        (n, d, d) stack X connects; zero elsewhere."""
+        stack = np.asarray(x).reshape((-1,) + np.shape(x)[-2:])
+        out = np.zeros(stack.shape, dtype=np.result_type(stack, *left, *right))
+        for r, c in self._pairs(*np.nonzero(np.any(stack, axis=0))):
+            rs, cs = self.slices[r], self.slices[c]
+            out[:, rs, cs] = left[r] @ stack[:, rs, cs] @ right[c]
+        return out.reshape(np.shape(x))
 
     def to_eigenbasis(self, A):
-        m = A.matrix if isinstance(A, FieldOperator) else np.asarray(A)
-        return self.v.conj().T @ (m @ self.v)
+        return eigenbasis_stack(self, [A])[0]
 
     def from_eigenbasis(self, m):
-        return self.v @ m @ self.v.conj().T
+        """v m v^dag for one matrix or an (n, d, d) stack in the eigenbasis."""
+        return self._sandwich(m, self.blocks, [b.T.conj() for b in self.blocks])
+
+    def from_other(self, other, m):
+        """m, a matrix or stack in the eigenbasis of other, in this eigenbasis:
+        through the block overlaps v_r^dag u_r when both share their sectors."""
+        if self.slices != other.slices:
+            return self._sandwich(other.from_eigenbasis(m),
+                                  [b.T.conj() for b in self.blocks], self.blocks)
+        overlap = [a.T.conj() @ b for a, b in zip(self.blocks, other.blocks)]
+        return self._sandwich(m, overlap, [o.T.conj() for o in overlap])
 
     def dress_eig(self, A_eig, t):
-        """Dress an operator already expressed in the eigenbasis."""
+        """Dress an operator (or a stack) already expressed in the eigenbasis."""
         phase = np.exp(1j * self.w * t / self.hbar)
         return np.outer(phase, phase.conj()) * A_eig
 
     def dress(self, A, t):
         return self.from_eigenbasis(self.dress_eig(self.to_eigenbasis(A), t))
 
+    def with_eigenvalues(self, f):
+        """sum_a f[a] |a><a|, by sector block; on real blocks the real and
+        imaginary parts of a complex f take one real product each."""
+        out = np.zeros((len(self.w),) * 2, dtype=np.result_type(f, *self.blocks))
+        split = np.iscomplexobj(f) and np.isrealobj(self.blocks[0])
+        parts = [(out.real, f.real), (out.imag, f.imag)] if split else [(out, f)]
+        for sl, b in zip(self.slices, self.blocks):
+            for part, g in parts:
+                part[sl, sl] = (b * g[sl]) @ b.T.conj()
+        return out
+
     def unitary(self, t):
-        """exp(-i op t / hbar) as a dense matrix."""
-        return (self.v * np.exp(-1j * self.w * t / self.hbar)) @ self.v.conj().T
+        """exp(-i op t / hbar) as a dense matrix, its unitarity checked by block."""
+        u = self.with_eigenvalues(np.exp(-1j * self.w * t / self.hbar))
+        dev = max(float(np.max(np.abs(u[sl, sl] @ u[sl, sl].T.conj()
+                                      - np.eye(sl.stop - sl.start))))
+                  for sl in self.slices)
+        if dev >= UNITARITY_TOL:
+            raise AssertionError(f"propagator lost unitarity: {dev:.3e}")
+        return u
 
     def gibbs(self):
         """Weights of exp(op)/Z on the eigenvectors and log Z, via log-sum-exp."""
@@ -80,6 +141,27 @@ class Spectrum:
 Dresser = Spectrum
 
 
+def stacked(ops):
+    """Operators as one sparse (n d, d) CSR matrix, real when every entry is."""
+    s = sp.vstack([op.matrix if isinstance(op, FieldOperator) else sp.csr_matrix(op)
+                   for op in ops], format="csr")
+    return s if np.any(s.data.imag) else s.real
+
+
+def eigenbasis_stack(spectrum, ops):
+    """(n, d, d) stack of ops (a list, or stacked) in the eigenbasis of spectrum,
+    real when both are: one sparse product with the block-diagonal eigenvectors
+    gives A_rc v_c, then each sector pair present takes one product with v_r^dag."""
+    ops = ops if sp.issparse(ops) else stacked(ops)
+    d = len(spectrum.w)
+    out = (ops @ spectrum._assembled(spectrum.blocks[0].dtype)).reshape(-1, d, d)
+    rows = np.repeat(np.tile(np.arange(d), len(out)), np.diff(ops.indptr))
+    for r, c in spectrum._pairs(rows, ops.indices):
+        rs, cs = spectrum.slices[r], spectrum.slices[c]
+        out[:, rs, cs] = spectrum.blocks[r].T.conj() @ out[:, rs, cs]
+    return out
+
+
 def hermitian_eig(op):
     """Eigenpairs of a Hermitian FieldOperator, ascending within each sector."""
     spectrum = Spectrum(op)
@@ -89,9 +171,6 @@ def hermitian_eig(op):
 def propagator(H, dt, hbar=1.0):
     """U = exp(-i H dt / hbar) for Hermitian H."""
     u = Spectrum(H, hbar=hbar).unitary(dt)
-    unit_dev = np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
-    if unit_dev >= UNITARITY_TOL:
-        raise AssertionError(f"propagator lost unitarity: {unit_dev:.3e}")
     return FieldOperator(H.basis, u, hermitian=False,
                          number_conserving=H.number_conserving, check=False)
 
@@ -99,11 +178,11 @@ def propagator(H, dt, hbar=1.0):
 def _step_unitaries(H_of_t, t0, t1, n_steps, hbar):
     """Dense midpoint-sampled propagators, first step first; one for a fixed H."""
     if isinstance(H_of_t, FieldOperator):
-        return [propagator(H_of_t, t1 - t0, hbar=hbar).to_dense()]
+        return [Spectrum(H_of_t, hbar=hbar).unitary(t1 - t0)]
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
     dt = (t1 - t0) / n_steps
-    return [propagator(H_of_t(t0 + (k + 0.5) * dt), dt, hbar=hbar).to_dense()
+    return [Spectrum(H_of_t(t0 + (k + 0.5) * dt), hbar=hbar).unitary(dt)
             for k in range(n_steps)]
 
 

@@ -7,7 +7,8 @@ derivative, and the memory integrals with every history node combined and
 dressed afresh on every call.  Models are drawn at random: Bose and Fermi
 boxes, free (with the degenerate many-body levels of a symmetric box),
 interacting, or a multiple of the total number operator (fully degenerate
-in each sector); the operands include field operators that change the
+in each sector), with real Hamiltonians and, from hermitian_models(), complex
+Hermitian ones; the operands include field operators that change the
 particle number.
 """
 
@@ -16,12 +17,13 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fockbox.fock import (
     BOSE,
     FERMI,
+    FieldOperator,
     annihilation,
     build_basis,
     field_operator,
@@ -36,6 +38,7 @@ from fockbox.lattice import (
     current_ops,
     density_ops,
     divergence_ops,
+    momentum_density_ops,
     pair_preset,
     potential_preset,
 )
@@ -61,7 +64,14 @@ from fockbox.neqso import (
     evolve_and_rewrite,
     zeta_dynamics,
 )
-from fockbox.propagate import Spectrum
+from fockbox.propagate import (
+    Spectrum,
+    evolve_state,
+    heisenberg,
+    hermitian_eig,
+    propagator,
+    stacked,
+)
 
 # a fixed seed keeps the suite reproducible; model construction is the slow part
 SETTINGS = settings(max_examples=30, deadline=None, database=None, derandomize=True,
@@ -132,6 +142,21 @@ def models(draw):
     h = build_hamiltonian(basis, model)
     if kind == "number":
         h = draw(st.sampled_from([0.5, 1.0, 2.0])) * number_operator(basis)
+    return basis, model, h
+
+
+@st.composite
+def hermitian_models(draw):
+    """models(), half of them made complex Hermitian by a momentum-density or
+    bond-current term, which keeps the particle number."""
+    basis, model, h = draw(models())
+    if draw(st.booleans()):
+        assume(model.L > 1)
+        site = draw(st.integers(0, model.L - 2))
+        term = draw(st.sampled_from([momentum_density_ops(basis, model)[site],
+                                     current_ops(basis, model, MASS).bonds[site + 1]]))
+        h = h + draw(st.sampled_from([0.4, -0.9])) * term
+        assert np.any(h.to_dense().imag)
     return basis, model, h
 
 
@@ -544,3 +569,91 @@ def test_engine_memory_is_one_node_per_record():
     assert engine.stack.shape == (n_nodes, basis.dim, basis.dim)
     assert len(engine.times) == n_nodes
     assert [footprint(x) for x in (engine, engine.past, engine.spectrum)] == held
+
+
+# ---- real and complex arithmetic, sector blocks ----------------------------------
+
+
+# real arithmetic must never drop an imaginary part on the way
+NO_COMPLEX_CASTS = pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+
+
+@NO_COMPLEX_CASTS
+@SETTINGS
+@given(st.data())
+def test_real_and_complex_spectra_match_oracles(data):
+    basis, model, h = data.draw(hermitian_models())
+    hd = h.to_dense()
+    spectrum = Spectrum(h)
+    assert all(np.iscomplexobj(b) == bool(np.any(hd.imag)) for b in spectrum.blocks)
+    t = data.draw(st.floats(-2.0, 2.0))
+    # number-conserving (a density, a momentum density) and number-changing operands
+    ops = operands(basis, model, data.draw) + [momentum_density_ops(basis, model)[0]]
+    dense = [op.to_dense() for op in ops]
+    for op, a in zip(ops, dense):
+        assert np.max(np.abs(spectrum.dress(op, t) - oracle_dress(hd, a, t))) < 1e-10
+    assert np.max(np.abs(spectrum.unitary(t) - scipy.linalg.expm(-1j * t * hd))) < 1e-10
+
+    x = random_state_exponent(basis, model, h, data.draw)
+    state = Spectrum(x, sectors=basis.sector_slices())
+    p, log_z = state.gibbs()
+    assert np.max(np.abs(_density(state, p) - oracle_gibbs(x))) < 1e-10
+    assert abs(log_z - np.log(np.trace(scipy.linalg.expm(x)).real)) < 1e-10
+    p = np.clip(p, 1e-14, None)
+    want = oracle_kubo_matrix(dense, dense, oracle_gibbs(x))
+    for stack in (eigenbasis_stack(state, ops), eigenbasis_stack(state, stacked(ops)),
+                  eigenbasis_stack(state, dense)):
+        got = kubo_matrix(p, stack, stack)
+        assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+    # from one eigenbasis to another, sectored alike (through the block
+    # overlaps) or not (a spectrum of H as one sector)
+    real = np.random.default_rng(data.draw(st.integers(0, 99))).normal(size=hd.shape)
+    for other, m in itertools.product((spectrum, Spectrum(hd)), (real, None)):
+        m = other.to_eigenbasis(ops[1]) if m is None else m
+        to_state = state.v.conj().T @ other.v
+        want_m = to_state @ m @ to_state.conj().T
+        assert np.max(np.abs(state.from_other(other, m) - want_m)) < 1e-10
+
+    rel = relevant_set([f"rho[{x}]" for x in range(model.L)] + ["H"],
+                       list(density_ops(basis, model)) + [h])
+    rho = oracle_gibbs(x)
+    rel_dense = [op.to_dense() for op in rel.operators]
+    want = oracle_kubo_matrix(rel_dense, rel_dense, rho).real
+    g = kubo_gram(rel, rho)
+    assert np.max(np.abs(g - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+@NO_COMPLEX_CASTS
+def test_real_blocks_stay_in_their_sectors_and_public_dtypes_hold():
+    basis = build_basis(BOSE, L=3, g=1, n_max=2)
+    v, rv = pair_preset("contact", v0=0.6)
+    model = LatticeModel(L=3, V=v, range_V=rv)
+    h = build_hamiltonian(basis, model)
+    spectrum = Spectrum(h)
+    assert len(spectrum.blocks) == len(basis.sectors)
+    assert all(np.isrealobj(b) for b in spectrum.blocks)
+    assert spectrum.v.dtype == complex
+
+    rel = mass_relevant(basis, model, h)
+    zeta = [0.2, -0.1, 0.3, 0.5]
+    state, p, _ = _gibbs(rel, zeta)
+    inside = np.zeros((basis.dim,) * 2, dtype=bool)
+    for _, sl in basis.sector_slices():
+        inside[sl, sl] = True
+    for m in (spectrum.unitary(0.7), _density(state, p)):
+        assert np.count_nonzero(m[~inside]) == 0
+    # real operands stay real; the imaginary current divergences do not
+    assert np.isrealobj(eigenbasis_stack(state, rel.operators))
+    assert np.iscomplexobj(eigenbasis_stack(state, rel.div_currents))
+
+    rho, _ = gibbs_state(rel, zeta)
+    assert rho.dtype == complex
+    u = propagator(h, 0.7)
+    assert isinstance(u, FieldOperator) and u.matrix.dtype == complex
+    assert evolve_state(rho, h, 0.0, 0.7).dtype == complex
+    dressed = heisenberg(rel.operators[0], h, 0.0, 0.7)
+    assert isinstance(dressed, FieldOperator) and dressed.matrix.dtype == complex
+    assert heisenberg(rel.operators[0].to_dense(), h, 0.0, 0.7).dtype == complex
+    w, vecs = hermitian_eig(h)
+    assert w.dtype == float and vecs.dtype == complex
