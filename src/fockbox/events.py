@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .fock import FieldOperator, field_operator
+from .fock import FieldOperator, check_model, mode_index, one_body
 from .propagate import evolve_state
-from .subdynamics import Region, VacuumConditionError, vacuum_residual
+from .subdynamics import Region, VacuumConditionError, _field_sum, vacuum_residual
 
 EVENT_VACUUM_TOL = 1e-8
 
@@ -74,17 +74,12 @@ class EventMixture:
 
 def _emission_operator(spec, basis, model):
     """S = sum_{y, sigma} dx psi^dag(y, sigma) A(y, sigma): moves one quanton
-    from the source region into the channel."""
-    acc = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for iy, y in enumerate(spec.channel.sites):
-        for s in range(model.g):
-            create = field_operator(basis, model, y, s).dag().to_dense()
-            for ix, x in enumerate(spec.source.sites):
-                k = spec.kernel[iy, ix]
-                if k != 0.0:
-                    destroy = field_operator(basis, model, x, s).to_dense()
-                    acc += model.dx * k * (create @ destroy)
-    return acc
+    from the source region into the channel.  With psi = a / sqrt(dx) this is
+    the one-body sum of K(y, x) a^dag(y, sigma) a(x, sigma)."""
+    check_model(basis, model)
+    coeff = np.zeros((model.L, model.L), dtype=complex)
+    coeff[np.ix_(spec.channel.sites, spec.source.sites)] = spec.kernel
+    return one_body(basis, np.kron(coeff, np.eye(model.g))).toarray()
 
 
 def build_event_mixture(rho_normal, spec, basis, model,
@@ -120,21 +115,11 @@ def build_event_mixture(rho_normal, spec, basis, model,
 
 def _quanton_kernel(rho_n, spec, basis, model):
     """Normalized kernel Tr(A(y) rho_n A^dag(y')) over the channel grid."""
-    n = len(spec.channel) * model.g
-    ops = []
-    for iy in range(len(spec.channel)):
-        for s in range(model.g):
-            acc = np.zeros((basis.dim, basis.dim), dtype=complex)
-            for ix, x in enumerate(spec.source.sites):
-                k = spec.kernel[iy, ix]
-                if k != 0.0:
-                    acc += k * field_operator(basis, model, x, s).to_dense()
-            ops.append(acc)
-    kernel = np.empty((n, n), dtype=complex)
-    for i, a_i in enumerate(ops):
-        left = a_i @ rho_n
-        for j, a_j in enumerate(ops):
-            kernel[i, j] = np.trace(left @ a_j.conj().T)
+    # A(y, sigma) is the adjoint of sum_x conj K(y, x) psi^dag(x, sigma)
+    ops = np.array([_field_sum(basis, model, spec.source,
+                               np.outer(row.conj(), np.eye(model.g)[s])).conj().T
+                    for row in spec.kernel for s in range(model.g)])
+    kernel = np.einsum("iab,jab->ij", ops @ rho_n, ops.conj())
     trace = model.dx * np.trace(kernel).real
     if trace <= 1e-14:
         raise InactiveSourceError(
@@ -149,39 +134,38 @@ def check_channel_support(B, basis, model, spec, tol=1e-12):
     An operator built solely from fields at channel sites has vanishing
     matrix elements between occupation vectors that differ outside the
     channel, and inside a fixed outside configuration its elements do not
-    depend on that configuration.  Both conditions are verified.
+    depend on that configuration: each element must match the first one,
+    in row-major order, with the same pair of channel occupations.  Both
+    conditions are verified, and the first violation in row-major order is
+    reported.
     """
     dense = B.to_dense() if isinstance(B, FieldOperator) else np.asarray(B)
-    states = basis.states
-    channel_modes = sorted(site * model.g + s for site in spec.channel.sites
-                           for s in range(model.g))
-    outside_modes = [k for k in range(basis.modes) if k not in channel_modes]
-
-    def split(occ):
-        return (tuple(occ[k] for k in channel_modes),
-                tuple(occ[k] for k in outside_modes))
-
-    inner, outer = zip(*(split(occ) for occ in states))
-    reference = {}
-    for r in range(basis.dim):
-        for c in range(basis.dim):
-            val = dense[r, c]
-            if outer[r] != outer[c]:
-                if abs(val) > tol:
-                    raise SupportViolationError(
-                        "observable couples occupations outside the channel "
-                        f"(states {states[r]} and {states[c]})"
-                    )
-                continue
-            key = (inner[r], inner[c])
-            if key in reference:
-                if abs(val - reference[key]) > tol:
-                    raise SupportViolationError(
-                        "observable matrix elements depend on the occupation "
-                        f"outside the channel (inner pair {key})"
-                    )
-            else:
-                reference[key] = val
+    channel = np.zeros(basis.modes, dtype=bool)
+    channel[[mode_index(site, s, model.g) for site in spec.channel.sites
+             for s in range(model.g)]] = True
+    _, inner = np.unique(basis.occ[:, channel], axis=0, return_inverse=True)
+    _, outer = np.unique(basis.occ[:, ~channel], axis=0, return_inverse=True)
+    same = outer[:, None] == outer[None, :]
+    coupling = np.flatnonzero(~same & (np.abs(dense) > tol))
+    # pairs within one outside configuration, keyed by their channel occupations
+    within = np.flatnonzero(same)
+    keys = (inner[:, None] * (inner.max() + 1) + inner[None, :]).ravel()[within]
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    values = dense.ravel()[within]
+    varying = within[np.abs(values - values[first[which]]) > tol]
+    if coupling.size and (not varying.size or coupling[0] < varying[0]):
+        r, c = divmod(int(coupling[0]), basis.dim)
+        raise SupportViolationError(
+            "observable couples occupations outside the channel "
+            f"(states {basis.states[r]} and {basis.states[c]})"
+        )
+    if varying.size:
+        r, c = divmod(int(varying[0]), basis.dim)
+        key = tuple(tuple(int(n) for n in basis.occ[k, channel]) for k in (r, c))
+        raise SupportViolationError(
+            "observable matrix elements depend on the occupation "
+            f"outside the channel (inner pair {key})"
+        )
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,21 @@ two-quanton constructions elsewhere in the package rely on.
 
 Enumeration is deterministic: states are sorted by total occupation first,
 then lexicographically with mode 0 as the least significant digit, so two
-builds of the same basis are bit-identical.
+builds of the same basis are bit-identical.  A basis also holds its states
+as one integer array ``occ`` and ranks occupation arrays back to ordinals
+combinatorially, so operators are assembled by vectorized passes over
+``occ`` (Zhang & Dong, Eur. J. Phys. 31, 591 (2010)).  Its ladder operators
+are built once, on first use, and held by it, so they are freed with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,23 +73,6 @@ def fock_dimension(statistics, modes, n_max):
     raise ValueError(f"unknown statistics {statistics!r}")
 
 
-def _occupations_with_total(modes, total, per_mode_max):
-    """All occupation tuples with the given total, most-significant mode last.
-
-    Yields in ascending lexicographic order of the reversed tuple, i.e. the
-    occupation vector read as a little-endian number.
-    """
-    if modes == 1:
-        if total <= per_mode_max:
-            yield (total,)
-        return
-    # ascending occupation of the last (most significant) mode keeps the
-    # enumeration little-endian lexicographic
-    for last in range(0, min(total, per_mode_max) + 1):
-        for head in _occupations_with_total(modes - 1, total - last, per_mode_max):
-            yield head + (last,)
-
-
 @dataclass(frozen=True)
 class FockBasis:
     """Enumerated truncated occupation-number basis.
@@ -91,7 +80,8 @@ class FockBasis:
     states[i] is the i-th occupation vector (length ``modes``); ``index``
     maps the tuple back to its ordinal.  ``sectors`` lists the contiguous
     (start, stop) index range of each total-particle-number block, in
-    ascending particle number.
+    ascending particle number.  ``occ`` holds the states as one integer
+    array and ``lowering`` the ladder operators, both built on first use.
     """
 
     statistics: str
@@ -120,7 +110,41 @@ class FockBasis:
         return v
 
     def totals(self):
-        return np.array([sum(s) for s in self.states], dtype=int)
+        return self.occ.sum(axis=1)
+
+    @cached_property
+    def occ(self):
+        """The states as one read-only (dim, modes) integer array."""
+        occ = np.array(self.states, dtype=np.int64).reshape(self.dim, self.modes)
+        occ.flags.writeable = False
+        return occ
+
+    @cached_property
+    def _rank_table(self):
+        """Sector starts by particle number, and below[k, r]: the number of
+        occupations of modes 0..k-1 with total at most r."""
+        below = [[fock_dimension(self.statistics, k, r) if k else 1
+                  for r in range(self.n_max + 1)] for k in range(self.modes)]
+        return np.array([a for _, a, _ in self.sectors]), np.array(below, dtype=np.int64)
+
+    def rank(self, occ):
+        """Ordinals of the occupation vectors in the rows of occ, all in the basis.
+
+        Within a sector the states ascend with the last mode most
+        significant, so a state is preceded by those that agree on the modes
+        above k and hold fewer quanta in mode k, for every k.
+        """
+        starts, below = self._rank_table
+        cum = np.cumsum(occ, axis=1)
+        modes = np.arange(self.modes)
+        preceding = below[modes, cum] - below[modes, cum - occ]
+        return starts[cum[:, -1]] + preceding.sum(axis=1)
+
+    @cached_property
+    def lowering(self):
+        """a_m for every mode m as canonical complex CSR matrices, built on first
+        use and held by the basis."""
+        return tuple(_ladder_sum(self, [(1.0, None, m)]) for m in range(self.modes))
 
     def to_json(self):
         """Documented dump: occupation vectors as integer arrays."""
@@ -153,14 +177,14 @@ def build_basis(statistics, L, g=1, n_max=1, dim_cap=None):
     if dim > cap:
         raise DimensionCapError(dim, cap, statistics, modes, n_max)
 
-    per_mode = 1 if statistics == FERMI else n_max
-    states = []
-    sectors = []
-    top = min(n_max, modes) if statistics == FERMI else n_max
-    for total in range(top + 1):
-        start = len(states)
-        states.extend(_occupations_with_total(modes, total, per_mode))
-        sectors.append((total, start, len(states)))
+    pick = itertools.combinations if statistics == FERMI \
+        else itertools.combinations_with_replacement
+    states, sectors = [], []
+    for total in range((min(n_max, modes) if statistics == FERMI else n_max) + 1):
+        # a state picks its quanta's modes; the last mode is the most significant
+        picks = sorted(pick(range(modes), total), key=lambda c: c[::-1])
+        sectors.append((total, len(states), len(states) + len(picks)))
+        states += [tuple(c.count(m) for m in range(modes)) for c in picks]
     assert len(states) == dim
     index = {s: i for i, s in enumerate(states)}
     return FockBasis(
@@ -179,6 +203,10 @@ class FieldOperator:
     Immutable by convention; all algebra returns new instances.  The matrix
     is kept in canonical CSR form (sorted indices, duplicates summed,
     explicit zeros dropped) so that equality is testable on the raw arrays.
+    A matrix handed to the constructor is copied and canonicalized there,
+    once.  Algebra results skip that: sums, differences and scalar multiples
+    of canonical operands come out of scipy canonical, and products are
+    made so in place.
     """
 
     def __init__(self, basis, matrix, hermitian=False, number_conserving=False,
@@ -187,52 +215,50 @@ class FieldOperator:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match basis dim {basis.dim}"
             )
-        m = sp.csr_matrix(matrix, dtype=complex, copy=True)
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        m.sort_indices()
-        self.basis = basis
-        self.matrix = m
-        self.hermitian = bool(hermitian)
-        self.number_conserving = bool(number_conserving)
+        m = _canonical(sp.csr_matrix(matrix, dtype=complex, copy=True))
+        self.basis, self.matrix = basis, m
+        self.hermitian, self.number_conserving = bool(hermitian), bool(number_conserving)
         if check and self.hermitian:
             dev = _max_abs(m - m.getH())
             if dev >= HERMITICITY_TOL:
                 raise ValueError(f"hermitian flag set but ||A - A^dag||_max = {dev:.3e}")
         if check and self.number_conserving and basis.dim > 1:
-            if not _is_number_conserving(m, basis):
+            totals, coo = basis.totals(), m.tocoo()
+            if np.any(totals[coo.row] != totals[coo.col]):
                 raise ValueError("number_conserving flag set but sectors are coupled")
+
+    @classmethod
+    def _held(cls, basis, matrix, hermitian, number_conserving):
+        """An operator holding a canonical complex CSR matrix as it is."""
+        op = cls.__new__(cls)
+        op.basis, op.matrix = basis, matrix
+        op.hermitian, op.number_conserving = bool(hermitian), bool(number_conserving)
+        return op
 
     # ---- algebra ----------------------------------------------------------
 
     def dag(self):
-        return FieldOperator(self.basis, self.matrix.getH(),
-                             hermitian=self.hermitian,
-                             number_conserving=self.number_conserving,
-                             check=False)
+        return FieldOperator._held(self.basis, self.matrix.getH().tocsr(),
+                                   self.hermitian, self.number_conserving)
 
     def __add__(self, other):
         self._compat(other)
-        return FieldOperator(self.basis, self.matrix + other.matrix,
-                             hermitian=self.hermitian and other.hermitian,
-                             number_conserving=self.number_conserving
-                             and other.number_conserving,
-                             check=False)
+        return FieldOperator._held(self.basis, self.matrix + other.matrix,
+                                   self.hermitian and other.hermitian,
+                                   self.number_conserving and other.number_conserving)
 
     def __sub__(self, other):
         self._compat(other)
-        return FieldOperator(self.basis, self.matrix - other.matrix,
-                             hermitian=self.hermitian and other.hermitian,
-                             number_conserving=self.number_conserving
-                             and other.number_conserving,
-                             check=False)
+        return FieldOperator._held(self.basis, self.matrix - other.matrix,
+                                   self.hermitian and other.hermitian,
+                                   self.number_conserving and other.number_conserving)
 
     def __mul__(self, scalar):
         herm = self.hermitian and np.isreal(scalar) and np.imag(scalar) == 0
-        return FieldOperator(self.basis, self.matrix * scalar,
-                             hermitian=bool(herm),
-                             number_conserving=self.number_conserving,
-                             check=False)
+        m = self.matrix * scalar
+        if not np.all(m.data):  # a zero scalar, or underflow
+            m.eliminate_zeros()
+        return FieldOperator._held(self.basis, m, herm, self.number_conserving)
 
     __rmul__ = __mul__
 
@@ -241,11 +267,9 @@ class FieldOperator:
 
     def __matmul__(self, other):
         self._compat(other)
-        return FieldOperator(self.basis, self.matrix @ other.matrix,
-                             hermitian=False,
-                             number_conserving=self.number_conserving
-                             and other.number_conserving,
-                             check=False)
+        return FieldOperator._held(self.basis, _canonical(self.matrix @ other.matrix),
+                                   False,
+                                   self.number_conserving and other.number_conserving)
 
     def _compat(self, other):
         if not isinstance(other, FieldOperator):
@@ -261,9 +285,6 @@ class FieldOperator:
     def max_abs(self):
         return _max_abs(self.matrix)
 
-    def frobenius(self):
-        return float(sp.linalg.norm(self.matrix)) if self.matrix.nnz else 0.0
-
     def trace(self):
         return complex(self.matrix.diagonal().sum())
 
@@ -275,8 +296,7 @@ class FieldOperator:
         dev = _max_abs(self.matrix - self.matrix.getH())
         if dev >= tol:
             raise ValueError(f"not hermitian: ||A - A^dag||_max = {dev:.3e}")
-        return FieldOperator(self.basis, self.matrix, hermitian=True,
-                             number_conserving=self.number_conserving, check=False)
+        return FieldOperator._held(self.basis, self.matrix, True, self.number_conserving)
 
     def equal_bits(self, other):
         """Exact equality of the canonical sparse representation."""
@@ -287,14 +307,11 @@ class FieldOperator:
                 and np.array_equal(a.data, b.data))
 
     def to_json(self):
-        """Sparse triplet dump (row, col, re, im), deterministic order."""
+        """Sparse triplet dump (row, col, re, im), in the row-major order of the
+        canonical matrix."""
         coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        triplets = [
-            [int(coo.row[k]), int(coo.col[k]),
-             float(coo.data[k].real), float(coo.data[k].imag)]
-            for k in order
-        ]
+        triplets = [[int(r), int(c), float(v.real), float(v.imag)]
+                    for r, c, v in zip(coo.row, coo.col, coo.data)]
         return json.dumps(
             {
                 "dim": self.basis.dim,
@@ -306,53 +323,98 @@ class FieldOperator:
         )
 
 
+def _canonical(m):
+    """Sum duplicates, drop explicit zeros and sort the indices, in place."""
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m
+
+
 def _max_abs(matrix):
     return float(np.max(np.abs(matrix.data))) if matrix.nnz else 0.0
 
 
-def _is_number_conserving(matrix, basis):
-    totals = basis.totals()
-    coo = matrix.tocoo()
-    return bool(np.all(totals[coo.row] == totals[coo.col]))
+def _transitions(basis, coeff, create, destroy):
+    """(rows, cols, values) of coeff a_create^dag a_destroy on the basis states;
+    either mode may be None.
+
+    Bose amplitudes are square roots of the occupations; Fermi amplitudes
+    carry the Jordan-Wigner sign (-1)**(number of occupied modes with
+    smaller canonical index).  Targets are ranked, not looked up.
+    """
+    occ, cols, amp = basis.occ, np.arange(basis.dim), np.full(basis.dim, coeff)
+    per_mode = 1 if basis.statistics == FERMI else basis.n_max
+    for mode, step in ((destroy, -1), (create, 1)):
+        if mode is None:
+            continue
+        after = occ[:, mode] + step
+        keep = (after >= 0) & (after <= per_mode)
+        if step > 0:
+            keep &= occ.sum(axis=1) < basis.sectors[-1][0]
+        occ, cols, amp, after = occ[keep], cols[keep], amp[keep], after[keep]
+        if basis.statistics == FERMI:
+            amp = np.where(occ[:, :mode].sum(axis=1) % 2, -amp, amp)
+        else:
+            amp = amp * np.sqrt(np.maximum(occ[:, mode], after))
+        occ = occ.copy()
+        occ[:, mode] = after
+    return basis.rank(occ), cols, amp
+
+
+def _ladder_sum(basis, terms, diagonal=0.0):
+    """sum of c a_i^dag a_j over the terms (c, i, j), where i or j may be None,
+    plus a diagonal given per state, as a canonical complex CSR matrix.  Each
+    term is one vectorized pass over the occupation array; distinct terms
+    touch distinct entries."""
+    diagonal = np.broadcast_to(diagonal, basis.dim)
+    nz = np.flatnonzero(diagonal)
+    parts = [(nz, nz, diagonal[nz])] + [_transitions(basis, *term) for term in terms]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return _canonical(sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim,) * 2,
+                                    dtype=complex))
+
+
+def one_body(basis, coeff, diagonal=0.0):
+    """sum_ij coeff[i, j] a_i^dag a_j over the modes plus a diagonal given per
+    state, as a canonical complex CSR matrix: one pass per nonzero
+    off-diagonal coefficient, the number terms read off the occupations."""
+    coeff = np.asarray(coeff)
+    number = [coeff[i, i] * basis.occ[:, i] for i in np.flatnonzero(np.diagonal(coeff))]
+    diag = sum(number, np.zeros(basis.dim)) + diagonal
+    return _ladder_sum(basis, [(coeff[i, j], i, j) for i, j in zip(*np.nonzero(coeff))
+                               if i != j], diag)
+
+
+def creator_sum(basis, amplitudes):
+    """sum_m amplitudes[m] a_m^dag as a canonical complex CSR matrix."""
+    return _ladder_sum(basis, [(amplitudes[m], m, None)
+                               for m in np.flatnonzero(amplitudes)])
 
 
 def zero_operator(basis):
-    return FieldOperator(basis, sp.csr_matrix((basis.dim, basis.dim), dtype=complex),
-                         hermitian=True, number_conserving=True, check=False)
+    return FieldOperator._held(basis, sp.csr_matrix((basis.dim, basis.dim), dtype=complex),
+                               True, True)
 
 
 def identity(basis):
-    return FieldOperator(basis, sp.identity(basis.dim, dtype=complex, format="csr"),
-                         hermitian=True, number_conserving=True, check=False)
+    return FieldOperator._held(basis, sp.identity(basis.dim, dtype=complex, format="csr"),
+                               True, True)
+
+
+def _check_mode(basis, mode):
+    if mode < 0 or mode >= basis.modes:
+        raise ValueError(f"mode {mode} outside [0, {basis.modes})")
 
 
 def annihilation(basis, mode):
-    """Ladder-down operator for one mode.
+    """Ladder-down operator for one mode, as held by the basis.
 
     Bose amplitudes are sqrt(n); Fermi amplitudes carry the Jordan-Wigner
     sign (-1)**(number of occupied modes with smaller canonical index).
     """
-    if mode < 0 or mode >= basis.modes:
-        raise ValueError(f"mode {mode} outside [0, {basis.modes})")
-    rows, cols, vals = [], [], []
-    for j, occ in enumerate(basis.states):
-        n = occ[mode]
-        if n == 0:
-            continue
-        target = occ[:mode] + (n - 1,) + occ[mode + 1:]
-        i = basis.index[target]
-        if basis.statistics == FERMI:
-            sign = -1.0 if (sum(occ[:mode]) % 2) else 1.0
-            amp = sign
-        else:
-            amp = math.sqrt(n)
-        rows.append(i)
-        cols.append(j)
-        vals.append(amp)
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim),
-                      dtype=complex).tocsr()
-    return FieldOperator(basis, m, hermitian=False, number_conserving=False,
-                         check=False)
+    _check_mode(basis, mode)
+    return FieldOperator._held(basis, basis.lowering[mode], False, False)
 
 
 def creation(basis, mode):
@@ -361,15 +423,22 @@ def creation(basis, mode):
 
 
 def number_operator(basis, mode=None):
-    """n_m for one mode, or the total number operator when mode is None."""
+    """n_m for one mode, or the total number operator when mode is None: a
+    diagonal read off the occupation array."""
     if mode is not None:
-        a = annihilation(basis, mode)
-        n = a.dag() @ a
-        return FieldOperator(basis, n.matrix, hermitian=True,
-                             number_conserving=True, check=False)
-    diag = basis.totals().astype(complex)
-    return FieldOperator(basis, sp.diags(diag, format="csr"),
-                         hermitian=True, number_conserving=True, check=False)
+        _check_mode(basis, mode)
+    n = basis.totals() if mode is None else basis.occ[:, mode]
+    return FieldOperator._held(basis, _ladder_sum(basis, [], n), True, True)
+
+
+def check_model(basis, model):
+    """Raise unless the basis carries the model's L * g modes and statistics."""
+    if basis.modes != model.L * model.g:
+        raise ValueError(
+            f"basis has {basis.modes} modes but model asks for {model.L * model.g}"
+        )
+    if model.statistics != basis.statistics:
+        raise ValueError("basis and model statistics differ")
 
 
 def field_operator(basis, model, site, component=0):
@@ -378,12 +447,7 @@ def field_operator(basis, model, site, component=0):
     Carries the lattice delta normalization: [psi(x), psi^dag(x')]_± =
     delta_{xx'} / dx, so sums over sites weighted by dx mimic integrals.
     """
-    if basis.modes != model.L * model.g:
-        raise ValueError(
-            f"basis has {basis.modes} modes but model asks for {model.L * model.g}"
-        )
-    if model.statistics != basis.statistics:
-        raise ValueError("basis and model statistics differ")
+    check_model(basis, model)
     if site < 0 or site >= model.L:
         raise ValueError(f"site {site} outside [0, {model.L})")
     m = mode_index(site, component, model.g)

@@ -7,6 +7,13 @@ and a normal-ordered finite-range density-density pair interaction
 V(|x - y|).  Also builds the per-cell densities of the conserved families
 (mass, momentum, energy) and the bond currents closing their discrete
 continuity identities.
+
+Every kinetic, external and density term is a one-body sum
+sum_ij c_ij a_i^dag a_j, built by ``fock.one_body`` from a first-quantized
+coefficient matrix over the (site, component) modes.  The normal-ordered
+interaction is diagonal in the occupation basis: cell x carries
+(1/2) sum_y V_xy (N_x N_y - delta_xy N_x) with N_x the site occupation,
+read off the basis's occupation array.
 """
 
 from __future__ import annotations
@@ -15,16 +22,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (
     BOSE,
     FERMI,
     FieldOperator,
-    annihilation,
+    check_model,
     commutator,
-    mode_index,
-    number_operator,
+    one_body,
     zero_operator,
 )
 
@@ -94,11 +99,9 @@ class LatticeModel:
         return u
 
     def pair_matrix(self):
-        v = np.zeros((self.L, self.L))
-        for i in range(self.L):
-            for j in range(self.L):
-                r = self.dx * abs(i - j)
-                v[i, j] = float(self.V(r)) if r <= self.range_V else 0.0
+        by_distance = np.array([float(self.V(self.dx * k)) if self.dx * k <= self.range_V
+                                else 0.0 for k in range(self.L)])
+        v = by_distance[np.abs(np.subtract.outer(range(self.L), range(self.L)))]
         if not np.all(np.isfinite(v)):
             raise ValueError("pair potential evaluated to a non-finite value")
         return v
@@ -106,11 +109,9 @@ class LatticeModel:
     def single_particle_matrix(self, t=0.0):
         """First-quantized -(hbar^2/2m) Laplacian + U on the L sites."""
         c = self.hopping
-        h = np.diag(np.full(self.L, 2.0 * c) + self.potential_vector(t))
-        for i in range(self.L - 1):
-            h[i, i + 1] = -c
-            h[i + 1, i] = -c
-        return h
+        hop = np.full(self.L - 1, -c)
+        return np.diag(np.full(self.L, 2.0 * c) + self.potential_vector(t)) \
+            + np.diag(hop, 1) + np.diag(hop, -1)
 
 
 @dataclass(frozen=True)
@@ -148,48 +149,23 @@ def normal_modes(model):
         nz = np.flatnonzero(np.abs(col) > 1e-12)
         if nz.size and col[nz[0]] < 0:
             v[:, r] = -col
-    if model.g == 1:
-        return NormalModeSet(energies=w.copy(), mode_functions=v.T.copy(),
-                             dx=model.dx)
-    n = model.L * model.g
-    energies = np.empty(n)
-    funcs = np.zeros((n, n))
-    k = 0
-    for r in range(model.L):
-        for sigma in range(model.g):
-            energies[k] = w[r]
-            for x in range(model.L):
-                funcs[k, mode_index(x, sigma, model.g)] = v[x, r]
-            k += 1
-    return NormalModeSet(energies=energies, mode_functions=funcs, dx=model.dx)
+    return NormalModeSet(energies=np.repeat(w, model.g),
+                         mode_functions=_modes(model, v.T), dx=model.dx)
 
 
-def _check_compatible(basis, model):
-    if basis.modes != model.L * model.g:
-        raise ValueError(
-            f"basis has {basis.modes} modes, model needs {model.L * model.g}"
-        )
-    if basis.statistics != model.statistics:
-        raise ValueError("basis and model statistics differ")
+def _modes(model, site_coeff):
+    """A first-quantized site matrix acting alike on every internal component."""
+    return np.kron(site_coeff, np.eye(model.g))
 
 
-def _site_ops(basis, model):
-    return [
-        [annihilation(basis, mode_index(x, s, model.g)) for s in range(model.g)]
-        for x in range(model.L)
-    ]
-
-
-def _quadratic(basis, ops, coeff):
-    """sum_ij coeff[i, j] a_i^dag a_j over flat (site, component) labels."""
-    flat = [a for row in ops for a in row]
-    acc = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for i, ai in enumerate(flat):
-        for j, aj in enumerate(flat):
-            c = coeff[i, j]
-            if c != 0.0:
-                acc = acc + c * (ai.dag() @ aj).matrix
-    return acc
+def _cell_ops(basis, model, cells, diagonals=None):
+    """One Hermitian, number-conserving operator per cell, from the cell's
+    first-quantized site matrix plus, optionally, a diagonal per state."""
+    check_model(basis, model)
+    return [FieldOperator(basis, one_body(basis, _modes(model, cell),
+                                          0.0 if diagonals is None else diagonals[:, x]),
+                          hermitian=True, number_conserving=True, check=False)
+            for x, cell in enumerate(cells)]
 
 
 def build_hamiltonian(basis, model, t=0.0):
@@ -200,27 +176,18 @@ def build_hamiltonian(basis, model, t=0.0):
     positive.  Interaction: (1/2) sum V(|x-y|) psi^dag psi^dag psi psi,
     exactly as normal ordered - the vacuum energy is zero.
     """
-    _check_compatible(basis, model)
-    ops = _site_ops(basis, model)
-    h1 = model.single_particle_matrix(t)
-    coeff = np.kron(h1, np.eye(model.g))
-    acc = _quadratic(basis, ops, coeff)
-    for _, term in _interaction_cell_terms(model, ops):
-        acc = acc + term
-    return FieldOperator(basis, acc, hermitian=True, number_conserving=True)
+    check_model(basis, model)
+    m = one_body(basis, _modes(model, model.single_particle_matrix(t)),
+                 _interaction_cells(basis, model).sum(axis=1))
+    return FieldOperator(basis, m, hermitian=True, number_conserving=True)
 
 
-def _interaction_cell_terms(model, ops):
-    """(x, term) for each energy cell x with an interaction part,
-    (1/2) sum_y V(|x-y|) psi^dag_x psi^dag_y psi_y psi_x, as written cellwise."""
+def _interaction_cells(basis, model):
+    """(dim, L) diagonals: cell x's (1/2) sum_y V(|x-y|) psi^dag_x psi^dag_y psi_y psi_x,
+    which is (1/2) sum_y V_xy (N_x N_y - delta_xy N_x) for either statistics."""
     v = model.pair_matrix()
-    for x in range(model.L):
-        terms = [0.5 * v[x, y] * (ops[x][s].dag() @ ops[y][sp_].dag()
-                                  @ ops[y][sp_] @ ops[x][s]).matrix
-                 for y in range(model.L) if v[x, y] != 0.0
-                 for s in range(model.g) for sp_ in range(model.g)]
-        if terms:
-            yield x, sum(terms[1:], terms[0])
+    n = basis.occ.reshape(basis.dim, model.L, model.g).sum(axis=2)
+    return 0.5 * n * (n @ v.T - np.diagonal(v))
 
 
 def density_ops(basis, model):
@@ -228,17 +195,9 @@ def density_ops(basis, model):
 
     sum_x dx rho(x) = m N exactly.
     """
-    _check_compatible(basis, model)
-    out = []
-    for x in range(model.L):
-        acc = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-        for s in range(model.g):
-            n = number_operator(basis, mode_index(x, s, model.g))
-            acc = acc + n.matrix
-        acc = acc * (model.mass / model.dx)
-        out.append(FieldOperator(basis, acc, hermitian=True,
-                                 number_conserving=True, check=False))
-    return out
+    cells = np.zeros((model.L,) * 3)
+    cells[np.diag_indices(model.L, 3)] = model.mass / model.dx
+    return _cell_ops(basis, model, cells)
 
 
 def momentum_density_ops(basis, model):
@@ -247,35 +206,19 @@ def momentum_density_ops(basis, model):
     p(x) = (i hbar / 2) [ (grad psi^dag)(x) psi(x) - psi^dag(x) (grad psi)(x) ]
     with Dirichlet virtual sites; sum_x dx p(x) is the total momentum.
     """
-    _check_compatible(basis, model)
-    ops = _site_ops(basis, model)
     pref = model.hbar / (4.0 * model.dx**2)
-    out = []
-    for x in range(model.L):
-        acc = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-        for s in range(model.g):
-            ax = ops[x][s]
-            if x + 1 < model.L:
-                an = ops[x + 1][s]
-                acc = acc + 1j * pref * ((an.dag() @ ax).matrix
-                                         - (ax.dag() @ an).matrix)
-            if x - 1 >= 0:
-                ap = ops[x - 1][s]
-                acc = acc + 1j * pref * ((ax.dag() @ ap).matrix
-                                         - (ap.dag() @ ax).matrix)
-        out.append(FieldOperator(basis, acc, hermitian=True,
-                                 number_conserving=True, check=False))
-    return out
+    cells = np.zeros((model.L,) * 3, dtype=complex)
+    for x in range(model.L - 1):
+        # both cells of the bond (x, x+1) carry its hops: +i toward x+1, -i back
+        cells[[x, x + 1], x + 1, x] = 1j * pref
+        cells[[x, x + 1], x, x + 1] = -1j * pref
+    return _cell_ops(basis, model, cells)
 
 
 def momentum_op(basis, model):
     """Total momentum, sum_x dx p(x)."""
     cells = momentum_density_ops(basis, model)
-    total = cells[0] * model.dx
-    for c in cells[1:]:
-        total = total + c * model.dx
-    return FieldOperator(basis, total.matrix, hermitian=True,
-                         number_conserving=True, check=False)
+    return sum((c * model.dx for c in cells[1:]), cells[0] * model.dx)
 
 
 def energy_density_ops(basis, model, t=0.0):
@@ -286,34 +229,15 @@ def energy_density_ops(basis, model, t=0.0):
     external and interaction terms are cellwise as written.  By construction
     sum_x dx e(x) = H exactly.
     """
-    _check_compatible(basis, model)
-    ops = _site_ops(basis, model)
-    c = model.hopping
-    u = model.potential_vector(t)
-    cells = [sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-             for _ in range(model.L)]
-    for s in range(model.g):
-        for x in range(model.L):
-            n_x = (ops[x][s].dag() @ ops[x][s]).matrix
-            # wall half-bonds
-            if x == 0:
-                cells[x] = cells[x] + c * n_x
-            if x == model.L - 1:
-                cells[x] = cells[x] + c * n_x
-            # interior bond (x, x+1), split half/half
-            if x + 1 < model.L:
-                an = ops[x + 1][s]
-                n_n = (an.dag() @ an).matrix
-                hop = (an.dag() @ ops[x][s]).matrix + (ops[x][s].dag() @ an).matrix
-                bond = c * (n_x + n_n - hop)
-                cells[x] = cells[x] + 0.5 * bond
-                cells[x + 1] = cells[x + 1] + 0.5 * bond
-            cells[x] = cells[x] + u[x] * n_x
-    for x, term in _interaction_cell_terms(model, ops):
-        cells[x] = cells[x] + term
-    return [FieldOperator(basis, m * (1.0 / model.dx), hermitian=True,
-                          number_conserving=True, check=False)
-            for m in cells]
+    L, c = model.L, model.hopping
+    cells = np.zeros((L, L, L))
+    half_bond = 0.5 * c * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for x in range(L - 1):
+        cells[[x, x + 1], x:x + 2, x:x + 2] += half_bond
+    np.add.at(cells, ([0, L - 1],) * 3, c)  # the wall half-bonds
+    cells[np.diag_indices(L, 3)] += model.potential_vector(t)
+    return _cell_ops(basis, model, cells / model.dx,
+                     _interaction_cells(basis, model) / model.dx)
 
 
 def family_density_ops(basis, model, family, t=0.0):
@@ -353,7 +277,7 @@ def current_ops(basis, model, family, t=0.0, require_closed_walls=None):
     right-wall bond carrying the total force, unless require_closed_walls
     is set, in which case a non-closing family raises.
     """
-    _check_compatible(basis, model)
+    check_model(basis, model)
     if require_closed_walls is None:
         require_closed_walls = family in (MASS, ENERGY)
     h = build_hamiltonian(basis, model, t)

@@ -60,6 +60,9 @@ class RelevantSet:
                 raise ValueError(f"relevant observable {lab!r} is not Hermitian")
         if self.div_currents is not None and len(self.div_currents) != len(self.operators):
             raise ValueError("div_currents and operators differ in length")
+        # built with the set: made on first use inside the Gibbs and Kubo stages,
+        # these long-lived arrays kept freed heap memory resident
+        _ = self.columns, self.stacked
 
     def __len__(self):
         return len(self.operators)
@@ -84,6 +87,13 @@ class RelevantSet:
     def stacked(self):
         """The members as one sparse (n*d, d) matrix, for eigenbasis_stack."""
         return stacked(self.operators)
+
+    @cached_property
+    def gauge_projector(self):
+        """gauge_projector(self) at the default tolerance, read-only."""
+        proj = gauge_projector(self)
+        proj.flags.writeable = False
+        return proj
 
 
 def relevant_set(labels, operators, weights=None, div_currents=None):
@@ -198,7 +208,11 @@ def kubo_matrix(p, cs, bs):
     closed-form divided-difference kernel (Higham, Functions of Matrices,
     ch. 3); the disconnected part is Tr(C W) Tr(B W).
     """
-    kappa = _kubo_kernel(p)
+    return _kubo(_kubo_kernel(p), p, cs, bs)
+
+
+def _kubo(kappa, p, cs, bs):
+    """kubo_matrix with its kernel kappa = _kubo_kernel(p) given."""
     flat_b = bs.reshape(len(bs), -1)
     connected = np.array([flat_b @ (c.T * kappa).ravel() for c in cs])
     means_c = np.diagonal(cs, axis1=1, axis2=2) @ p
@@ -302,7 +316,7 @@ def match_expectations(relevant, targets, zeta_init=None, tol=MATCH_TOL,
     zeta = np.zeros(n) if zeta_init is None else np.asarray(zeta_init, float).copy()
     if not np.all(np.isfinite(zeta)):
         raise ValueError("zeta_init contains non-finite entries")
-    proj = gauge_projector(relevant)
+    proj = relevant.gauge_projector
 
     # one diagonalization per iterate: the exponent's spectrum gives both
     # w[zeta] and its Gram matrix

@@ -23,10 +23,11 @@ from .fock import FieldOperator
 from .maxent import (
     EIG_FLOOR,
     _gibbs,
+    _kubo,
+    _kubo_kernel,
     entropy,
     exponent_matrix,
     expectations,
-    gauge_projector,
     gibbs_state,
     kubo_matrix,
     match_expectations,
@@ -330,7 +331,7 @@ class _DynamicsEngine:
         self.ad_eig = eigenbasis_stack(self.spectrum,
                                        relevant.operators + relevant.div_currents)
         self.past = _PreparedHistory(relevant, history, self.spectrum)
-        self.proj = gauge_projector(relevant)
+        self.proj = relevant.gauge_projector
         self.times = []
         self.stack = np.zeros((0,) + (len(self.spectrum.w),) * 2, dtype=complex)
 
@@ -351,8 +352,9 @@ class _DynamicsEngine:
         pieces are summed in the eigenbasis of H before one correlation.
         """
         state, p = _macrostate(self.relevant, zeta)
+        kappa = _kubo_kernel(p)
         a_st, c_st = np.split(eigenbasis_stack(state, self.operands), 2)
-        gram = kubo_matrix(p, a_st, a_st).real
+        gram = _kubo(kappa, p, a_st, a_st).real
         rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
 
         # preparation branch and terminal gamma(T) term; a memory cutoff
@@ -370,10 +372,10 @@ class _DynamicsEngine:
         operand += _phased_integral(self.spectrum, t, wq, self.stack[first:])
         operand += w_end * self._combo(zeta, np.zeros_like(zeta))
         operand = state.from_other(self.spectrum, operand)
-        rhs += kubo_matrix(p, c_st, operand[None])[:, 0].real
+        rhs += _kubo(kappa, p, c_st, operand[None])[:, 0].real
 
         # ---- linear solve:  -(G + w_end K) diag(w) zdot = rhs -------------
-        kmat = kubo_matrix(p, c_st, a_st).real if w_end else 0.0
+        kmat = _kubo(kappa, p, c_st, a_st).real if w_end else 0.0
         m = gram + w_end * kmat
         mw = m * self.relevant.weights[None, :]
         cond = self._deflated_condition(gram)

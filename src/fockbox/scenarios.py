@@ -43,6 +43,7 @@ from .neqso import (
 )
 from .propagate import evolve_state
 from .subdynamics import (
+    embed,
     embedding_residual,
     gaussian_packet,
     reduced_path,
@@ -199,12 +200,7 @@ def run_free_packet(config, out_dir):
     reg = region(range(model.L))
     psi = gaussian_packet(reg, center=p["center"], width=p["width"],
                           k=p["momentum"], dx=model.dx, g=model.g)
-    vec = np.zeros(basis.dim, dtype=complex)
-    for iy, y in enumerate(reg.sites):
-        occ = [0] * basis.modes
-        occ[y * model.g] = 1
-        vec[basis.state_ordinal(occ)] = np.sqrt(model.dx) * psi.amplitudes[iy, 0]
-    rho0 = np.outer(vec, vec.conj())
+    rho0 = embed(psi, vacuum_state(basis), basis, model, reg)
     dens = density_ops(basis, model)
     hd = h.to_dense()
     ts = np.linspace(0.0, p["t_final"], p["samples"])

@@ -17,12 +17,14 @@ sum, and the matrix in the orthonormalized site basis is dx * K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .fock import FieldOperator, field_operator, mode_index
+from .fock import FieldOperator, check_model, creator_sum, mode_index
+from .propagate import stacked
 
 VACUUM_TOL = 1e-10
 
@@ -145,36 +147,49 @@ class VacuumResidual:
     pairwise: float
 
 
-def _region_fields(basis, model, region_):
+def _region_modes(basis, model, region_):
+    """The modes of a region's (site, component) grid, site-major."""
+    check_model(basis, model)
     region_.check_inside(model)
-    return [[field_operator(basis, model, y, s) for s in range(model.g)]
-            for y in region_.sites]
+    return [mode_index(y, s, model.g) for y in region_.sites for s in range(model.g)]
+
+
+def _fields(basis, model, region_):
+    """The region's fields psi = a / sqrt(dx), site-major, as one sparse (k d, d)
+    stack."""
+    held = [basis.lowering[m] for m in _region_modes(basis, model, region_)]
+    return stacked(held) * (1.0 / math.sqrt(model.dx))
+
+
+def _field_sum(basis, model, region_, amplitudes):
+    """sum_{y,sigma} amplitudes[y, sigma] psi^dag(y, sigma) over a region, one
+    sparse sum made dense; its adjoint sums the fields with conjugate weights."""
+    coeff = np.zeros(basis.modes, dtype=complex)
+    modes = _region_modes(basis, model, region_)
+    coeff[modes] = np.ravel(amplitudes) / math.sqrt(model.dx)
+    return creator_sum(basis, coeff).toarray()
+
+
+def _traces(x, y):
+    """[r, c] -> Tr(x_r y_c) for two (n, d, d) stacks."""
+    return np.einsum("rij,cji->rc", x, y)
 
 
 def vacuum_residual(rho, basis, model, region_):
     rho = np.asarray(rho, dtype=complex)
-    fields = _region_fields(basis, model, region_)
-    flat = [f.to_dense() for row in fields for f in row]
-    strong = 0.0
-    for f in flat:
-        strong = max(strong, float(np.linalg.norm(f @ rho)))
-    pairwise = 0.0
-    for f in flat:
-        for f2 in flat:
-            pairwise = max(pairwise, float(np.linalg.norm(f @ (f2 @ rho))))
+    # sparse fields applied to dense matrices: O(nnz d) per product
+    fields = _fields(basis, model, region_)
+    shape = (-1, basis.dim, basis.dim)
+    applied = (fields @ rho).reshape(shape)
+    strong = float(np.linalg.norm(applied, axis=(1, 2)).max())
+    pairwise = max(float(np.linalg.norm((fields @ x).reshape(shape), axis=(1, 2)).max())
+                   for x in applied)
     return VacuumResidual(strong=strong, pairwise=pairwise)
 
 
 def _creator_for(psi, basis, model):
     """B = sum_{y,sigma} dx Psi(y,sigma) psi^dag(y,sigma)."""
-    fields = _region_fields(basis, model, psi.region)
-    acc = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for iy, row in enumerate(fields):
-        for s, f in enumerate(row):
-            c = psi.amplitudes[iy, s]
-            if c != 0.0:
-                acc += model.dx * c * f.dag().to_dense()
-    return acc
+    return _field_sum(basis, model, psi.region, model.dx * psi.amplitudes)
 
 
 def embed(state, rho_prime, basis, model, region_, vacuum_tol=VACUUM_TOL):
@@ -209,9 +224,8 @@ def embed(state, rho_prime, basis, model, region_, vacuum_tol=VACUUM_TOL):
         for p, vec in zip(evals, evecs.T):
             if p <= 1e-14:
                 continue
-            amps = vec.reshape(len(region_), model.g) / np.sqrt(model.dx)
-            comp = OneQuantonState(region_, amps, model.dx)
-            b = _creator_for(comp, basis, model)
+            # the component's amplitudes are vec / sqrt(dx)
+            b = _field_sum(basis, model, region_, np.sqrt(model.dx) * vec)
             out += p * (b @ rho_prime @ b.conj().T)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-10:
@@ -231,12 +245,10 @@ def extract_pure(rho_embedded, basis, model, region_, rho_ref_phase=0):
     rho = np.asarray(rho_embedded)
     w, v = np.linalg.eigh(rho)
     vec = v[:, -1]
-    amps = np.zeros((len(region_), model.g), dtype=complex)
-    for iy, y in enumerate(region_.sites):
-        for s in range(model.g):
-            occ = [0] * basis.modes
-            occ[mode_index(y, s, model.g)] = 1
-            amps[iy, s] = vec[basis.state_ordinal(occ)] / np.sqrt(model.dx)
+    modes = _region_modes(basis, model, region_)
+    one = np.zeros((len(modes), basis.modes), dtype=np.int64)
+    one[np.arange(len(modes)), modes] = 1
+    amps = (vec[basis.rank(one)] / np.sqrt(model.dx)).reshape(len(region_), model.g)
     flat = amps.ravel()
     ref = flat[rho_ref_phase] if np.abs(flat[rho_ref_phase]) > 1e-12 \
         else flat[np.argmax(np.abs(flat))]
@@ -252,14 +264,7 @@ def reduced_schrodinger_step(psi, model, t, dt):
     preserved exactly by construction.
     """
     reg = psi.region
-    n = len(reg)
-    c = model.hopping
-    tm = t + 0.5 * dt
-    h1 = np.diag(np.full(n, 2.0 * c)
-                 + np.array([float(model.U(y, tm)) for y in reg.sites]))
-    for i in range(n - 1):
-        h1[i, i + 1] = -c
-        h1[i + 1, i] = -c
+    h1 = model.single_particle_matrix(t + 0.5 * dt)[np.ix_(reg.sites, reg.sites)]
     w, v = np.linalg.eigh(h1)
     u = (v * np.exp(-1j * w * dt / model.hbar)) @ v.conj().T
     return OneQuantonState(reg, u @ psi.amplitudes, psi.dx)
@@ -331,34 +336,15 @@ def surface_term(psi, rho_prime, basis, model, region_):
     feasibility of treating the embedded quanton as autonomous.
     """
     rho_prime = np.asarray(rho_prime, dtype=complex)
-    reg = psi.region
-    fields = _region_fields(basis, model, reg)
-    pos = {y: i for i, y in enumerate(reg.sites)}
-
-    def outward_gradient(y, s):
-        i = pos[y]
-        if y == reg.sites[0]:
-            inner = psi.amplitudes[i + 1, s] if len(reg) > 1 else 0.0
-        else:
-            inner = psi.amplitudes[i - 1, s] if len(reg) > 1 else 0.0
-        return (psi.amplitudes[i, s] - inner) / model.dx
-
-    pref = model.hbar**2 / (2.0 * model.mass)
-    acc = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for yb in reg.boundary:
-        for s in range(model.g):
-            grad = outward_gradient(yb, s)
-            fb = fields[pos[yb]][s].to_dense()
-            for iy, y in enumerate(reg.sites):
-                for s2 in range(model.g):
-                    c = psi.amplitudes[iy, s2]
-                    f2 = fields[iy][s2].to_dense()
-                    if grad != 0.0 and c != 0.0:
-                        acc += pref * model.dx * grad * np.conj(c) * (
-                            fb.conj().T @ rho_prime @ f2)
-                    if c != 0.0 and grad != 0.0:
-                        acc -= pref * model.dx * c * np.conj(grad) * (
-                            f2.conj().T @ rho_prime @ fb)
+    reg, amps = psi.region, psi.amplitudes
+    grad = np.zeros_like(amps)
+    inner = amps[[1, -2]] if len(reg) > 1 else 0.0
+    grad[[0, -1]] = (amps[[0, -1]] - inner) / model.dx
+    # G = sum grad psi^dag over the boundary, C = sum Psi psi^dag over the region
+    g_dag = _field_sum(basis, model, reg, grad)
+    c_dag = _field_sum(basis, model, reg, amps)
+    pref = model.hbar**2 / (2.0 * model.mass) * model.dx
+    acc = pref * (g_dag @ rho_prime @ c_dag.conj().T - c_dag @ rho_prime @ g_dag.conj().T)
     return acc, float(np.linalg.norm(acc))
 
 
@@ -400,29 +386,17 @@ def induced_observable(A, rho_prime, basis, model, region_, windows=None):
     """
     rho_prime = np.asarray(rho_prime, dtype=complex)
     a = A.to_dense() if isinstance(A, FieldOperator) else np.asarray(A, complex)
-    fields = _region_fields(basis, model, region_)
-    flat = [(y, s, fields[i][s]) for i, y in enumerate(region_.sites)
-            for s in range(model.g)]
-    n = len(flat)
-
-    kernel = np.empty((n, n), dtype=complex)
-    for col, (_, _, f_col) in enumerate(flat):        # (y, sigma)
-        sandwich_base = f_col.dag().to_dense() @ rho_prime
-        for row, (_, _, f_row) in enumerate(flat):    # (y', sigma')
-            kernel[row, col] = np.trace(a @ sandwich_base @ f_row.to_dense())
+    # psi(y', sigma') by row, psi^dag(y, sigma) by column
+    fields = _fields(basis, model, region_).toarray().reshape(-1, basis.dim, basis.dim)
+    adjoints = fields.conj().transpose(0, 2, 1)
+    sandwich = adjoints @ rho_prime
+    kernel = _traces(fields, a @ sandwich)
 
     # splitting: lattice delta * Tr(A rho') + symmetrized commutator kernel
     tr_a = np.trace(a @ rho_prime)
-    split = np.empty_like(kernel)
-    for row, (_, _, f_row) in enumerate(flat):
-        fr = f_row.to_dense()
-        comm_row = fr @ a - a @ fr
-        for col, (_, _, f_col) in enumerate(flat):
-            fcd = f_col.dag().to_dense()
-            term = 0.5 * (comm_row @ fcd + fr @ (a @ fcd - fcd @ a))
-            split[row, col] = np.trace(term @ rho_prime)
-            if row == col:
-                split[row, col] += tr_a / model.dx
+    split = 0.5 * (_traces(fields @ a - a @ fields, sandwich)
+                   + _traces(fields, (a @ adjoints - adjoints @ a) @ rho_prime))
+    split += np.eye(len(fields)) * (tr_a / model.dx)
     split_dev = float(np.max(np.abs(kernel - split)))
 
     pov = None
@@ -431,14 +405,8 @@ def induced_observable(A, rho_prime, basis, model, region_, windows=None):
         pov = {}
         for lo, hi in windows:
             sel = (w >= lo) & (w < hi)
-            proj = (v[:, sel] @ v[:, sel].conj().T) if np.any(sel) \
-                else np.zeros_like(a)
-            pk = np.empty((n, n), dtype=complex)
-            for col, (_, _, f_col) in enumerate(flat):
-                sand = f_col.dag().to_dense() @ rho_prime
-                for row, (_, _, f_row) in enumerate(flat):
-                    pk[row, col] = np.trace(proj @ sand @ f_row.to_dense())
-            pov[(lo, hi)] = pk
+            proj = v[:, sel] @ v[:, sel].conj().T
+            pov[(lo, hi)] = _traces(fields, proj @ sandwich)
 
     out = ReducedObservable(region=region_, kernel=kernel, dx=model.dx, pov=pov)
     out.split_deviation = split_dev
@@ -484,15 +452,10 @@ def embed_two_quanton(psi2, rho_prime, basis, model, region_,
             f"two-quanton amplitude is not {kind} for {model.statistics} "
             f"statistics (deviation {sym_dev:.3e})"
         )
-    fields = _region_fields(basis, model, region_)
-    flat = [fields[i][s].to_dense() for i in range(len(region_))
-            for s in range(model.g)]
-    b = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            c = psi2[i, j]
-            if c != 0.0:
-                b += model.dx**2 * c * (flat[i].conj().T @ flat[j].conj().T)
+    # b = sum_i psi^dag_i B_i with B_i = sum_j dx^2 psi2_ij psi^dag_j: the adjoint
+    # field stack times the B_i stacked
+    creators = [_field_sum(basis, model, region_, model.dx**2 * row) for row in psi2]
+    b = _fields(basis, model, region_).getH() @ np.concatenate(creators)
     out = 0.5 * (b @ rho_prime @ b.conj().T)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-10:

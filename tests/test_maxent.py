@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 from scipy.integrate import simpson
 
+import fockbox.maxent as maxent
+
 from fockbox.fock import BOSE, build_basis, number_operator
 from fockbox.lattice import LatticeModel, build_hamiltonian, density_ops
 from fockbox.maxent import (
@@ -334,3 +336,22 @@ def test_extremal_targets_fail(lattice_relevant):
     targets = expectations(rel, vac)
     with pytest.raises(MatchFailure):
         match_expectations(rel, targets, max_iters=30)
+
+
+def test_gauge_projector_held_once_per_set(monkeypatch):
+    model = LatticeModel(L=2, dx=1.0)
+    basis = build_basis(BOSE, L=2, g=1, n_max=2)
+    rel = relevant_set(["rho0", "rho1", "N"],
+                       list(density_ops(basis, model)) + [number_operator(basis)],
+                       [1.0, 1.0, 1.0])
+    calls = []
+    compute = maxent.gauge_projector
+    monkeypatch.setattr(maxent, "gauge_projector",
+                        lambda *args: calls.append(args) or compute(*args))
+    targets = expectations(rel, gibbs_state(rel, [0.1, -0.2, 0.3])[0])
+    for _ in range(3):
+        zf = match_expectations(rel, targets)
+    assert len(calls) == 1
+    assert zf.gauge_projector is rel.gauge_projector
+    assert np.array_equal(rel.gauge_projector, compute(rel))
+    assert not rel.gauge_projector.flags.writeable

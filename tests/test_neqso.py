@@ -3,6 +3,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import fockbox.maxent as maxent
+import fockbox.neqso as neqso
 from fockbox.fock import BOSE, build_basis, commutator, number_operator, zero_operator
 from fockbox.lattice import (
     MASS,
@@ -446,3 +448,18 @@ def test_hydro_uniform_equilibrium_commutes_with_hamiltonian():
     h = build_hamiltonian(basis, model)
     exponent, _ = hydro_parametrize([0.7] * 3, [0.3] * 3, [0.0] * 3, basis, model)
     assert commutator(exponent, h).max_abs() < 1e-12
+
+
+def test_kubo_kernel_once_per_derivative(monkeypatch):
+    basis, model, h, rel = interacting_model(L=2)
+    engine = neqso._DynamicsEngine(rel, HistorySpec.empty(0.0), h, 1.0, None)
+    zeta = np.array([0.2, -0.1, 0.3])
+    engine.record(0.0, zeta, np.array([0.01, 0.02, -0.01]))
+    want, _ = engine.derivative(0.1, zeta)
+    calls = []
+    kernel = neqso._kubo_kernel
+    for module in (neqso, maxent):
+        monkeypatch.setattr(module, "_kubo_kernel", lambda p: calls.append(p) or kernel(p))
+    got, _ = engine.derivative(0.1, zeta)
+    assert len(calls) == 1
+    assert np.array_equal(got, want)

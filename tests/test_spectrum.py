@@ -17,12 +17,12 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import SETTINGS, hermitian_models, models
 
 from fockbox.fock import (
     BOSE,
-    FERMI,
     FieldOperator,
     annihilation,
     build_basis,
@@ -40,7 +40,6 @@ from fockbox.lattice import (
     divergence_ops,
     momentum_density_ops,
     pair_preset,
-    potential_preset,
 )
 from fockbox.maxent import (
     _density,
@@ -72,11 +71,6 @@ from fockbox.propagate import (
     propagator,
     stacked,
 )
-
-# a fixed seed keeps the suite reproducible; model construction is the slow part
-SETTINGS = settings(max_examples=30, deadline=None, database=None, derandomize=True,
-                    suppress_health_check=[HealthCheck.too_slow])
-
 
 # ---- test-only oracles -------------------------------------------------------
 
@@ -118,46 +112,6 @@ def oracle_dress(h_dense, a, t, hbar=1.0):
 def oracle_gibbs(x):
     e = scipy.linalg.expm(x)
     return e / np.trace(e).real
-
-
-# ---- random models -------------------------------------------------------------
-
-
-@st.composite
-def models(draw):
-    statistics = draw(st.sampled_from([BOSE, FERMI]))
-    L = draw(st.integers(1, 3))
-    g = draw(st.integers(1, 2)) if statistics == FERMI else 1
-    n_max = draw(st.integers(1, 2))
-    kind = draw(st.sampled_from(["free", "interacting", "number"]))
-    basis = build_basis(statistics, L, g=g, n_max=n_max)
-    if kind == "interacting":
-        values = draw(st.lists(st.floats(-1.0, 1.0), min_size=L, max_size=L))
-        v, rv = pair_preset("contact", v0=draw(st.floats(0.0, 1.0)))
-        model = LatticeModel(L=L, g=g, statistics=statistics,
-                             U=potential_preset("table", L, values=values),
-                             V=v, range_V=rv)
-    else:
-        model = LatticeModel(L=L, g=g, statistics=statistics)
-    h = build_hamiltonian(basis, model)
-    if kind == "number":
-        h = draw(st.sampled_from([0.5, 1.0, 2.0])) * number_operator(basis)
-    return basis, model, h
-
-
-@st.composite
-def hermitian_models(draw):
-    """models(), half of them made complex Hermitian by a momentum-density or
-    bond-current term, which keeps the particle number."""
-    basis, model, h = draw(models())
-    if draw(st.booleans()):
-        assume(model.L > 1)
-        site = draw(st.integers(0, model.L - 2))
-        term = draw(st.sampled_from([momentum_density_ops(basis, model)[site],
-                                     current_ops(basis, model, MASS).bonds[site + 1]]))
-        h = h + draw(st.sampled_from([0.4, -0.9])) * term
-        assert np.any(h.to_dense().imag)
-    return basis, model, h
 
 
 def operands(basis, model, draw):
