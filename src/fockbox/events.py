@@ -17,7 +17,7 @@ import numpy as np
 
 from .fock import FieldOperator, check_model, mode_index, one_body
 from .propagate import evolve_state
-from .subdynamics import Region, VacuumConditionError, _field_sum, vacuum_residual
+from .subdynamics import Region, _field_sum, _require_vacuum
 
 EVENT_VACUUM_TOL = 1e-8
 
@@ -94,9 +94,8 @@ def build_event_mixture(rho_normal, spec, basis, model,
     the background raises InactiveSourceError.
     """
     rho_n = np.asarray(rho_normal, dtype=complex)
-    res = vacuum_residual(rho_n, basis, model, spec.channel)
-    if res.strong >= vacuum_tol:
-        raise VacuumConditionError(res.strong, vacuum_tol, what="normal component")
+    _require_vacuum(rho_n, basis, model, spec.channel, vacuum_tol,
+                    what="normal component")
     s_op = _emission_operator(spec, basis, model)
     raw = s_op @ rho_n @ s_op.conj().T
     norm = np.trace(raw).real

@@ -198,7 +198,7 @@ def build_basis(statistics, L, g=1, n_max=1, dim_cap=None):
 
 
 class FieldOperator:
-    """Sparse complex operator on a FockBasis, with verified metadata flags.
+    """Sparse complex operator on a FockBasis.
 
     Immutable by convention; all algebra returns new instances.  The matrix
     is kept in canonical CSR form (sorted indices, duplicates summed,
@@ -209,56 +209,39 @@ class FieldOperator:
     made so in place.
     """
 
-    def __init__(self, basis, matrix, hermitian=False, number_conserving=False,
-                 check=True):
+    def __init__(self, basis, matrix):
         if matrix.shape != (basis.dim, basis.dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match basis dim {basis.dim}"
             )
-        m = _canonical(sp.csr_matrix(matrix, dtype=complex, copy=True))
-        self.basis, self.matrix = basis, m
-        self.hermitian, self.number_conserving = bool(hermitian), bool(number_conserving)
-        if check and self.hermitian:
-            dev = _max_abs(m - m.getH())
-            if dev >= HERMITICITY_TOL:
-                raise ValueError(f"hermitian flag set but ||A - A^dag||_max = {dev:.3e}")
-        if check and self.number_conserving and basis.dim > 1:
-            totals, coo = basis.totals(), m.tocoo()
-            if np.any(totals[coo.row] != totals[coo.col]):
-                raise ValueError("number_conserving flag set but sectors are coupled")
+        self.basis = basis
+        self.matrix = _canonical(sp.csr_matrix(matrix, dtype=complex, copy=True))
 
     @classmethod
-    def _held(cls, basis, matrix, hermitian, number_conserving):
+    def _held(cls, basis, matrix):
         """An operator holding a canonical complex CSR matrix as it is."""
         op = cls.__new__(cls)
         op.basis, op.matrix = basis, matrix
-        op.hermitian, op.number_conserving = bool(hermitian), bool(number_conserving)
         return op
 
     # ---- algebra ----------------------------------------------------------
 
     def dag(self):
-        return FieldOperator._held(self.basis, self.matrix.getH().tocsr(),
-                                   self.hermitian, self.number_conserving)
+        return FieldOperator._held(self.basis, self.matrix.getH().tocsr())
 
     def __add__(self, other):
         self._compat(other)
-        return FieldOperator._held(self.basis, self.matrix + other.matrix,
-                                   self.hermitian and other.hermitian,
-                                   self.number_conserving and other.number_conserving)
+        return FieldOperator._held(self.basis, self.matrix + other.matrix)
 
     def __sub__(self, other):
         self._compat(other)
-        return FieldOperator._held(self.basis, self.matrix - other.matrix,
-                                   self.hermitian and other.hermitian,
-                                   self.number_conserving and other.number_conserving)
+        return FieldOperator._held(self.basis, self.matrix - other.matrix)
 
     def __mul__(self, scalar):
-        herm = self.hermitian and np.isreal(scalar) and np.imag(scalar) == 0
         m = self.matrix * scalar
         if not np.all(m.data):  # a zero scalar, or underflow
             m.eliminate_zeros()
-        return FieldOperator._held(self.basis, m, herm, self.number_conserving)
+        return FieldOperator._held(self.basis, m)
 
     __rmul__ = __mul__
 
@@ -267,9 +250,7 @@ class FieldOperator:
 
     def __matmul__(self, other):
         self._compat(other)
-        return FieldOperator._held(self.basis, _canonical(self.matrix @ other.matrix),
-                                   False,
-                                   self.number_conserving and other.number_conserving)
+        return FieldOperator._held(self.basis, _canonical(self.matrix @ other.matrix))
 
     def _compat(self, other):
         if not isinstance(other, FieldOperator):
@@ -291,13 +272,6 @@ class FieldOperator:
     def is_hermitian(self, tol=HERMITICITY_TOL):
         return _max_abs(self.matrix - self.matrix.getH()) < tol
 
-    def as_hermitian(self, tol=HERMITICITY_TOL):
-        """Return self with the hermitian flag verified and set."""
-        dev = _max_abs(self.matrix - self.matrix.getH())
-        if dev >= tol:
-            raise ValueError(f"not hermitian: ||A - A^dag||_max = {dev:.3e}")
-        return FieldOperator._held(self.basis, self.matrix, True, self.number_conserving)
-
     def equal_bits(self, other):
         """Exact equality of the canonical sparse representation."""
         a, b = self.matrix, other.matrix
@@ -308,15 +282,17 @@ class FieldOperator:
 
     def to_json(self):
         """Sparse triplet dump (row, col, re, im), in the row-major order of the
-        canonical matrix."""
+        canonical matrix, with the Hermiticity and number conservation read
+        off the matrix."""
         coo = self.matrix.tocoo()
         triplets = [[int(r), int(c), float(v.real), float(v.imag)]
                     for r, c, v in zip(coo.row, coo.col, coo.data)]
+        totals = self.basis.totals()
         return json.dumps(
             {
                 "dim": self.basis.dim,
-                "hermitian": self.hermitian,
-                "number_conserving": self.number_conserving,
+                "hermitian": self.is_hermitian(),
+                "number_conserving": bool(np.all(totals[coo.row] == totals[coo.col])),
                 "triplets": triplets,
             },
             sort_keys=True,
@@ -393,13 +369,11 @@ def creator_sum(basis, amplitudes):
 
 
 def zero_operator(basis):
-    return FieldOperator._held(basis, sp.csr_matrix((basis.dim, basis.dim), dtype=complex),
-                               True, True)
+    return FieldOperator._held(basis, sp.csr_matrix((basis.dim, basis.dim), dtype=complex))
 
 
 def identity(basis):
-    return FieldOperator._held(basis, sp.identity(basis.dim, dtype=complex, format="csr"),
-                               True, True)
+    return FieldOperator._held(basis, sp.identity(basis.dim, dtype=complex, format="csr"))
 
 
 def _check_mode(basis, mode):
@@ -414,7 +388,7 @@ def annihilation(basis, mode):
     sign (-1)**(number of occupied modes with smaller canonical index).
     """
     _check_mode(basis, mode)
-    return FieldOperator._held(basis, basis.lowering[mode], False, False)
+    return FieldOperator._held(basis, basis.lowering[mode])
 
 
 def creation(basis, mode):
@@ -428,7 +402,7 @@ def number_operator(basis, mode=None):
     if mode is not None:
         _check_mode(basis, mode)
     n = basis.totals() if mode is None else basis.occ[:, mode]
-    return FieldOperator._held(basis, _ladder_sum(basis, [], n), True, True)
+    return FieldOperator._held(basis, _ladder_sum(basis, [], n))
 
 
 def check_model(basis, model):

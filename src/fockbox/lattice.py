@@ -163,8 +163,7 @@ def _cell_ops(basis, model, cells, diagonals=None):
     first-quantized site matrix plus, optionally, a diagonal per state."""
     check_model(basis, model)
     return [FieldOperator(basis, one_body(basis, _modes(model, cell),
-                                          0.0 if diagonals is None else diagonals[:, x]),
-                          hermitian=True, number_conserving=True, check=False)
+                                          0.0 if diagonals is None else diagonals[:, x]))
             for x, cell in enumerate(cells)]
 
 
@@ -179,7 +178,7 @@ def build_hamiltonian(basis, model, t=0.0):
     check_model(basis, model)
     m = one_body(basis, _modes(model, model.single_particle_matrix(t)),
                  _interaction_cells(basis, model).sum(axis=1))
-    return FieldOperator(basis, m, hermitian=True, number_conserving=True)
+    return FieldOperator(basis, m)
 
 
 def _interaction_cells(basis, model):
@@ -289,8 +288,6 @@ def current_ops(basis, model, family, t=0.0, require_closed_walls=None):
     defect = bonds[-1].max_abs()
     if require_closed_walls and defect > CONTINUITY_TOL:
         raise UnsupportedFamilyError(family, defect)
-    bonds = [b.as_hermitian(tol=1e-9) if b.is_hermitian(tol=1e-9) else b
-             for b in bonds]
     return CurrentSet(family=family, bonds=tuple(bonds), wall_defect=defect)
 
 

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fock import FieldOperator
 from .maxent import (
     EIG_FLOOR,
     _gibbs,
@@ -582,6 +581,4 @@ def hydro_parametrize(beta, mu, v, basis, model, t=0.0):
     for x in range(model.L):
         piece = model.dx * beta[x] * (e_o[x] + (mu[x] / model.mass) * rho_x[x])
         total = piece if total is None else total + piece
-    exponent = FieldOperator(total.basis, total.matrix, hermitian=True,
-                             number_conserving=True, check=False)
-    return exponent, {"e_o": e_o, "p_o": p_o, "e": e_x, "p": p_x, "rho": rho_x}
+    return total, {"e_o": e_o, "p_o": p_o, "e": e_x, "p": p_x, "rho": rho_x}

@@ -143,8 +143,9 @@ Dresser = Spectrum
 
 def stacked(ops):
     """Operators as one sparse (n d, d) CSR matrix, real when every entry is."""
-    s = sp.vstack([op.matrix if isinstance(op, FieldOperator) else sp.csr_matrix(op)
-                   for op in ops], format="csr")
+    s = sp.vstack([op.matrix if isinstance(op, FieldOperator)
+                   else op if sp.issparse(op) else sp.csr_matrix(op) for op in ops],
+                  format="csr")
     return s if np.any(s.data.imag) else s.real
 
 
@@ -171,8 +172,7 @@ def hermitian_eig(op):
 def propagator(H, dt, hbar=1.0):
     """U = exp(-i H dt / hbar) for Hermitian H."""
     u = Spectrum(H, hbar=hbar).unitary(dt)
-    return FieldOperator(H.basis, u, hermitian=False,
-                         number_conserving=H.number_conserving, check=False)
+    return FieldOperator(H.basis, u)
 
 
 def _step_unitaries(H_of_t, t0, t1, n_steps, hbar):
@@ -209,5 +209,4 @@ def heisenberg(A, H_of_t, t0, t1, n_steps=1, hbar=1.0):
         m = u.conj().T @ m @ u
     if not isinstance(A, FieldOperator):
         return m
-    return FieldOperator(A.basis, m, hermitian=False, number_conserving=False,
-                         check=False)
+    return FieldOperator(A.basis, m)

@@ -24,12 +24,10 @@ from .events import EventSpec, build_event_mixture, memory_witness, shielded_exp
 from .fock import build_basis, number_operator, zero_operator
 from .lattice import (
     MASS,
-    LatticeModel,
     build_hamiltonian,
     current_ops,
     density_ops,
     divergence_ops,
-    potential_preset,
 )
 from .maxent import entropy, gibbs_state, relevant_set
 from .neqso import (
@@ -513,11 +511,8 @@ def run_event_channel(config, out_dir):
               ["t", "lhs", "rhs", "shielding_residual"], rows)
 
     # witness part: barrier-free channel carrying left- vs right-movers
-    model_w = LatticeModel(L=model.L, dx=model.dx, g=model.g,
-                           statistics=model.statistics, mass=model.mass,
-                           hbar=model.hbar)
-    basis_w = build_basis(model.statistics, model.L, g=model.g,
-                          n_max=config["model"]["n_max"])
+    model_w, basis_w = build_model({**config["model"], "potential": {"preset": "box"},
+                                    "pair_potential": {"preset": "none"}})
     h_w = build_hamiltonian(basis_w, model_w)
     rho_w = one_particle_state(basis_w, int(p["source_site"]), model.L, model.g)
     spec_p, spec_m = _phase_specs(p, lam)
@@ -571,14 +566,9 @@ def run_decoherence_sweep(config, out_dir):
         u = np.zeros(model_cfg["L"])
         for i, site in enumerate(channel):
             u[site] += float(strength) * noise[i]
-        model = LatticeModel(
-            L=model_cfg["L"], dx=float(model_cfg["dx"]), g=model_cfg["g"],
-            statistics=model_cfg["statistics"], mass=float(model_cfg["mass"]),
-            hbar=float(model_cfg["hbar"]),
-            U=potential_preset("table", model_cfg["L"], values=list(u)),
-        )
-        basis = build_basis(model.statistics, model.L, g=model.g,
-                            n_max=model_cfg["n_max"])
+        model, basis = build_model({**model_cfg,
+                                    "potential": {"preset": "table", "values": list(u)},
+                                    "pair_potential": {"preset": "none"}})
         h = build_hamiltonian(basis, model)
         rho_n = one_particle_state(basis, int(p["source_site"]), model.L,
                                    model.g)

@@ -175,16 +175,27 @@ def _traces(x, y):
     return np.einsum("rij,cji->rc", x, y)
 
 
+def _field_products(fields, x):
+    """psi(y) x for each field of a sparse stack and a dense x, as a (k, d, d)
+    stack, with the largest Frobenius norm among them: O(nnz d)."""
+    d = x.shape[-1]
+    applied = (fields @ x).reshape(-1, d, d)
+    return applied, float(np.linalg.norm(applied, axis=(1, 2)).max())
+
+
 def vacuum_residual(rho, basis, model, region_):
-    rho = np.asarray(rho, dtype=complex)
-    # sparse fields applied to dense matrices: O(nnz d) per product
     fields = _fields(basis, model, region_)
-    shape = (-1, basis.dim, basis.dim)
-    applied = (fields @ rho).reshape(shape)
-    strong = float(np.linalg.norm(applied, axis=(1, 2)).max())
-    pairwise = max(float(np.linalg.norm((fields @ x).reshape(shape), axis=(1, 2)).max())
-                   for x in applied)
+    applied, strong = _field_products(fields, np.asarray(rho, dtype=complex))
+    pairwise = max(_field_products(fields, x)[1] for x in applied)
     return VacuumResidual(strong=strong, pairwise=pairwise)
+
+
+def _require_vacuum(rho, basis, model, region_, tol, what="background"):
+    """Raise VacuumConditionError unless the strong residual max_y ||psi(y) rho||
+    is below tol: the one field product of vacuum_residual, without the pairwise."""
+    _, strong = _field_products(_fields(basis, model, region_), rho)
+    if strong >= tol:
+        raise VacuumConditionError(strong, tol, what)
 
 
 def _creator_for(psi, basis, model):
@@ -203,9 +214,7 @@ def embed(state, rho_prime, basis, model, region_, vacuum_tol=VACUUM_TOL):
     particle.
     """
     rho_prime = np.asarray(rho_prime, dtype=complex)
-    res = vacuum_residual(rho_prime, basis, model, region_)
-    if res.strong >= vacuum_tol:
-        raise VacuumConditionError(res.strong, vacuum_tol)
+    _require_vacuum(rho_prime, basis, model, region_, vacuum_tol)
     if isinstance(state, OneQuantonState):
         b = _creator_for(state, basis, model)
         out = b @ rho_prime @ b.conj().T
@@ -437,9 +446,7 @@ def embed_two_quanton(psi2, rho_prime, basis, model, region_,
     from .fock import BOSE
 
     rho_prime = np.asarray(rho_prime, dtype=complex)
-    res = vacuum_residual(rho_prime, basis, model, region_)
-    if res.strong >= vacuum_tol:
-        raise VacuumConditionError(res.strong, vacuum_tol)
+    _require_vacuum(rho_prime, basis, model, region_, vacuum_tol)
     n = len(region_) * model.g
     psi2 = np.asarray(psi2, dtype=complex)
     if psi2.shape != (n, n):

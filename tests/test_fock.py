@@ -17,7 +17,7 @@ from fockbox.fock import (
     identity,
     number_operator,
 )
-from fockbox.lattice import LatticeModel, normal_modes
+from fockbox.lattice import LatticeModel, build_hamiltonian, normal_modes
 
 
 def test_dimension_bose_two_sites_one_particle():
@@ -213,6 +213,13 @@ def test_json_dumps_roundtrip_shapes():
     for row, col, re, im in op_doc["triplets"]:
         assert 0 <= row < 3 and 0 <= col < 3
         assert isinstance(re, float) and isinstance(im, float)
+    # the two properties are read off the matrix, not carried as flags
+    assert op_doc["number_conserving"] is False
+    assert json.loads((op + op.dag()).to_json())["hermitian"] is True
+    h = build_hamiltonian(basis, LatticeModel(L=2))
+    h_doc = json.loads(h.to_json())
+    assert h_doc["hermitian"] is True and h_doc["number_conserving"] is True
+    assert json.loads((1j * h).to_json())["hermitian"] is False
 
 
 def test_operator_equality_bitwise_after_canonicalization():

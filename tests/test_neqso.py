@@ -260,7 +260,7 @@ def test_dynamics_gauge_covariance():
     from fockbox.fock import identity
 
     shifted_ops = list(rel.operators)
-    shifted_ops[-1] = (shifted_ops[-1] + 2.5 * identity(basis)).as_hermitian()
+    shifted_ops[-1] = shifted_ops[-1] + 2.5 * identity(basis)
     rel_shift = relevant_set(rel.labels, shifted_ops, rel.weights,
                              div_currents=rel.div_currents)
     zeta0 = np.array([0.3, 0.0, -0.3, 0.4])

@@ -58,7 +58,9 @@ from fockbox.lattice import (
 )
 from fockbox.subdynamics import (
     OneQuantonState,
+    VacuumConditionError,
     _creator_for,
+    _require_vacuum,
     embed_two_quanton,
     induced_observable,
     region,
@@ -411,7 +413,7 @@ def test_every_result_stays_canonical(bmh):
                build_hamiltonian(basis, model), identity(basis), zero_operator(basis),
                a + b, a - a, b - a, a * 0.0, 0.0 * h, h * 2.5, (1j * h), -b, a.dag(),
                a @ b, b.dag() @ b, n @ n - n, h @ h, h @ b - b @ h, h @ h - h @ h,
-               h.as_hermitian(), momentum_op(basis, model),
+               momentum_op(basis, model),
                FieldOperator(basis, np.diag([0.0, 1.0] + [0.0] * (basis.dim - 2)))]
     results += density_ops(basis, model) + energy_density_ops(basis, model)
     assert all(is_canonical(op.matrix) for op in results)
@@ -435,6 +437,10 @@ def test_region_field_products_match_dense_oracles(bm, data):
     strong, pairwise = oracle_vacuum_residual(rho, basis, model, reg)
     assert abs(res.strong - strong) <= 1e-14 * max(1.0, strong)
     assert abs(res.pairwise - pairwise) <= 1e-14 * max(1.0, pairwise)
+    _require_vacuum(rho, basis, model, reg, 1.5 * strong)
+    with pytest.raises(VacuumConditionError) as err:
+        _require_vacuum(rho, basis, model, reg, 0.5 * strong)
+    assert abs(err.value.residual - strong) <= 1e-14 * max(1.0, strong)
     amps = rng.normal(size=(len(reg), model.g)) + 1j * rng.normal(size=(len(reg), model.g))
     psi = OneQuantonState(reg, amps, model.dx)
     want = oracle_creator(psi, basis, model)
