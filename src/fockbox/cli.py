@@ -102,13 +102,13 @@ def cmd_run(args):
     config = _load_config(args.config)
     if config is None:
         return EXIT_CONFIG
+    if args.seed is not None and isinstance(config, dict):
+        config["seed"] = args.seed
     findings = validate_config(config)
     if findings:
         for f in findings:
             print(f"invalid: {f}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        config["seed"] = args.seed
     numerical_errors = (MatchFailure, GramConditionError, DimensionCapError,
                         UnsupportedFamilyError, InactiveSourceError,
                         SupportViolationError, FloatingPointError,

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .fock import FieldOperator, check_model, mode_index, one_body
+from .fock import FieldOperator, check_model, one_body
 from .propagate import evolve_state
-from .subdynamics import Region, _field_sum, _require_vacuum
+from .subdynamics import Region, _field_sums, _region_modes, _require_vacuum
 
 EVENT_VACUUM_TOL = 1e-8
 
@@ -114,10 +114,8 @@ def build_event_mixture(rho_normal, spec, basis, model,
 
 def _quanton_kernel(rho_n, spec, basis, model):
     """Normalized kernel Tr(A(y) rho_n A^dag(y')) over the channel grid."""
-    # A(y, sigma) is the adjoint of sum_x conj K(y, x) psi^dag(x, sigma)
-    ops = np.array([_field_sum(basis, model, spec.source,
-                               np.outer(row.conj(), np.eye(model.g)[s])).conj().T
-                    for row in spec.kernel for s in range(model.g)])
+    # A(y, sigma) = sum_x K(y, x) psi(x, sigma), one row of weights per (y, sigma)
+    ops = _field_sums(basis, model, spec.source, np.kron(spec.kernel, np.eye(model.g)))
     kernel = np.einsum("iab,jab->ij", ops @ rho_n, ops.conj())
     trace = model.dx * np.trace(kernel).real
     if trace <= 1e-14:
@@ -140,8 +138,7 @@ def check_channel_support(B, basis, model, spec, tol=1e-12):
     """
     dense = B.to_dense() if isinstance(B, FieldOperator) else np.asarray(B)
     channel = np.zeros(basis.modes, dtype=bool)
-    channel[[mode_index(site, s, model.g) for site in spec.channel.sites
-             for s in range(model.g)]] = True
+    channel[_region_modes(basis, model, spec.channel)] = True
     _, inner = np.unique(basis.occ[:, channel], axis=0, return_inverse=True)
     _, outer = np.unique(basis.occ[:, ~channel], axis=0, return_inverse=True)
     same = outer[:, None] == outer[None, :]
@@ -204,7 +201,8 @@ def memory_witness(spec_one, spec_two, rho_normal, B, H, t_bar, t, basis,
     """
     if spec_one.lam != spec_two.lam:
         raise ValueError("witness comparison needs equal mixture weights")
-    check_channel_support(B, basis, model, spec_one)
+    for spec in {spec.channel: spec for spec in (spec_one, spec_two)}.values():
+        check_channel_support(B, basis, model, spec)
     bd = B.to_dense() if isinstance(B, FieldOperator) else np.asarray(B)
     vals = []
     for spec in (spec_one, spec_two):

@@ -12,7 +12,8 @@ builds of the same basis are bit-identical.  A basis also holds its states
 as one integer array ``occ`` and ranks occupation arrays back to ordinals
 combinatorially, so operators are assembled by vectorized passes over
 ``occ`` (Zhang & Dong, Eur. J. Phys. 31, 591 (2010)).  Its ladder operators
-are built once, on first use, and held by it, so they are freed with it.
+are built once, on first use, as one stack held by it, so they are freed
+with it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ class FockBasis:
     maps the tuple back to its ordinal.  ``sectors`` lists the contiguous
     (start, stop) index range of each total-particle-number block, in
     ascending particle number.  ``occ`` holds the states as one integer
-    array and ``lowering`` the ladder operators, both built on first use.
+    array and ``ladder`` every a_m as one stack, both built on first use;
+    ``lowering`` views the stack per mode, and a region's fields, whose modes
+    are contiguous, are a row slice of it.
     """
 
     statistics: str
@@ -141,10 +144,24 @@ class FockBasis:
         return starts[cum[:, -1]] + preceding.sum(axis=1)
 
     @cached_property
+    def ladder(self):
+        """Every a_m once, as one canonical complex CSR stack of shape
+        (modes * dim, dim) whose rows m * dim .. (m + 1) * dim - 1 hold a_m."""
+        return _canonical(sp.vstack([_ladder_sum(self, [(1.0, None, m)])
+                                     for m in range(self.modes)], format="csr"))
+
+    @cached_property
     def lowering(self):
-        """a_m for every mode m as canonical complex CSR matrices, built on first
-        use and held by the basis."""
-        return tuple(_ladder_sum(self, [(1.0, None, m)]) for m in range(self.modes))
+        """a_m for every mode m: canonical CSR views onto the rows of ``ladder``
+        that share its data and indices arrays."""
+        s, d = self.ladder, self.dim
+        views = tuple(sp.csr_matrix((d, d), dtype=complex) for _ in range(self.modes))
+        for m, view in enumerate(views):
+            # assigned, not passed to the constructor, which copies a small view
+            lo, hi = s.indptr[m * d], s.indptr[(m + 1) * d]
+            view.data, view.indices = s.data[lo:hi], s.indices[lo:hi]
+            view.indptr = s.indptr[m * d:(m + 1) * d + 1] - lo
+        return views
 
     def to_json(self):
         """Documented dump: occupation vectors as integer arrays."""
@@ -360,12 +377,6 @@ def one_body(basis, coeff, diagonal=0.0):
     diag = sum(number, np.zeros(basis.dim)) + diagonal
     return _ladder_sum(basis, [(coeff[i, j], i, j) for i, j in zip(*np.nonzero(coeff))
                                if i != j], diag)
-
-
-def creator_sum(basis, amplitudes):
-    """sum_m amplitudes[m] a_m^dag as a canonical complex CSR matrix."""
-    return _ladder_sum(basis, [(amplitudes[m], m, None)
-                               for m in np.flatnonzero(amplitudes)])
 
 
 def zero_operator(basis):

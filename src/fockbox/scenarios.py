@@ -479,6 +479,20 @@ def _phase_specs(p, lam):
     return spec_p, spec_m
 
 
+def _witnesses(config, potential, lam):
+    """The memory witness between the two phase kernels at each witness time,
+    in the config's model with the given potential and no pair potential."""
+    p = config["params"]
+    model, basis = build_model({**config["model"], "potential": potential,
+                                "pair_potential": {"preset": "none"}})
+    h = build_hamiltonian(basis, model)
+    rho_n = one_particle_state(basis, int(p["source_site"]), model.L, model.g)
+    spec_p, spec_m = _phase_specs(p, lam)
+    b = number_operator(basis, int(p["witness_channel"][-1]) * model.g)
+    return [memory_witness(spec_p, spec_m, rho_n, b, h, 0.0, float(t), basis, model,
+                           hbar=model.hbar) for t in p["witness_times"]]
+
+
 def run_event_channel(config, out_dir):
     model, basis = build_model(config["model"])
     p = config["params"]
@@ -511,19 +525,9 @@ def run_event_channel(config, out_dir):
               ["t", "lhs", "rhs", "shielding_residual"], rows)
 
     # witness part: barrier-free channel carrying left- vs right-movers
-    model_w, basis_w = build_model({**config["model"], "potential": {"preset": "box"},
-                                    "pair_potential": {"preset": "none"}})
-    h_w = build_hamiltonian(basis_w, model_w)
-    rho_w = one_particle_state(basis_w, int(p["source_site"]), model.L, model.g)
-    spec_p, spec_m = _phase_specs(p, lam)
-    b_w = number_operator(basis_w, p["witness_channel"][-1] * model.g)
-    wit_rows = []
-    witness_peak = 0.0
-    for t in p["witness_times"]:
-        w = memory_witness(spec_p, spec_m, rho_w, b_w, h_w, 0.0, float(t),
-                           basis_w, model_w, hbar=model.hbar)
-        witness_peak = max(witness_peak, w)
-        wit_rows.append((float(t), w))
+    wit = _witnesses(config, {"preset": "box"}, lam)
+    witness_peak = max(wit, default=0.0)
+    wit_rows = [(float(t), w) for t, w in zip(p["witness_times"], wit)]
     write_csv(Path(out_dir) / "witness.csv", ["t", "witness"], wit_rows)
 
     result = ScenarioResult(name="event_channel",
@@ -553,32 +557,20 @@ DECOHERENCE_DEFAULTS = {
 
 
 def run_decoherence_sweep(config, out_dir):
-    model_cfg = config["model"]
     p = config["params"]
     lam = float(p["lam"])
     rng = np.random.default_rng(config.get("seed", 0))
     channel = [int(s) for s in p["witness_channel"]]
     noise = rng.uniform(-1.0, 1.0, size=len(channel))
 
-    rows = []
     witnesses = []
     for strength in p["strengths"]:
-        u = np.zeros(model_cfg["L"])
+        u = np.zeros(config["model"]["L"])
         for i, site in enumerate(channel):
             u[site] += float(strength) * noise[i]
-        model, basis = build_model({**model_cfg,
-                                    "potential": {"preset": "table", "values": list(u)},
-                                    "pair_potential": {"preset": "none"}})
-        h = build_hamiltonian(basis, model)
-        rho_n = one_particle_state(basis, int(p["source_site"]), model.L,
-                                   model.g)
-        spec_p, spec_m = _phase_specs(p, lam)
-        b = number_operator(basis, channel[-1] * model.g)
-        w = max(memory_witness(spec_p, spec_m, rho_n, b, h, 0.0, float(t),
-                               basis, model, hbar=model.hbar)
-                for t in p["witness_times"])
-        witnesses.append(w)
-        rows.append((float(strength), w))
+        potential = {"preset": "table", "values": list(u)}
+        witnesses.append(max(_witnesses(config, potential, lam)))
+    rows = [(float(s), w) for s, w in zip(p["strengths"], witnesses)]
     write_csv(Path(out_dir) / "witness_sweep.csv", ["strength", "witness"],
               rows)
 

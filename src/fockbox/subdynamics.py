@@ -23,8 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import FieldOperator, check_model, creator_sum, mode_index
-from .propagate import stacked
+from .fock import FieldOperator, check_model
 
 VACUUM_TOL = 1e-10
 
@@ -148,26 +147,31 @@ class VacuumResidual:
 
 
 def _region_modes(basis, model, region_):
-    """The modes of a region's (site, component) grid, site-major."""
+    """The modes of a region's (site, component) grid: contiguous sites and a
+    site-major mode order make them one range."""
     check_model(basis, model)
     region_.check_inside(model)
-    return [mode_index(y, s, model.g) for y in region_.sites for s in range(model.g)]
+    return range(region_.sites[0] * model.g, (region_.sites[-1] + 1) * model.g)
 
 
 def _fields(basis, model, region_):
     """The region's fields psi = a / sqrt(dx), site-major, as one sparse (k d, d)
-    stack."""
-    held = [basis.lowering[m] for m in _region_modes(basis, model, region_)]
-    return stacked(held) * (1.0 / math.sqrt(model.dx))
+    stack: a row slice of the basis's ladder stack."""
+    modes, d = _region_modes(basis, model, region_), basis.dim
+    return basis.ladder[modes.start * d:modes.stop * d] * (1.0 / math.sqrt(model.dx))
 
 
-def _field_sum(basis, model, region_, amplitudes):
-    """sum_{y,sigma} amplitudes[y, sigma] psi^dag(y, sigma) over a region, one
-    sparse sum made dense; its adjoint sums the fields with conjugate weights."""
-    coeff = np.zeros(basis.modes, dtype=complex)
-    modes = _region_modes(basis, model, region_)
-    coeff[modes] = np.ravel(amplitudes) / math.sqrt(model.dx)
-    return creator_sum(basis, coeff).toarray()
+def _field_sums(basis, model, region_, weights):
+    """sum_m weights[i, m] psi_m over the region's fields, site-major, for each
+    row i of weights, as a dense (n, d, d) stack; the ladder amplitudes are real,
+    so its transpose is sum_m weights[i, m] psi_m^dag.  Distinct fields share no
+    stored position, so each entry is one product."""
+    fields, d = _fields(basis, model, region_).tocoo(), basis.dim
+    mode, row = np.divmod(fields.row, d)
+    weights = np.reshape(weights, (len(weights), -1))
+    out = np.zeros((len(weights), d, d), dtype=complex)
+    out[:, row, fields.col] = weights[:, mode] * fields.data
+    return out
 
 
 def _traces(x, y):
@@ -200,7 +204,7 @@ def _require_vacuum(rho, basis, model, region_, tol, what="background"):
 
 def _creator_for(psi, basis, model):
     """B = sum_{y,sigma} dx Psi(y,sigma) psi^dag(y,sigma)."""
-    return _field_sum(basis, model, psi.region, model.dx * psi.amplitudes)
+    return _field_sums(basis, model, psi.region, [model.dx * psi.amplitudes])[0].T
 
 
 def embed(state, rho_prime, basis, model, region_, vacuum_tol=VACUUM_TOL):
@@ -229,13 +233,11 @@ def embed(state, rho_prime, basis, model, region_, vacuum_tol=VACUUM_TOL):
         evals, evecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
         if evals.min() < -1e-10:
             raise ValueError(f"kernel is not positive (eigenvalue {evals.min():.3e})")
-        out = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for p, vec in zip(evals, evecs.T):
-            if p <= 1e-14:
-                continue
-            # the component's amplitudes are vec / sqrt(dx)
-            b = _field_sum(basis, model, region_, np.sqrt(model.dx) * vec)
-            out += p * (b @ rho_prime @ b.conj().T)
+        keep = evals > 1e-14
+        # the components' amplitudes are the eigenvectors over sqrt(dx); their
+        # creators are the transposed field sums f, so b rho' b^dag = f^T rho' conj(f)
+        f = _field_sums(basis, model, region_, np.sqrt(model.dx) * evecs.T[keep])
+        out = np.tensordot(evals[keep], f.transpose(0, 2, 1) @ rho_prime @ f.conj(), 1)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(
@@ -254,9 +256,7 @@ def extract_pure(rho_embedded, basis, model, region_, rho_ref_phase=0):
     rho = np.asarray(rho_embedded)
     w, v = np.linalg.eigh(rho)
     vec = v[:, -1]
-    modes = _region_modes(basis, model, region_)
-    one = np.zeros((len(modes), basis.modes), dtype=np.int64)
-    one[np.arange(len(modes)), modes] = 1
+    one = np.eye(basis.modes, dtype=np.int64)[_region_modes(basis, model, region_)]
     amps = (vec[basis.rank(one)] / np.sqrt(model.dx)).reshape(len(region_), model.g)
     flat = amps.ravel()
     ref = flat[rho_ref_phase] if np.abs(flat[rho_ref_phase]) > 1e-12 \
@@ -350,8 +350,7 @@ def surface_term(psi, rho_prime, basis, model, region_):
     inner = amps[[1, -2]] if len(reg) > 1 else 0.0
     grad[[0, -1]] = (amps[[0, -1]] - inner) / model.dx
     # G = sum grad psi^dag over the boundary, C = sum Psi psi^dag over the region
-    g_dag = _field_sum(basis, model, reg, grad)
-    c_dag = _field_sum(basis, model, reg, amps)
+    g_dag, c_dag = _field_sums(basis, model, reg, [grad, amps]).transpose(0, 2, 1)
     pref = model.hbar**2 / (2.0 * model.mass) * model.dx
     acc = pref * (g_dag @ rho_prime @ c_dag.conj().T - c_dag @ rho_prime @ g_dag.conj().T)
     return acc, float(np.linalg.norm(acc))
@@ -461,8 +460,8 @@ def embed_two_quanton(psi2, rho_prime, basis, model, region_,
         )
     # b = sum_i psi^dag_i B_i with B_i = sum_j dx^2 psi2_ij psi^dag_j: the adjoint
     # field stack times the B_i stacked
-    creators = [_field_sum(basis, model, region_, model.dx**2 * row) for row in psi2]
-    b = _fields(basis, model, region_).getH() @ np.concatenate(creators)
+    creators = _field_sums(basis, model, region_, model.dx**2 * psi2).transpose(0, 2, 1)
+    b = _fields(basis, model, region_).getH() @ creators.reshape(-1, basis.dim)
     out = 0.5 * (b @ rho_prime @ b.conj().T)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-10:

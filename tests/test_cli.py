@@ -169,6 +169,16 @@ def test_cli_seed_override_recorded(tmp_path):
     assert summary["provenance"]["seed"] == 9
 
 
+def test_cli_negative_seed_is_a_config_error(tmp_path):
+    for name in ("free_packet", "decoherence_sweep"):
+        path = write_config(tmp_path, name)
+        out = tmp_path / name
+        r = cli("run", "--config", str(path), "--out", str(out), "--seed", "-3")
+        assert r.returncode == 2
+        assert "invalid: seed:" in r.stderr
+        assert not out.exists()
+
+
 # ---- direct API runs --------------------------------------------------------------
 
 

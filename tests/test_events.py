@@ -207,6 +207,21 @@ def test_memory_witness_distinguishes_orthogonal_kernels(channel_box):
     assert w_transit > 0.1
 
 
+def test_memory_witness_checks_the_detector_against_both_channels():
+    model = LatticeModel(L=5, dx=1.0)
+    basis = build_basis(BOSE, L=5, g=1, n_max=1)
+    h = build_hamiltonian(basis, model)
+    wide = EventSpec(lam=0.5, source=region([0, 1]), channel=region([2, 3, 4]),
+                     kernel=np.ones((3, 2)))
+    narrow = EventSpec(lam=0.5, source=region([0, 1]), channel=region([3, 4]),
+                       kernel=np.ones((2, 2)))
+    b = number_operator(basis, 2)  # inside the wide channel, outside the narrow one
+    for one, two in ((wide, narrow), (narrow, wide)):
+        with pytest.raises(SupportViolationError):
+            memory_witness(one, two, one_particle(basis, 0, 5), b, h, 0.0, 0.5,
+                           basis, model)
+
+
 def test_memory_witness_decays_under_channel_disorder():
     # kernels launching left- vs right-movers have identical densities at
     # t_bar; the witness needs transport, which strong static disorder in

@@ -25,6 +25,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from strategies import SETTINGS, hermitian_models
 
+from fockbox import fock
 from fockbox.events import (
     EventSpec,
     SupportViolationError,
@@ -61,6 +62,7 @@ from fockbox.subdynamics import (
     VacuumConditionError,
     _creator_for,
     _require_vacuum,
+    embed,
     embed_two_quanton,
     induced_observable,
     region,
@@ -400,6 +402,36 @@ def test_held_ladder_operators_die_with_their_basis():
     del basis, ops
     gc.collect()
     assert ref() is None
+
+
+def test_region_fields_come_from_the_one_held_ladder_stack(monkeypatch):
+    basis = build_basis(BOSE, L=4, g=2, n_max=2)
+    model = LatticeModel(L=4, g=2)
+    stack = basis.ladder
+    assert all(np.shares_memory(basis.lowering[m].data, stack.data)
+               for m in range(basis.modes))
+    reg = region([1, 2])
+    vac = np.zeros((basis.dim, basis.dim), dtype=complex)
+    vac[basis.vacuum_ordinal(), basis.vacuum_ordinal()] = 1.0
+    one = basis.basis_vector([1] + [0] * (basis.modes - 1))
+    n_op = number_operator(basis, 2)
+    spec = EventSpec(lam=0.5, source=region([0, 1]), channel=region([2, 3]),
+                     kernel=np.ones((2, 2)))
+    calls = []
+    transitions = fock._transitions
+    monkeypatch.setattr(fock, "_transitions",
+                        lambda *args: calls.append(args) or transitions(*args))
+    psi = OneQuantonState(reg, np.ones((2, 2)), model.dx).normalized()
+    n = len(reg) * model.g
+    psi2 = np.zeros((n, n))
+    psi2[0, 1] = psi2[1, 0] = 1.0 / math.sqrt(2.0)
+    embed(psi, vac, basis, model, reg)
+    embed(np.eye(n) / n, vac, basis, model, reg)
+    surface_term(psi, vac, basis, model, reg)
+    embed_two_quanton(psi2, vac, basis, model, reg)
+    induced_observable(n_op, vac, basis, model, reg, windows=[(0.5, 1.5)])
+    _quanton_kernel(np.outer(one, one), spec, basis, model)
+    assert calls == []
 
 
 @SETTINGS
