@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FieldOperator, check_model, one_body
-from .propagate import evolve_state
+from .propagate import Spectrum, evolve_state
 from .subdynamics import Region, _field_sums, _region_modes, _require_vacuum
 
 EVENT_VACUUM_TOL = 1e-8
@@ -197,16 +197,21 @@ def memory_witness(spec_one, spec_two, rho_normal, B, H, t_bar, t, basis,
     Builds the two mixtures from the same background and mixture weight,
     evolves both to t and returns |Tr(B rho^(1)) - Tr(B rho^(2))|; zero for
     identical kernels, strictly positive when the channel transmits the
-    distinction.
+    distinction.  t may be a sequence of times, for which a list is
+    returned: the mixtures are built, the detector checked and the
+    Hermitian H diagonalized once for the whole series.
     """
     if spec_one.lam != spec_two.lam:
         raise ValueError("witness comparison needs equal mixture weights")
     for spec in {spec.channel: spec for spec in (spec_one, spec_two)}.values():
         check_channel_support(B, basis, model, spec)
     bd = B.to_dense() if isinstance(B, FieldOperator) else np.asarray(B)
-    vals = []
-    for spec in (spec_one, spec_two):
-        mix = build_event_mixture(rho_normal, spec, basis, model)
-        rho_t = evolve_state(mix.rho, H, t_bar, t, hbar=hbar)
-        vals.append(float(np.trace(bd @ rho_t).real))
-    return abs(vals[0] - vals[1])
+    mixtures = [np.asarray(build_event_mixture(rho_normal, spec, basis, model).rho,
+                           dtype=complex) for spec in (spec_one, spec_two)]
+    spectrum = Spectrum(H, hbar=hbar)
+    out = []
+    for t_k in np.atleast_1d(t):
+        u = spectrum.unitary(t_k - t_bar)
+        vals = [float(np.trace(bd @ (u @ m @ u.conj().T)).real) for m in mixtures]
+        out.append(abs(vals[0] - vals[1]))
+    return out if np.ndim(t) else out[0]

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .propagate import Spectrum, eigenbasis_stack, stacked
+from .propagate import OperatorStack, Spectrum, eigenbasis_stack, sector_blocks
 
 MATCH_TOL = 1e-9
 MAX_NEWTON_ITERS = 60
@@ -85,8 +85,8 @@ class RelevantSet:
 
     @cached_property
     def stacked(self):
-        """The members as one sparse (n*d, d) matrix, for eigenbasis_stack."""
-        return stacked(self.operators)
+        """The members held as one OperatorStack, for sector_blocks."""
+        return OperatorStack(self.operators)
 
     @cached_property
     def gauge_projector(self):
@@ -186,17 +186,19 @@ def entropy(rho, tol=1e-9):
     return max(0.0, float(-(nz * np.log(nz)).sum()))
 
 
-def _kubo_kernel(w):
-    """kappa[a, b] = (w_a - w_b)/(log w_a - log w_b), w_a on the diagonal."""
-    logw = np.log(w)
-    d = logw[:, None] - logw[None, :]
-    num = w[:, None] - w[None, :]
+def _kubo_kernel(w, u=None):
+    """kappa[a, b] = (w_a - u_b)/(log w_a - log u_b), with u = w when not given:
+    the logarithmic mean, sqrt(w_a u_b) where the two nearly coincide."""
+    u = w if u is None else u
+    d = np.subtract.outer(np.log(w), np.log(u))
+    kappa = np.subtract.outer(w, u)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = num / d
+        kappa /= d
     # near-degenerate pairs: symmetric expansion sqrt(wa wb) sinh(d/2)/(d/2)
-    small = np.abs(d) < 1e-7
-    geo = np.sqrt(w[:, None] * w[None, :])
-    kappa = np.where(small, geo * (1.0 + d * d / 24.0), kappa)
+    d = np.abs(d, out=d)
+    a, b = np.nonzero(d < 1e-7)
+    near = d[a, b]
+    kappa[a, b] = np.sqrt(w[a] * u[b]) * (1.0 + near * near / 24.0)
     return kappa
 
 
@@ -204,20 +206,47 @@ def kubo_matrix(p, cs, bs):
     """Matrix of canonical correlations <C_j, B_l> in the state with eigenvalues p.
 
     cs and bs are (n, d, d) stacks of operators already expressed in the
-    state's eigenbasis.  The connected part contracts each pair with the
-    closed-form divided-difference kernel (Higham, Functions of Matrices,
+    state's eigenbasis; they enter the contraction of _kubo as one block
+    spanning the space, by views.  The connected part contracts each pair with
+    the closed-form divided-difference kernel (Higham, Functions of Matrices,
     ch. 3); the disconnected part is Tr(C W) Tr(B W).
     """
-    return _kubo(_kubo_kernel(p), p, cs, bs)
+    full = slice(0, len(p))
+    return _kubo(p, [(full, full, np.swapaxes(cs, 1, 2), bs)], (len(cs), len(bs)))[0]
 
 
-def _kubo(kappa, p, cs, bs):
-    """kubo_matrix with its kernel kappa = _kubo_kernel(p) given."""
-    flat_b = bs.reshape(len(bs), -1)
-    connected = np.array([flat_b @ (c.T * kappa).ravel() for c in cs])
-    means_c = np.diagonal(cs, axis1=1, axis2=2) @ p
-    means_b = np.diagonal(bs, axis1=1, axis2=2) @ p
-    return connected - np.outer(means_c, means_b)
+def _kubo(p, pairs, shape, kappa=None):
+    """(K, m): K[j, l] = <C_j, B_l> and m[j] = Tr(C_j W) in the state W with
+    eigenvalues p, summed over the sector-pair blocks of the operators in its
+    eigenbasis, one block at a time.
+
+    pairs yields (rs, cs, ct, b) for the pairs of rows rs and columns cs where
+    the B_l live: ct holds the blocks there of the C_j transposed, (n_c, |rs|,
+    |cs|), and b those of the B_l, (n_b, |rs|, |cs|).  An item (rs, cs, b)
+    stands for Hermitian B_l correlated with themselves (ct = conj(b)): b is
+    then scaled in place by sqrt(kappa), kappa being positive, and the scaled
+    b enters as conj(b) b^T, so no second array of its size is made.  shape is
+    (n_c, n_b); kappa is the whole kernel _kubo_kernel(p) when the caller holds
+    it, else each block's part is computed alone.
+    """
+    connected = np.zeros(shape)
+    means_c, means_b = np.zeros(shape[0]), np.zeros(shape[1])
+    for rs, cs, *ct, b in pairs:
+        k = _kubo_kernel(p[rs], p[cs]) if kappa is None else kappa[rs, cs]
+        mean_b = np.diagonal(b, axis1=1, axis2=2) @ p[rs] if rs == cs else 0.0
+        if ct:
+            (ct,) = ct
+            mean_c = np.diagonal(ct, axis1=1, axis2=2) @ p[rs] if rs == cs else 0.0
+            connected = connected + ct.reshape(len(ct), -1) @ (k * b).reshape(len(b), -1).T
+        else:
+            mean_c = mean_b
+            b *= np.sqrt(k)
+            b = b.reshape(len(b), -1)
+            connected = connected + b.conj() @ b.T
+        means_c, means_b = means_c + mean_c, means_b + mean_b
+        # unbound before the next block is made, so one block is alive at a time
+        del ct, b
+    return connected - np.outer(means_c, means_b), means_c
 
 
 def kubo(C, B, W, eig_floor=EIG_FLOOR):
@@ -289,9 +318,10 @@ def kubo_gram(relevant, rho, eig_floor=EIG_FLOOR):
 
 
 def _gram(relevant, spectrum, p):
-    """kubo_gram in the state with eigenvalues p on the eigenvectors of spectrum."""
-    mats = eigenbasis_stack(spectrum, relevant.stacked)
-    g = kubo_matrix(p, mats, mats).real
+    """kubo_gram in the state with eigenvalues p on the eigenvectors of spectrum:
+    the members' blocks are made and contracted one sector pair at a time."""
+    n = len(relevant)
+    g = _kubo(p, sector_blocks(spectrum, relevant.stacked), (n, n))[0].real
     return 0.5 * (g + g.T)
 
 

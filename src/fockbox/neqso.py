@@ -32,7 +32,7 @@ from .maxent import (
     match_expectations,
     state_from_exponent,
 )
-from .propagate import Spectrum, eigenbasis_stack, stacked
+from .propagate import OperatorStack, Spectrum, eigenbasis_stack, sector_blocks
 
 HERM_WARN = 1e-10
 HERM_FAIL = 1e-6
@@ -326,23 +326,33 @@ class _DynamicsEngine:
         self.cond_max = cond_max
         self.spectrum = Spectrum(H, hbar=hbar)
         self.commutators = [(1j / hbar) * (H @ a - a @ H) for a in relevant.operators]
-        self.operands = stacked(list(relevant.operators) + self.commutators)
+        self.operands = OperatorStack(list(relevant.operators) + self.commutators)
         self.ad_eig = eigenbasis_stack(self.spectrum,
                                        relevant.operators + relevant.div_currents)
         self.past = _PreparedHistory(relevant, history, self.spectrum)
         self.proj = relevant.gauge_projector
         self.times = []
-        self.stack = np.zeros((0,) + (len(self.spectrum.w),) * 2, dtype=complex)
+        self._nodes = np.zeros((0,) + (len(self.spectrum.w),) * 2, dtype=complex)
 
     def _combo(self, zeta, zdot):
         w = self.relevant.weights
         return np.tensordot(np.concatenate([w * zdot, -w * zeta]), self.ad_eig, 1)
 
+    @property
+    def stack(self):
+        """The phased nodes recorded so far, in order: the filled prefix of a
+        buffer that doubles when full."""
+        return self._nodes[:len(self.times)]
+
     def record(self, t, zeta, zdot):
         """Store the spontaneous history node at t, after every node stored so far."""
+        k = len(self.times)
+        if k == len(self._nodes):
+            grown = np.empty((max(1, 2 * k),) + self._nodes.shape[1:], dtype=complex)
+            grown[:k] = self._nodes
+            self._nodes = grown
+        self._nodes[k] = self.spectrum.dress_eig(self._combo(zeta, zdot), t)
         self.times.append(t)
-        phased = self.spectrum.dress_eig(self._combo(zeta, zdot), t)
-        self.stack = np.concatenate([self.stack, phased[None]])
 
     def derivative(self, t, zeta):
         """zeta-dot at (t, zeta) given the recorded spontaneous history.
@@ -351,10 +361,6 @@ class _DynamicsEngine:
         pieces are summed in the eigenbasis of H before one correlation.
         """
         state, p = _macrostate(self.relevant, zeta)
-        kappa = _kubo_kernel(p)
-        a_st, c_st = np.split(eigenbasis_stack(state, self.operands), 2)
-        gram = _kubo(kappa, p, a_st, a_st).real
-        rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
 
         # preparation branch and terminal gamma(T) term; a memory cutoff
         # drops the latter together with the rest of the preparation record
@@ -371,10 +377,24 @@ class _DynamicsEngine:
         operand += _phased_integral(self.spectrum, t, wq, self.stack[first:])
         operand += w_end * self._combo(zeta, np.zeros_like(zeta))
         operand = state.from_other(self.spectrum, operand)
-        rhs += _kubo(kappa, p, c_st, operand[None])[:, 0].real
+
+        # one Kubo contraction per sector block: the A_j and commutators C_j
+        # against the conjugated A_l and operand.  The operands are Hermitian,
+        # so transposing one conjugates it, and that contraction gives the
+        # conjugate of each correlation, whose real part is kept
+        n = len(self.relevant)
+
+        def pairs():
+            for rs, cs, block in sector_blocks(state, self.operands):
+                b = np.concatenate([block[:n], operand[None, rs, cs]])
+                yield rs, cs, block, np.conjugate(b, out=b)
+
+        k, means = _kubo(p, pairs(), (2 * n, n + 1), _kubo_kernel(p))
+        gram = k[:n, :n].real
+        rhs = (means[n:] + k[n:, n]).real
+        kmat = k[n:, :n].real
 
         # ---- linear solve:  -(G + w_end K) diag(w) zdot = rhs -------------
-        kmat = _kubo(kappa, p, c_st, a_st).real if w_end else 0.0
         m = gram + w_end * kmat
         mw = m * self.relevant.weights[None, :]
         cond = self._deflated_condition(gram)

@@ -5,7 +5,8 @@ stepping scheme: at desk-scale dimensions exactness of the unitary matters
 more than speed.  Two structures of the box model keep that exactness
 cheap.  The basis enumeration keeps particle-number sectors contiguous, so
 a generator that couples no two sectors is diagonalized sector by sector,
-and every operand is transformed only on the sector pairs it connects.  The
+and every operand is transformed only on the sector pairs it connects, one
+pair at a time, so a consumer never needs the full (n, d, d) stack.  The
 model is real in the occupation basis, so a generator or operand with no
 imaginary part is diagonalized and transformed in real arithmetic.
 """
@@ -30,7 +31,9 @@ class Spectrum:
     one sector spanning the basis otherwise: blocks[i] holds the
     eigenvectors of slices[i], real when op is, and v the full complex
     eigenvector matrix, assembled on demand.  Changes of basis act on the
-    sector pairs an operand connects.  Dressing
+    sector pairs an operand connects: sector_blocks yields an operator
+    stack's blocks there one pair at a time, and eigenbasis_stack scatters
+    them into a full stack.  Dressing
     A -> exp(+iHt/hbar) A exp(-iHt/hbar) is an elementwise phase mask in the
     eigenbasis, computed afresh on each call; negative times give the
     retarded operators A(-s) of the history integrals.
@@ -59,11 +62,7 @@ class Spectrum:
     @property
     def v(self):
         """The full eigenvector matrix, complex, assembled on each call."""
-        return self._assembled(complex)
-
-    def _assembled(self, dtype):
-        """The eigenvector blocks as one dense block-diagonal matrix."""
-        v = np.zeros((len(self.w),) * 2, dtype=dtype)
+        v = np.zeros((len(self.w),) * 2, dtype=complex)
         for sl, b in zip(self.slices, self.blocks):
             v[sl, sl] = b
         return v
@@ -149,17 +148,99 @@ def stacked(ops):
     return s if np.any(s.data.imag) else s.real
 
 
+# from this many states on a side of a sector pair, each operator is transformed
+# on its own nonzero rows; smaller pairs take one batched product
+ROW_RESTRICT = 32
+
+
+class OperatorStack:
+    """n operators on one basis, held for repeated changes of basis.
+
+    matrix is the stack as one sparse (n d, d) CSR matrix, real when every
+    entry is.  The stack is split by the sector partition of the last spectrum
+    it met: on each sector pair (r, c) the operators connect, a pair with
+    fewer than ROW_RESTRICT states on each side keeps the dense (n, d_r, d_c)
+    block of all n, a larger one, for each operator j, the rows R it touches
+    in r and its entries A[R, c] as CSR, as (j, R or None for all rows, A).
+    """
+
+    def __init__(self, ops):
+        self.matrix = ops if sp.issparse(ops) else stacked(ops)
+        self.dim = self.matrix.shape[1]
+        self.n = self.matrix.shape[0] // self.dim
+        self._held = (None, None)
+
+    def split(self, spectrum):
+        """[(r, c, part)] over the sector pairs of spectrum the operators connect."""
+        key = tuple((sl.start, sl.stop) for sl in spectrum.slices)
+        if self._held[0] != key:
+            self._held = (key, self._parts(spectrum))
+        return self._held[1]
+
+    def _parts(self, spectrum):
+        m, k = self.matrix, len(spectrum.slices)
+        member, row = np.divmod(np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)),
+                                self.dim)
+        col = m.indices
+        # entries grouped by sector pair, operator-major within each pair
+        pair = spectrum.sector[row] * k + spectrum.sector[col]
+        order = np.argsort(pair, kind="stable")
+        keys, starts = np.unique(pair[order], return_index=True)
+        out = []
+        for key, idx in zip(keys, np.split(order, starts[1:])):
+            r, c = divmod(int(key), k)
+            r0, c0 = spectrum.slices[r].start, spectrum.slices[c].start
+            shape = (spectrum.slices[r].stop - r0, spectrum.slices[c].stop - c0)
+            if max(shape) < ROW_RESTRICT:
+                part = np.zeros((self.n,) + shape, dtype=m.dtype)
+                part[member[idx], row[idx] - r0, col[idx] - c0] = m.data[idx]
+            else:
+                part = []
+                members, firsts = np.unique(member[idx], return_index=True)
+                for j, sub in zip(members, np.split(idx, firsts[1:])):
+                    touched, local = np.unique(row[sub] - r0, return_inverse=True)
+                    entries = sp.csr_matrix((m.data[sub], (local, col[sub] - c0)),
+                                            shape=(len(touched), shape[1]))
+                    part.append((j, None if len(touched) == shape[0] else touched,
+                                 entries))
+            out.append((r, c, part))
+        return out
+
+
+def sector_blocks(spectrum, held):
+    """Yield (rs, cs, block) for each sector pair (r, c) of spectrum that the
+    operators of the OperatorStack held connect: block = v_r^dag A_rc v_c for
+    every operator A, a fresh (n, d_r, d_c) array, real when both are; rs and
+    cs are the pair's slices.
+
+    Number-conserving operators connect diagonal pairs only.  Each block is
+    made when it is asked for, so a consumer that drops it holds one at a time.
+    """
+    for r, c, part in held.split(spectrum):
+        yield (spectrum.slices[r], spectrum.slices[c],
+               _transformed(spectrum.blocks[r], spectrum.blocks[c], part, held.n))
+
+
+def _transformed(vr, vc, part, n):
+    """v_r^dag A v_c on one sector pair, from a part of OperatorStack.split."""
+    if isinstance(part, np.ndarray):
+        return vr.conj().T @ part @ vc
+    out = np.zeros((n, len(vr), len(vc)), dtype=np.result_type(vr, part[0][2].dtype))
+    for j, rows, entries in part:
+        np.matmul((vr if rows is None else vr[rows]).conj().T, entries @ vc, out=out[j])
+    return out
+
+
 def eigenbasis_stack(spectrum, ops):
-    """(n, d, d) stack of ops (a list, or stacked) in the eigenbasis of spectrum,
-    real when both are: one sparse product with the block-diagonal eigenvectors
-    gives A_rc v_c, then each sector pair present takes one product with v_r^dag."""
-    ops = ops if sp.issparse(ops) else stacked(ops)
+    """(n, d, d) stack of ops (a list, stacked, or an OperatorStack) in the
+    eigenbasis of spectrum, real when both are: the blocks of sector_blocks
+    scattered into a zero stack."""
+    held = ops if isinstance(ops, OperatorStack) else OperatorStack(ops)
     d = len(spectrum.w)
-    out = (ops @ spectrum._assembled(spectrum.blocks[0].dtype)).reshape(-1, d, d)
-    rows = np.repeat(np.tile(np.arange(d), len(out)), np.diff(ops.indptr))
-    for r, c in spectrum._pairs(rows, ops.indices):
-        rs, cs = spectrum.slices[r], spectrum.slices[c]
-        out[:, rs, cs] = spectrum.blocks[r].T.conj() @ out[:, rs, cs]
+    out = np.zeros((held.n, d, d),
+                   dtype=np.result_type(held.matrix.dtype, spectrum.blocks[0].dtype))
+    for rs, cs, block in sector_blocks(spectrum, held):
+        out[:, rs, cs] = block
     return out
 
 

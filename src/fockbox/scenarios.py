@@ -489,8 +489,9 @@ def _witnesses(config, potential, lam):
     rho_n = one_particle_state(basis, int(p["source_site"]), model.L, model.g)
     spec_p, spec_m = _phase_specs(p, lam)
     b = number_operator(basis, int(p["witness_channel"][-1]) * model.g)
-    return [memory_witness(spec_p, spec_m, rho_n, b, h, 0.0, float(t), basis, model,
-                           hbar=model.hbar) for t in p["witness_times"]]
+    return memory_witness(spec_p, spec_m, rho_n, b, h, 0.0,
+                          [float(t) for t in p["witness_times"]], basis, model,
+                          hbar=model.hbar)
 
 
 def run_event_channel(config, out_dir):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -154,11 +154,32 @@ def _region_modes(basis, model, region_):
     return range(region_.sites[0] * model.g, (region_.sites[-1] + 1) * model.g)
 
 
+class _Fields(NamedTuple):
+    """The k fields of a region as the stored entries (rows, cols, values) of
+    one (k d, d) stack; every row holds at most one entry."""
+
+    k: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
 def _fields(basis, model, region_):
-    """The region's fields psi = a / sqrt(dx), site-major, as one sparse (k d, d)
-    stack: a row slice of the basis's ladder stack."""
-    modes, d = _region_modes(basis, model, region_), basis.dim
-    return basis.ladder[modes.start * d:modes.stop * d] * (1.0 / math.sqrt(model.dx))
+    """The region's fields psi = a / sqrt(dx), site-major, read from the
+    region's rows of the basis's ladder stack."""
+    modes, d, ladder = _region_modes(basis, model, region_), basis.dim, basis.ladder
+    indptr = ladder.indptr[modes.start * d:modes.stop * d + 1]
+    at = slice(indptr[0], indptr[-1])
+    return _Fields(len(modes), np.repeat(np.arange(len(modes) * d), np.diff(indptr)),
+                   ladder.indices[at], ladder.data[at] * (1.0 / math.sqrt(model.dx)))
+
+
+def _dense_fields(basis, model, region_):
+    """_fields as a dense (k d, d) array."""
+    fields = _fields(basis, model, region_)
+    out = np.zeros((fields.k * basis.dim, basis.dim), dtype=complex)
+    out[fields.rows, fields.cols] = fields.values
+    return out
 
 
 def _field_sums(basis, model, region_, weights):
@@ -166,11 +187,11 @@ def _field_sums(basis, model, region_, weights):
     row i of weights, as a dense (n, d, d) stack; the ladder amplitudes are real,
     so its transpose is sum_m weights[i, m] psi_m^dag.  Distinct fields share no
     stored position, so each entry is one product."""
-    fields, d = _fields(basis, model, region_).tocoo(), basis.dim
-    mode, row = np.divmod(fields.row, d)
+    fields, d = _fields(basis, model, region_), basis.dim
+    mode, row = np.divmod(fields.rows, d)
     weights = np.reshape(weights, (len(weights), -1))
     out = np.zeros((len(weights), d, d), dtype=complex)
-    out[:, row, fields.col] = weights[:, mode] * fields.data
+    out[:, row, fields.cols] = weights[:, mode] * fields.values
     return out
 
 
@@ -180,10 +201,12 @@ def _traces(x, y):
 
 
 def _field_products(fields, x):
-    """psi(y) x for each field of a sparse stack and a dense x, as a (k, d, d)
-    stack, with the largest Frobenius norm among them: O(nnz d)."""
+    """psi(y) x for each field of a _fields stack and a dense x, as a (k, d, d)
+    stack, with the largest Frobenius norm among them: one scaled row of x per
+    stored entry, O(nnz d)."""
     d = x.shape[-1]
-    applied = (fields @ x).reshape(-1, d, d)
+    applied = np.zeros((fields.k, d, d), dtype=complex)
+    applied.reshape(-1, d)[fields.rows] = fields.values[:, None] * x[fields.cols]
     return applied, float(np.linalg.norm(applied, axis=(1, 2)).max())
 
 
@@ -395,7 +418,7 @@ def induced_observable(A, rho_prime, basis, model, region_, windows=None):
     rho_prime = np.asarray(rho_prime, dtype=complex)
     a = A.to_dense() if isinstance(A, FieldOperator) else np.asarray(A, complex)
     # psi(y', sigma') by row, psi^dag(y, sigma) by column
-    fields = _fields(basis, model, region_).toarray().reshape(-1, basis.dim, basis.dim)
+    fields = _dense_fields(basis, model, region_).reshape(-1, basis.dim, basis.dim)
     adjoints = fields.conj().transpose(0, 2, 1)
     sandwich = adjoints @ rho_prime
     kernel = _traces(fields, a @ sandwich)
@@ -461,7 +484,7 @@ def embed_two_quanton(psi2, rho_prime, basis, model, region_,
     # b = sum_i psi^dag_i B_i with B_i = sum_j dx^2 psi2_ij psi^dag_j: the adjoint
     # field stack times the B_i stacked
     creators = _field_sums(basis, model, region_, model.dx**2 * psi2).transpose(0, 2, 1)
-    b = _fields(basis, model, region_).getH() @ creators.reshape(-1, basis.dim)
+    b = _dense_fields(basis, model, region_).conj().T @ creators.reshape(-1, basis.dim)
     out = 0.5 * (b @ rho_prime @ b.conj().T)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-10:

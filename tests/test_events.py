@@ -13,6 +13,7 @@ from fockbox.events import (
 from fockbox.fock import BOSE, build_basis, number_operator
 from fockbox.lattice import LatticeModel, build_hamiltonian, potential_preset
 from fockbox.maxent import entropy
+from fockbox.propagate import evolve_state
 from fockbox.subdynamics import region
 
 
@@ -205,6 +206,24 @@ def test_memory_witness_distinguishes_orthogonal_kernels(channel_box):
     w_transit = memory_witness(spec_left, spec_right, rho_n, b, h, 0.0, 0.6,
                                basis, model)
     assert w_transit > 0.1
+
+
+def test_memory_witness_series_matches_per_time_evolution(channel_box):
+    basis, model, h = channel_box
+    rho_n = one_particle(basis, 0, 5)
+    spec_left, spec_right = delta_spec(target=0), delta_spec(target=1)
+    b = number_operator(basis, 3)
+    t_bar, times = 0.3, [0.3, 0.9, 1.6]
+    series = memory_witness(spec_left, spec_right, rho_n, b, h, t_bar, times, basis, model)
+    # each time on its own, as a mixture evolved from t_bar by evolve_state
+    mixtures = [build_event_mixture(rho_n, s, basis, model).rho
+                for s in (spec_left, spec_right)]
+    bd = b.to_dense()
+    for t, w in zip(times, series):
+        vals = [np.trace(bd @ evolve_state(m, h, t_bar, t)).real for m in mixtures]
+        assert w == abs(vals[0] - vals[1])
+        assert w == memory_witness(spec_left, spec_right, rho_n, b, h, t_bar, t,
+                                   basis, model)
 
 
 def test_memory_witness_checks_the_detector_against_both_channels():

@@ -9,14 +9,17 @@ boxes, free (with the degenerate many-body levels of a symmetric box),
 interacting, or a multiple of the total number operator (fully degenerate
 in each sector), with real Hamiltonians and, from hermitian_models(), complex
 Hermitian ones; the operands include field operators that change the
-particle number.
+particle number.  The full (n, d, d) transform and the per-member Kubo pass
+over it, which the sector-resident paths replaced, are kept as oracles too.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import SETTINGS, hermitian_models, models
@@ -55,20 +58,24 @@ from fockbox.maxent import (
     relevant_set,
     state_from_exponent,
 )
+from fockbox import propagate
 from fockbox.neqso import (
     HistorySpec,
     HistoryTerm,
     _DynamicsEngine,
+    _macrostate,
     cosine_test_function,
     evolve_and_rewrite,
     zeta_dynamics,
 )
 from fockbox.propagate import (
+    OperatorStack,
     Spectrum,
     evolve_state,
     heisenberg,
     hermitian_eig,
     propagator,
+    sector_blocks,
     stacked,
 )
 
@@ -611,3 +618,191 @@ def test_real_blocks_stay_in_their_sectors_and_public_dtypes_hold():
     assert heisenberg(rel.operators[0].to_dense(), h, 0.0, 0.7).dtype == complex
     w, vecs = hermitian_eig(h)
     assert w.dtype == float and vecs.dtype == complex
+
+
+# ---- sector residency: full-stack oracles ------------------------------------------
+
+
+def oracle_eigenbasis_stack(spectrum, ops):
+    """The full (n, d, d) transform: one sparse product with the assembled
+    block-diagonal eigenvectors, then v_r^dag on each sector pair present."""
+    ops = ops if sp.issparse(ops) else stacked(ops)
+    d = len(spectrum.w)
+    v = np.zeros((d, d), dtype=spectrum.blocks[0].dtype)
+    for sl, b in zip(spectrum.slices, spectrum.blocks):
+        v[sl, sl] = b
+    out = (ops @ v).reshape(-1, d, d)
+    rows = np.repeat(np.tile(np.arange(d), len(out)), np.diff(ops.indptr))
+    for r, c in spectrum._pairs(rows, ops.indices):
+        rs, cs = spectrum.slices[r], spectrum.slices[c]
+        out[:, rs, cs] = spectrum.blocks[r].T.conj() @ out[:, rs, cs]
+    return out
+
+
+def oracle_full_kubo(p, cs, bs):
+    """kubo_matrix as one pass over the full stack bs per member of cs."""
+    kappa = oracle_kernel(p)
+    flat_b = bs.reshape(len(bs), -1)
+    connected = np.array([flat_b @ (c.T * kappa).ravel() for c in cs])
+    means_c = np.diagonal(cs, axis1=1, axis2=2) @ p
+    means_b = np.diagonal(bs, axis1=1, axis2=2) @ p
+    return connected - np.outer(means_c, means_b)
+
+
+def oracle_full_gram(relevant, spectrum, p):
+    mats = oracle_eigenbasis_stack(spectrum, [op.matrix for op in relevant.operators])
+    g = oracle_full_kubo(p, mats, mats).real
+    return 0.5 * (g + g.T)
+
+
+def full_stack_derivative(engine, t, zeta):
+    """The parameter derivative with full operand stacks in the state's
+    eigenbasis and one full-stack Kubo pass per product."""
+    rel = engine.relevant
+    state, p = _macrostate(rel, zeta)
+    a_st, c_st = np.split(oracle_eigenbasis_stack(state, engine.operands.matrix), 2)
+    gram = oracle_full_kubo(p, a_st, a_st).real
+    rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
+    cutoff = -np.inf if engine.tau_cut is None else t - engine.tau_cut
+    operand = engine.past.operand(t, cutoff)
+    first = np.searchsorted(engine.times, cutoff)
+    *wq, w_end = trapezoid(np.append(engine.times[first:], t))
+    operand += engine.spectrum.dress_eig(np.tensordot(wq, engine.stack[first:], 1), -t)
+    operand += w_end * spont_combo(rel, engine.ad_eig, zeta, np.zeros_like(zeta))
+    operand = state.from_other(engine.spectrum, operand)
+    rhs += oracle_full_kubo(p, c_st, operand[None])[:, 0].real
+    kmat = oracle_full_kubo(p, c_st, a_st).real
+    mw = (gram + w_end * kmat) * rel.weights[None, :]
+    u, *_ = np.linalg.lstsq(mw, -rhs, rcond=1e-13)
+    return engine.proj @ u
+
+
+def assert_close(got, want, tol=1e-12):
+    assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+def assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, hermitian_extra):
+    """Blocks, kubo_matrix, kubo_gram, _gram and one derivative call against the
+    full-stack oracles: ops are transformed in the eigenbasis of exp(x), the
+    Gram and the dynamics use the mass cells and H, plus the number-changing
+    Hermitian hermitian_extra (with a zero current divergence) when given."""
+    state = Spectrum(x, sectors=basis.sector_slices())
+    p = np.clip(state.gibbs()[0], 1e-14, None)
+    held = OperatorStack(ops)
+    want = oracle_eigenbasis_stack(state, stacked(ops))
+    seen = np.zeros(want.shape[1:], dtype=bool)
+    for rs, cs, block in sector_blocks(state, held):
+        assert_close(block, want[:, rs, cs])
+        seen[rs, cs] = True
+    assert not np.any(want[:, ~seen])
+    got = eigenbasis_stack(state, held)
+    assert_close(got, want)
+    assert_close(kubo_matrix(p, got, got), oracle_full_kubo(p, want, want))
+
+    rel = mass_relevant(basis, model, h)
+    if hermitian_extra is not None:
+        rel = relevant_set(rel.labels + ("psi+psi^dag",), rel.operators + (hermitian_extra,),
+                           div_currents=rel.div_currents + (zero_operator(basis),))
+    rho = oracle_gibbs(x)
+    spectrum = Spectrum(rho, sectors=basis.sector_slices())
+    want_g = oracle_full_gram(rel, spectrum, np.clip(spectrum.w, 1e-14, None))
+    assert_close(kubo_gram(rel, rho), want_g)
+    state, p, _ = _gibbs(rel, zeta[:len(rel)])
+    p = np.clip(p, 1e-14, None)
+    assert_close(_gram(rel, state, p), oracle_full_gram(rel, state, p))
+
+    history = HistorySpec(
+        T=-0.4, t0=0.0, n_quad=5, gamma_T=np.full(len(rel), 0.1),
+        terms=(HistoryTerm("drive", (rel.operators[0],), np.array([0.3]),
+                           cosine_test_function(2.0)),))
+    engine = _DynamicsEngine(rel, history, h, 1.0, None)
+    rng = np.random.default_rng(3)
+    for k in range(3):
+        engine.record(0.05 * k, zeta[:len(rel)] + 0.01 * k, rng.normal(size=len(rel)))
+    got, _ = engine.derivative(0.15, zeta[:len(rel)])
+    assert_close(got, full_stack_derivative(engine, 0.15, zeta[:len(rel)]))
+
+
+@NO_COMPLEX_CASTS
+@SETTINGS
+@given(st.data())
+def test_sector_blocks_and_kubo_sums_match_full_stack_oracles(data):
+    basis, model, h = data.draw(hermitian_models())
+    site = data.draw(st.integers(0, model.L - 1))
+    psi = field_operator(basis, model, site)
+    # number-conserving and number-changing operands, real and complex
+    ops = operands(basis, model, data.draw) + [h, momentum_density_ops(basis, model)[0]]
+    x = random_state_exponent(basis, model, h, data.draw)
+    zeta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0]),
+                                       min_size=model.L + 2, max_size=model.L + 2)))
+    extra = data.draw(st.sampled_from([None, psi + psi.dag()]))
+    # both branches of the transform on these small blocks: row-restricted
+    # from 1 or 4 states a side, batched under the library's threshold
+    row_restrict = data.draw(st.sampled_from([1, 4, propagate.ROW_RESTRICT]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "ROW_RESTRICT", row_restrict)
+        assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, extra)
+
+
+@NO_COMPLEX_CASTS
+@pytest.mark.parametrize("complex_h", [False, True])
+def test_row_restricted_blocks_match_full_stack_oracles(complex_h):
+    # blocks of 1, 6, 21 and 56 states: the largest is row-restricted
+    basis = build_basis(BOSE, L=6, g=1, n_max=3)
+    v, rv = pair_preset("contact", v0=0.6)
+    model = LatticeModel(L=6, V=v, range_V=rv)
+    h = build_hamiltonian(basis, model)
+    if complex_h:
+        h = h + 0.4 * momentum_density_ops(basis, model)[2]
+    sizes = [b - a for _, a, b in basis.sectors]
+    assert max(sizes) >= propagate.ROW_RESTRICT > sorted(sizes)[-2]
+    psi = field_operator(basis, model, 2)
+    ops = list(density_ops(basis, model)) + [h, psi, psi + psi.dag()]
+    x = -0.3 * number_operator(basis).to_dense() - 0.2 * h.to_dense()
+    zeta = np.linspace(-0.3, 0.3, model.L + 2)
+    assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, None)
+    assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, psi + psi.dag())
+
+
+def test_kubo_gram_peak_memory_stays_below_one_full_stack():
+    basis = build_basis(BOSE, L=10, g=1, n_max=4)
+    v, rv = pair_preset("contact", v0=0.6)
+    model = LatticeModel(L=10, V=v, range_V=rv)
+    h = build_hamiltonian(basis, model)
+    rel = relevant_set([f"rho[{x}]" for x in range(model.L)] + ["H"],
+                       list(density_ops(basis, model)) + [h],
+                       [model.dx] * model.L + [1.0])
+    rho, _ = gibbs_state(rel, np.linspace(-0.3, 0.3, len(rel)))
+    n, d = len(rel), basis.dim
+    assert d == 1001
+    tracemalloc.start()
+    try:
+        kubo_gram(rel, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (n, d, d) float stack alone is 88 MB
+    assert peak < n * d * d * 8
+
+
+def test_engine_records_into_a_geometrically_grown_buffer():
+    basis = build_basis(BOSE, L=2, g=1, n_max=2)
+    model = LatticeModel(L=2)
+    h = build_hamiltonian(basis, model)
+    rel = mass_relevant(basis, model, h)
+    engine = _DynamicsEngine(rel, HistorySpec.empty(0.0), h, 1.0, None)
+    rng = np.random.default_rng(4)
+    records = [(0.01 * k, rng.normal(size=len(rel)), rng.normal(size=len(rel)))
+               for k in range(64)]
+    buffers = []
+    for record in records:
+        engine.record(*record)
+        root = engine.stack
+        while root.base is not None:
+            root = root.base
+        buffers.append(root)
+    # every buffer is kept alive, so distinct ones have distinct ids
+    assert len({id(b) for b in buffers}) <= int(np.log2(len(records))) + 2
+    assert engine.stack.shape == (len(records), basis.dim, basis.dim)
+    for node, (t, zeta, zdot) in zip(engine.stack, records):
+        assert np.array_equal(node, engine.spectrum.dress_eig(engine._combo(zeta, zdot), t))
