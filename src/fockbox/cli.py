@@ -5,10 +5,15 @@ Subcommands:
     list      show the bundled scenario catalog (or emit one default config)
     validate  schema and feasibility checks without running anything
 
-Exit codes: 0 success, 2 configuration/schema problem (the offending key
-path is printed), 3 numerical failure (the failing operation's diagnostic
-is printed).  The Fock dimension cap honors the FOCKBOX_DIM_CAP
+Exit codes: 0 success; 2 configuration/schema problem (the offending key
+path is printed), including a number that is not finite anywhere in the
+config and a FOCKBOX_DIM_CAP that is not a positive integer; 3 numerical
+failure (the failing operation's diagnostic is printed), including running
+out of memory.  The Fock dimension cap honors the FOCKBOX_DIM_CAP
 environment variable.
+
+``list`` and ``validate`` import only the numpy-free ``config`` module; the
+linear algebra loads for ``run`` alone.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ def _load_config(path):
 
 
 def cmd_list(args):
-    from .scenarios import list_scenarios, scenario_defaults
+    from .config import list_scenarios, scenario_defaults
 
     if args.emit is not None:
         try:
@@ -75,7 +80,7 @@ def cmd_list(args):
 
 
 def cmd_validate(args):
-    from .scenarios import validate_config
+    from .config import validate_config
 
     config = _load_config(args.config)
     if config is None:
@@ -115,6 +120,9 @@ def cmd_run(args):
                         np.linalg.LinAlgError, ValueError)
     try:
         result = run_scenario(config, args.out)
+    except MemoryError:
+        print("numerical failure: out of memory", file=sys.stderr)
+        return EXIT_NUMERICAL
     except numerical_errors as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

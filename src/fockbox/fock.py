@@ -21,18 +21,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-BOSE = "bose"
-FERMI = "fermi"
+# scipy.sparse is imported where a sparse matrix is built, so that a process
+# which builds no operator does not pay for it
 
-DEFAULT_DIM_CAP = 20_000
-DIM_CAP_ENV = "FOCKBOX_DIM_CAP"
+# defined in the numpy-free config, re-exported here
+from .config import BOSE, DEFAULT_DIM_CAP, DIM_CAP_ENV, FERMI, dim_cap_from_env, fock_dimension
 
 HERMITICITY_TOL = 1e-12
 
@@ -50,28 +48,11 @@ class DimensionCapError(ValueError):
         )
 
 
-def dim_cap_from_env(default=DEFAULT_DIM_CAP):
-    raw = os.environ.get(DIM_CAP_ENV)
-    if raw is None:
-        return default
-    return int(raw)
-
-
 def mode_index(site, component, g):
     """Canonical dense mode label for (site, component), site-major."""
     if component < 0 or component >= g:
         raise ValueError(f"component {component} outside [0, {g})")
     return site * g + component
-
-
-def fock_dimension(statistics, modes, n_max):
-    """Exact combinatorial dimension of the truncated space."""
-    if statistics == FERMI:
-        top = min(n_max, modes)
-        return sum(math.comb(modes, n) for n in range(top + 1))
-    if statistics == BOSE:
-        return sum(math.comb(n + modes - 1, modes - 1) for n in range(n_max + 1))
-    raise ValueError(f"unknown statistics {statistics!r}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +128,8 @@ class FockBasis:
     def ladder(self):
         """Every a_m once, as one canonical complex CSR stack of shape
         (modes * dim, dim) whose rows m * dim .. (m + 1) * dim - 1 hold a_m."""
+        import scipy.sparse as sp
+
         return _canonical(sp.vstack([_ladder_sum(self, [(1.0, None, m)])
                                      for m in range(self.modes)], format="csr"))
 
@@ -154,6 +137,8 @@ class FockBasis:
     def lowering(self):
         """a_m for every mode m: canonical CSR views onto the rows of ``ladder``
         that share its data and indices arrays."""
+        import scipy.sparse as sp
+
         s, d = self.ladder, self.dim
         views = tuple(sp.csr_matrix((d, d), dtype=complex) for _ in range(self.modes))
         for m, view in enumerate(views):
@@ -227,6 +212,8 @@ class FieldOperator:
     """
 
     def __init__(self, basis, matrix):
+        import scipy.sparse as sp
+
         if matrix.shape != (basis.dim, basis.dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match basis dim {basis.dim}"
@@ -360,6 +347,8 @@ def _ladder_sum(basis, terms, diagonal=0.0):
     plus a diagonal given per state, as a canonical complex CSR matrix.  Each
     term is one vectorized pass over the occupation array; distinct terms
     touch distinct entries."""
+    import scipy.sparse as sp
+
     diagonal = np.broadcast_to(diagonal, basis.dim)
     nz = np.flatnonzero(diagonal)
     parts = [(nz, nz, diagonal[nz])] + [_transitions(basis, *term) for term in terms]
@@ -380,10 +369,14 @@ def one_body(basis, coeff, diagonal=0.0):
 
 
 def zero_operator(basis):
+    import scipy.sparse as sp
+
     return FieldOperator._held(basis, sp.csr_matrix((basis.dim, basis.dim), dtype=complex))
 
 
 def identity(basis):
+    import scipy.sparse as sp
+
     return FieldOperator._held(basis, sp.identity(basis.dim, dtype=complex, format="csr"))
 
 

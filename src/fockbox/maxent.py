@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-import scipy.sparse as sp
+import numpy as np  # scipy.sparse is imported where used, as in fock
 
 from .propagate import OperatorStack, Spectrum, eigenbasis_stack, sector_blocks
 
@@ -74,6 +73,8 @@ class RelevantSet:
     @cached_property
     def rows(self):
         """The members flattened into the rows of one sparse (n, d*d) matrix."""
+        import scipy.sparse as sp
+
         d = self.basis.dim
         return sp.vstack([op.matrix.reshape(1, d * d) for op in self.operators],
                          format="csr")
@@ -286,8 +287,12 @@ def cumulant_expect(C, A_exponent, B_perturbation, eig_floor=EIG_FLOOR):
 
 
 def expectations(relevant, rho):
-    """Tr(A_j rho) for every member as one sparse product, O(nnz)."""
-    return (relevant.rows @ np.asarray(rho).T.ravel()).real
+    """Tr(A_j rho) for every member as one sparse product, O(nnz).
+
+    Tr(A rho) = sum_ik A_ik rho_ki = sum_ik conj(A_ki) rho_ki for a Hermitian
+    A, so the conjugated rows meet rho as it is laid out, with no copy.
+    """
+    return (relevant.rows.conj() @ np.asarray(rho).ravel()).real
 
 
 def gauge_projector(relevant, tol=GAUGE_TOL):

@@ -13,8 +13,7 @@ imaginary part is diagonalized and transformed in real arithmetic.
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
+import numpy as np  # scipy.sparse is imported where used, as in fock
 
 from .fock import FieldOperator
 
@@ -142,6 +141,8 @@ Dresser = Spectrum
 
 def stacked(ops):
     """Operators as one sparse (n d, d) CSR matrix, real when every entry is."""
+    import scipy.sparse as sp
+
     s = sp.vstack([op.matrix if isinstance(op, FieldOperator)
                    else op if sp.issparse(op) else sp.csr_matrix(op) for op in ops],
                   format="csr")
@@ -165,6 +166,8 @@ class OperatorStack:
     """
 
     def __init__(self, ops):
+        import scipy.sparse as sp
+
         self.matrix = ops if sp.issparse(ops) else stacked(ops)
         self.dim = self.matrix.shape[1]
         self.n = self.matrix.shape[0] // self.dim
@@ -178,6 +181,8 @@ class OperatorStack:
         return self._held[1]
 
     def _parts(self, spectrum):
+        import scipy.sparse as sp
+
         m, k = self.matrix, len(spectrum.slices)
         member, row = np.divmod(np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)),
                                 self.dim)

@@ -16,10 +16,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .config import build_model, default_model, deep_merge, feasibility_findings
+from .config import (  # the catalog, re-exported
+    CATALOG,
+    DECOHERENCE_DEFAULTS,
+    EMBEDDING_CHECK_DEFAULTS,
+    EVENT_CHANNEL_DEFAULTS,
+    FREE_PACKET_DEFAULTS,
+    RELAXATION_DEFAULTS,
+    ZUBAREV_DEFAULTS,
+    build_model,
+    list_scenarios,
+    merged_config,
+    scenario_defaults,
+    validate_config,
+)
 from .events import EventSpec, build_event_mixture, memory_witness, shielded_expectation
 from .fock import build_basis, number_operator, zero_operator
 from .lattice import (
@@ -120,6 +132,8 @@ def config_hash(config):
 
 
 def write_summary(path, config, result):
+    import scipy
+
     doc = {
         "scenario": result.name,
         "passed": result.passed,
@@ -182,15 +196,6 @@ def mass_energy_relevant(basis, model):
 # ---- scenarios -------------------------------------------------------------------
 
 
-FREE_PACKET_DEFAULTS = {
-    "scenario": "free_packet",
-    "seed": 0,
-    "model": deep_merge(default_model(), {"L": 5, "n_max": 1}),
-    "params": {"center": 2.0, "width": 0.8, "momentum": 0.9,
-               "t_final": 2.0, "samples": 21},
-}
-
-
 def run_free_packet(config, out_dir):
     model, basis = build_model(config["model"])
     p = config["params"]
@@ -217,24 +222,6 @@ def run_free_packet(config, out_dir):
     result.invariants.append(check_le("trace_drift", trace_drift, 1e-10))
     result.invariants.append(check_le("energy_drift", energy_drift, 1e-10))
     return result
-
-
-EMBEDDING_CHECK_DEFAULTS = {
-    "scenario": "embedding_check",
-    "seed": 0,
-    "model": deep_merge(default_model(), {"L": 11, "n_max": 1}),
-    "params": {
-        "region": [1, 2, 3, 4, 5, 6, 7, 8, 9],
-        "interior_center": 5.0,
-        "boundary_center": 1.0,
-        "width": 0.5,
-        "sweep_start": 5.0,
-        "sweep_stop": 6.8,
-        "sweep_points": 9,
-        "sweep_width": 0.45,
-        "dt": 1e-4,
-    },
-}
 
 
 def _residual_and_surface(center, width, dt, basis, model, reg):
@@ -286,23 +273,6 @@ def run_embedding_check(config, out_dir):
     result.invariants.append(check_le("truncation_stability",
                                       abs(r_int2 - r_int), 1e-9))
     return result
-
-
-RELAXATION_DEFAULTS = {
-    "scenario": "relaxation",
-    "seed": 0,
-    "model": deep_merge(default_model(), {
-        "L": 4, "n_max": 2,
-        "pair_potential": {"preset": "contact", "v0": 0.6},
-    }),
-    "params": {
-        "zeta0": [0.3, 0.1, -0.1, -0.3, 0.5],
-        "decay_horizon": 2.5,
-        "decay_samples": 26,
-        "step": 0.025,
-        "exact_samples": 6,
-    },
-}
 
 
 def run_relaxation(config, out_dir):
@@ -375,24 +345,6 @@ def run_relaxation(config, out_dir):
     return result
 
 
-ZUBAREV_DEFAULTS = {
-    "scenario": "zubarev_limit",
-    "seed": 0,
-    "model": RELAXATION_DEFAULTS["model"],
-    "params": {
-        "zeta0": [0.3, 0.1, -0.1, -0.3, 0.5],
-        "gamma_T": [0.3, -0.1, 0.2, 0.0, 0.1],
-        "prep_weights": [0.2, -0.1, 0.1, -0.2],
-        "prep_omega": 1.3,
-        "decay_horizon": 1.0,
-        "decay_samples": 11,
-        "t_end": 1.0,
-        "step": 0.025,
-        "prep_quad": 64,
-    },
-}
-
-
 def run_zubarev_limit(config, out_dir):
     model, basis = build_model(config["model"])
     p = config["params"]
@@ -443,27 +395,6 @@ def run_zubarev_limit(config, out_dir):
     result.invariants.append(check_ge("terminal_term_active_without_cutoff",
                                       full_change, 1e-6))
     return result
-
-
-EVENT_CHANNEL_DEFAULTS = {
-    "scenario": "event_channel",
-    "seed": 0,
-    "model": deep_merge(default_model(), {
-        "L": 5, "n_max": 1,
-        "potential": {"preset": "barrier", "height": 50.0, "sites": [2]},
-    }),
-    "params": {
-        "lam": 0.4,
-        "source": [0, 1],
-        "channel": [3, 4],
-        "source_site": 0,
-        "target_index": 0,
-        "times": [0.25, 0.5, 0.75, 1.0],
-        "witness_channel": [2, 3, 4],
-        "witness_momentum": 1.0471975511965976,
-        "witness_times": [0.6, 1.0, 1.4],
-    },
-}
 
 
 def _phase_specs(p, lam):
@@ -541,22 +472,6 @@ def run_event_channel(config, out_dir):
     return result
 
 
-DECOHERENCE_DEFAULTS = {
-    "scenario": "decoherence_sweep",
-    "seed": 0,
-    "model": deep_merge(default_model(), {"L": 5, "n_max": 1}),
-    "params": {
-        "lam": 0.5,
-        "source": [0, 1],
-        "witness_channel": [2, 3, 4],
-        "source_site": 0,
-        "witness_momentum": 1.0471975511965976,
-        "witness_times": [0.6, 1.0, 1.4],
-        "strengths": [0.0, 5.0, 15.0, 40.0, 60.0],
-    },
-}
-
-
 def run_decoherence_sweep(config, out_dir):
     p = config["params"]
     lam = float(p["lam"])
@@ -583,88 +498,17 @@ def run_decoherence_sweep(config, out_dir):
     return result
 
 
-# ---- catalog ---------------------------------------------------------------------
+# ---- runners --------------------------------------------------------------------
 
 
-CATALOG = {
-    "free_packet": (
-        "single packet in the empty box: density time series, exact-unitarity checks",
-        FREE_PACKET_DEFAULTS, run_free_packet),
-    "embedding_check": (
-        "one-quanton embedding: interior vs boundary residuals, surface-term sweep",
-        EMBEDDING_CHECK_DEFAULTS, run_embedding_check),
-    "relaxation": (
-        "interacting relaxation: parameter dynamics vs exact inversion, entropy monitor",
-        RELAXATION_DEFAULTS, run_relaxation),
-    "zubarev_limit": (
-        "memory-cutoff universality: insensitivity to the terminal preparation term",
-        ZUBAREV_DEFAULTS, run_zubarev_limit),
-    "event_channel": (
-        "seeded event: shielded-detector identity and memory witness",
-        EVENT_CHANNEL_DEFAULTS, run_event_channel),
-    "decoherence_sweep": (
-        "memory witness under static channel disorder",
-        DECOHERENCE_DEFAULTS, run_decoherence_sweep),
+RUNNERS = {
+    "free_packet": run_free_packet,
+    "embedding_check": run_embedding_check,
+    "relaxation": run_relaxation,
+    "zubarev_limit": run_zubarev_limit,
+    "event_channel": run_event_channel,
+    "decoherence_sweep": run_decoherence_sweep,
 }
-
-
-def list_scenarios():
-    """Catalog of bundled scenarios: name -> one-line description."""
-    return {name: desc for name, (desc, _, _) in CATALOG.items()}
-
-
-def scenario_defaults(name):
-    if name not in CATALOG:
-        raise KeyError(f"unknown scenario {name!r}; pick from {sorted(CATALOG)}")
-    return json.loads(json.dumps(CATALOG[name][1]))  # deep copy
-
-
-def merged_config(config):
-    name = config.get("scenario")
-    if name not in CATALOG:
-        raise KeyError(f"unknown scenario {name!r}; pick from {sorted(CATALOG)}")
-    return deep_merge(scenario_defaults(name), config)
-
-
-def validate_config(config):
-    """Schema findings for a user config (before merging) plus feasibility."""
-    from .config import Finding, validate_model
-
-    findings = []
-    if not isinstance(config, dict):
-        return [Finding("$", "configuration must be a JSON object")]
-    name = config.get("scenario")
-    if name is None:
-        findings.append(Finding("scenario", "missing required key"))
-        return findings
-    if name not in CATALOG:
-        findings.append(Finding("scenario",
-                                f"unknown scenario {name!r}; "
-                                f"pick from {sorted(CATALOG)}"))
-        return findings
-    defaults = scenario_defaults(name)
-    for key in config:
-        if key not in ("scenario", "seed", "model", "params", "comment"):
-            findings.append(Finding(key, "unknown key"))
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        findings.append(Finding("seed", "must be a non-negative integer"))
-    if "model" in config:
-        if not isinstance(config["model"], dict):
-            findings.append(Finding("model", "must be an object"))
-        else:
-            findings.extend(validate_model(config["model"]))
-    if "params" in config:
-        if not isinstance(config["params"], dict):
-            findings.append(Finding("params", "must be an object"))
-        else:
-            for key in config["params"]:
-                if key not in defaults["params"]:
-                    findings.append(Finding(f"params.{key}", "unknown key"))
-    if not findings:
-        merged = deep_merge(defaults, config)
-        findings.extend(feasibility_findings(merged["model"]))
-    return findings
 
 
 def run_scenario(config, out_dir):
@@ -672,8 +516,7 @@ def run_scenario(config, out_dir):
     merged = merged_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = CATALOG[merged["scenario"]][2]
-    result = runner(merged, out)
+    result = RUNNERS[merged["scenario"]](merged, out)
     write_summary(out / "summary.json", merged, result)
     result.artifacts.append("summary.json")
     return result

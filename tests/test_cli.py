@@ -1,8 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
-from fockbox.config import deep_merge, validate_model
+import pytest
+
+from fockbox import scenarios
+from fockbox.cli import main
+from fockbox.config import DIM_CAP_ENV, Finding, deep_merge, validate_model
+from fockbox.fock import BOSE, DimensionCapError, build_basis
 from fockbox.scenarios import (
     list_scenarios,
     merged_config,
@@ -199,3 +205,84 @@ def test_decoherence_sweep_seed_changes_disorder(tmp_path):
     csv1 = (tmp_path / "s1" / "witness_sweep.csv").read_text()
     assert csv0 != csv1  # disorder realization follows the seed
     assert r1.passed and r2.passed
+
+
+# ---- malformed environment, non-finite numbers, out of memory ------------------------
+
+
+def cli_env(env, *args):
+    return subprocess.run([sys.executable, "-m", "fockbox", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, **env})
+
+
+@pytest.mark.parametrize("cap", ["lots", "0", "-5"])
+def test_malformed_dim_cap_is_a_config_error(tmp_path, cap):
+    path = write_config(tmp_path, "free_packet")
+    out = tmp_path / "out"
+    for args in (("validate", "--config", str(path)),
+                 ("run", "--config", str(path), "--out", str(out))):
+        r = cli_env({DIM_CAP_ENV: cap}, *args)
+        assert r.returncode == 2, r.stderr
+        assert f"invalid: {DIM_CAP_ENV}: must be a positive integer, got {cap!r}" \
+            in r.stderr
+        assert "Traceback" not in r.stderr and "exceeds" not in r.stderr
+    assert not out.exists()
+
+
+def test_malformed_dim_cap_names_the_variable_to_library_callers(monkeypatch):
+    for cap in ("lots", "0", "-5"):
+        monkeypatch.setenv(DIM_CAP_ENV, cap)
+        with pytest.raises(ValueError, match=f"{DIM_CAP_ENV}: must be a positive"):
+            build_basis(BOSE, 2, n_max=1)
+    monkeypatch.setenv(DIM_CAP_ENV, "6")
+    assert build_basis(BOSE, 2, n_max=2).dim == 6
+    monkeypatch.setenv(DIM_CAP_ENV, "5")
+    with pytest.raises(DimensionCapError):
+        build_basis(BOSE, 2, n_max=2)
+
+
+NON_FINITE = [
+    ("free_packet", '"model": {"mass": Infinity}', "model.mass"),
+    ("relaxation", '"model": {"pair_potential": {"preset": "contact", "v0": NaN}}',
+     "model.pair_potential.v0"),
+    ("relaxation", '"params": {"zeta0": [0.3, 0.1, -Infinity, -0.3, 0.5]}',
+     "params.zeta0[2]"),
+]
+
+
+@pytest.mark.parametrize("name, entry, where", NON_FINITE,
+                         ids=[w for _, _, w in NON_FINITE])
+def test_non_finite_number_is_a_config_error(tmp_path, name, entry, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"scenario": "{name}", {entry}}}', encoding="utf-8")
+    assert validate_config(json.loads(path.read_text())) == \
+        [Finding(where, "must be a finite number")]
+    out = tmp_path / "out"
+    for args in (("validate", "--config", str(path)),
+                 ("run", "--config", str(path), "--out", str(out))):
+        r = cli(*args)
+        assert r.returncode == 2, r.stderr
+        assert f"invalid: {where}: must be a finite number" in r.stderr
+    assert not out.exists()
+
+
+def test_non_finite_number_is_reported_once_among_other_findings():
+    cfg = json.loads('{"scenario": "free_packet", "seed": NaN, "comment": [Infinity],'
+                     ' "model": {"mass": NaN, "L": 0}}')
+    assert [str(f) for f in validate_config(cfg)] == [
+        "seed: must be a finite number",
+        "comment[0]: must be a finite number",
+        "model.mass: must be a finite number",
+        "model.L: must be an integer >= 1",
+    ]
+
+
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    def exhausted(config, out_dir):
+        raise MemoryError
+
+    monkeypatch.setattr(scenarios, "run_scenario", exhausted)
+    path = write_config(tmp_path, "free_packet")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure: out of memory" in capsys.readouterr().err

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import simpson
+from strategies import SETTINGS, hermitian_models
 
 import fockbox.maxent as maxent
 
 from fockbox.fock import BOSE, build_basis, number_operator
-from fockbox.lattice import LatticeModel, build_hamiltonian, density_ops
+from fockbox.lattice import LatticeModel, build_hamiltonian, density_ops, momentum_density_ops
 from fockbox.maxent import (
     MatchFailure,
     cumulant_expect,
@@ -355,3 +360,47 @@ def test_gauge_projector_held_once_per_set(monkeypatch):
     assert zf.gauge_projector is rel.gauge_projector
     assert np.array_equal(rel.gauge_projector, compute(rel))
     assert not rel.gauge_projector.flags.writeable
+
+
+# ---- expectations ---------------------------------------------------------------
+
+
+def expectations_oracle(relevant, rho):
+    """Tr(A_j rho) from the rows against rho transposed, which copies rho."""
+    return (relevant.rows @ np.asarray(rho).T.ravel()).real
+
+
+@SETTINGS
+@given(st.data())
+def test_expectations_match_the_transposing_oracle(data):
+    basis, model, h = data.draw(hermitian_models())
+    # densities are real, momentum densities imaginary, h either
+    ops = list(density_ops(basis, model)) + list(momentum_density_ops(basis, model)) + [h]
+    rel = relevant_set([f"A{j}" for j in range(len(ops))], ops)
+    zeta = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=len(ops), max_size=len(ops)))
+    gibbs, _ = gibbs_state(rel, zeta)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    d = basis.dim
+    square = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for rho in (gibbs, square, np.asfortranarray(square), square.real):
+        want = expectations_oracle(rel, rho)
+        assert np.max(np.abs(expectations(rel, rho) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_expectations_copy_no_state_at_dim_1001():
+    basis = build_basis(BOSE, L=10, g=1, n_max=4)
+    model = LatticeModel(L=10)
+    h = build_hamiltonian(basis, model)
+    rel = relevant_set([f"rho[{x}]" for x in range(model.L)] + ["H"],
+                       list(density_ops(basis, model)) + [h])
+    rho = np.eye(basis.dim, dtype=complex) / basis.dim
+    assert basis.dim == 1001
+    expectations(rel, rho)
+    tracemalloc.start()
+    try:
+        expectations(rel, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one copy of rho is 16 MB
+    assert peak < 1 << 20

@@ -1,9 +1,8 @@
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from fresh import modules_loaded
 from scipy.stats import spearmanr
 
 from fockbox.scenarios import run_scenario, spearman
@@ -27,10 +26,7 @@ def test_spearman_monotone_and_reversed():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, fockbox.scenarios; print('scipy.stats' in sys.modules)"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert modules_loaded("import fockbox.scenarios", watched=("scipy.stats",)) == set()
 
 
 def test_provenance_records_no_thread_count(tmp_path):
