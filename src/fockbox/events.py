@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .fock import FieldOperator, check_model, one_body
+from .fock import FieldOperator
 from .propagate import Spectrum, evolve_state
 from .subdynamics import Region, _field_sums, _region_modes, _require_vacuum
 
@@ -72,14 +72,18 @@ class EventMixture:
     quanton_kernel: np.ndarray
 
 
+def _emitters(spec, basis, model):
+    """A(y, sigma) = sum_x K(y, x) psi(x, sigma), a dense stack, site-major."""
+    return _field_sums(basis, model, spec.source, np.kron(spec.kernel, np.eye(model.g)))
+
+
 def _emission_operator(spec, basis, model):
-    """S = sum_{y, sigma} dx psi^dag(y, sigma) A(y, sigma): moves one quanton
-    from the source region into the channel.  With psi = a / sqrt(dx) this is
-    the one-body sum of K(y, x) a^dag(y, sigma) a(x, sigma)."""
-    check_model(basis, model)
-    coeff = np.zeros((model.L, model.L), dtype=complex)
-    coeff[np.ix_(spec.channel.sites, spec.source.sites)] = spec.kernel
-    return one_body(basis, np.kron(coeff, np.eye(model.g))).toarray()
+    """S = sum_{y, sigma} dx psi^dag(y, sigma) A(y, sigma) as a dense matrix:
+    moves one quanton from the source region into the channel.  The channel
+    fields are real, so the stacked psi(y, sigma) transposed are the psi^dag."""
+    d = basis.dim
+    fields = _field_sums(basis, model, spec.channel, np.eye(len(spec.channel) * model.g))
+    return model.dx * (fields.reshape(-1, d).T @ _emitters(spec, basis, model).reshape(-1, d))
 
 
 def build_event_mixture(rho_normal, spec, basis, model,
@@ -114,8 +118,7 @@ def build_event_mixture(rho_normal, spec, basis, model,
 
 def _quanton_kernel(rho_n, spec, basis, model):
     """Normalized kernel Tr(A(y) rho_n A^dag(y')) over the channel grid."""
-    # A(y, sigma) = sum_x K(y, x) psi(x, sigma), one row of weights per (y, sigma)
-    ops = _field_sums(basis, model, spec.source, np.kron(spec.kernel, np.eye(model.g)))
+    ops = _emitters(spec, basis, model)
     kernel = np.einsum("iab,jab->ij", ops @ rho_n, ops.conj())
     trace = model.dx * np.trace(kernel).real
     if trace <= 1e-14:

@@ -63,9 +63,9 @@ class FockBasis:
     maps the tuple back to its ordinal.  ``sectors`` lists the contiguous
     (start, stop) index range of each total-particle-number block, in
     ascending particle number.  ``occ`` holds the states as one integer
-    array and ``ladder`` every a_m as one stack, both built on first use;
-    ``lowering`` views the stack per mode, and a region's fields, whose modes
-    are contiguous, are a row slice of it.
+    array and ``ladder`` every a_m as one stack, both built on first use.
+    The stack is the one held form of the a_m: a_m is its row block for mode
+    m, and a region's fields, whose modes are contiguous, a row slice of it.
     """
 
     statistics: str
@@ -132,21 +132,6 @@ class FockBasis:
 
         return _canonical(sp.vstack([_ladder_sum(self, [(1.0, None, m)])
                                      for m in range(self.modes)], format="csr"))
-
-    @cached_property
-    def lowering(self):
-        """a_m for every mode m: canonical CSR views onto the rows of ``ladder``
-        that share its data and indices arrays."""
-        import scipy.sparse as sp
-
-        s, d = self.ladder, self.dim
-        views = tuple(sp.csr_matrix((d, d), dtype=complex) for _ in range(self.modes))
-        for m, view in enumerate(views):
-            # assigned, not passed to the constructor, which copies a small view
-            lo, hi = s.indptr[m * d], s.indptr[(m + 1) * d]
-            view.data, view.indices = s.data[lo:hi], s.indices[lo:hi]
-            view.indptr = s.indptr[m * d:(m + 1) * d + 1] - lo
-        return views
 
     def to_json(self):
         """Documented dump: occupation vectors as integer arrays."""
@@ -386,13 +371,14 @@ def _check_mode(basis, mode):
 
 
 def annihilation(basis, mode):
-    """Ladder-down operator for one mode, as held by the basis.
+    """Ladder-down operator for one mode: a copy of its rows of basis.ladder.
 
     Bose amplitudes are sqrt(n); Fermi amplitudes carry the Jordan-Wigner
     sign (-1)**(number of occupied modes with smaller canonical index).
     """
     _check_mode(basis, mode)
-    return FieldOperator._held(basis, basis.lowering[mode])
+    d = basis.dim
+    return FieldOperator._held(basis, basis.ladder[mode * d:(mode + 1) * d])
 
 
 def creation(basis, mode):

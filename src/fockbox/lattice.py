@@ -126,12 +126,6 @@ class NormalModeSet:
     mode_functions: np.ndarray
     dx: float
 
-    def check(self, model, tol=1e-10):
-        n = len(self.energies)
-        gram = self.mode_functions @ self.mode_functions.T * self.dx
-        if np.max(np.abs(gram - np.eye(n))) > tol:
-            raise AssertionError("mode functions are not lattice-orthonormal")
-
 
 def normal_modes(model):
     """Stationary waves of the empty box: Dirichlet eigenproblem, ascending.

@@ -91,7 +91,7 @@ class RelevantSet:
 
     @cached_property
     def gauge_projector(self):
-        """gauge_projector(self) at the default tolerance, read-only."""
+        """gauge_projector(self), read-only."""
         proj = gauge_projector(self)
         proj.flags.writeable = False
         return proj
@@ -295,14 +295,15 @@ def expectations(relevant, rho):
     return (relevant.rows.conj() @ np.asarray(rho).ravel()).real
 
 
-def gauge_projector(relevant, tol=GAUGE_TOL):
+def gauge_projector(relevant):
     """Projector onto the non-gauge directions of the parameter space.
 
     A direction c is pure gauge when sum_j c_j w_j A_j is proportional to
     the identity (including the zero operator); along it the state
     w[zeta] does not change, only zeta0 does.  Detected from the
     Hilbert-Schmidt Gram matrix of the traceless parts,
-    Tr(A^dag B) - Tr(A^dag) Tr(B) / d, summed over the sparse entries.
+    Tr(A^dag B) - Tr(A^dag) Tr(B) / d, summed over the sparse entries: an
+    eigenvalue at most GAUGE_TOL times the largest (or 1) is a gauge one.
     """
     d, w = relevant.basis.dim, relevant.weights
     traces = w * np.array([op.trace() for op in relevant.operators])
@@ -310,7 +311,7 @@ def gauge_projector(relevant, tol=GAUGE_TOL):
     gram = (gram - np.outer(traces.conj(), traces) / d).real
     evals, evecs = np.linalg.eigh(gram)
     scale = max(evals.max(), 1.0)
-    keep = evals > tol * scale
+    keep = evals > GAUGE_TOL * scale
     basis_vectors = evecs[:, keep]
     return basis_vectors @ basis_vectors.T
 

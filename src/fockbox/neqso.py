@@ -274,22 +274,12 @@ def macrostate_of(rho, relevant, zeta_guess=None):
 # ---- parameter dynamics ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MemoryKernelState:
-    """Bookkeeping of the memory treatment used by a trajectory."""
-
-    tau_cut: Optional[float]
-    prep_nodes: int
-    step: float
-
-
 @dataclass
 class ZetaTrajectory:
     labels: tuple
     times: np.ndarray
     zetas: np.ndarray
     zdots: np.ndarray
-    memory: MemoryKernelState
     gram_cond_max: float
 
     def interpolator(self):
@@ -458,9 +448,6 @@ def zeta_dynamics(relevant, zeta_t0, history, H, t0, t_end, step,
         times=np.array(ts),
         zetas=np.array(zs),
         zdots=np.array(zdots),
-        memory=MemoryKernelState(tau_cut=tau_cut,
-                                 prep_nodes=len(history.prep_grid()),
-                                 step=step),
         gram_cond_max=cond_seen,
     )
 

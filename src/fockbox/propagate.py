@@ -28,11 +28,10 @@ class Spectrum:
     block by block over the particle-number sectors of its basis (or the
     given sectors, for a dense matrix) when it couples none of them, and as
     one sector spanning the basis otherwise: blocks[i] holds the
-    eigenvectors of slices[i], real when op is, and v the full complex
-    eigenvector matrix, assembled on demand.  Changes of basis act on the
-    sector pairs an operand connects: sector_blocks yields an operator
-    stack's blocks there one pair at a time, and eigenbasis_stack scatters
-    them into a full stack.  Dressing
+    eigenvectors of slices[i], real when op is; no full eigenvector matrix
+    is held.  Changes of basis act on the sector pairs an operand connects:
+    sector_blocks yields an operator stack's blocks there one pair at a
+    time, and eigenbasis_stack scatters them into a full stack.  Dressing
     A -> exp(+iHt/hbar) A exp(-iHt/hbar) is an elementwise phase mask in the
     eigenbasis, computed afresh on each call; negative times give the
     retarded operators A(-s) of the history integrals.
@@ -57,14 +56,6 @@ class Spectrum:
         eigs = [np.linalg.eigh(m[sl, sl]) for sl in self.slices]
         self.w = np.concatenate([w for w, _ in eigs])
         self.blocks = [v for _, v in eigs]
-
-    @property
-    def v(self):
-        """The full eigenvector matrix, complex, assembled on each call."""
-        v = np.zeros((len(self.w),) * 2, dtype=complex)
-        for sl, b in zip(self.slices, self.blocks):
-            v[sl, sl] = b
-        return v
 
     def _pairs(self, rows, cols):
         """The sector pairs (r, c) holding the entries at (rows, cols)."""
@@ -250,9 +241,13 @@ def eigenbasis_stack(spectrum, ops):
 
 
 def hermitian_eig(op):
-    """Eigenpairs of a Hermitian FieldOperator, ascending within each sector."""
+    """Eigenvalues of a Hermitian FieldOperator, ascending within each sector,
+    and its full complex eigenvector matrix, assembled from the Spectrum's blocks."""
     spectrum = Spectrum(op)
-    return spectrum.w, spectrum.v
+    v = np.zeros((len(spectrum.w),) * 2, dtype=complex)
+    for sl, b in zip(spectrum.slices, spectrum.blocks):
+        v[sl, sl] = b
+    return spectrum.w, v
 
 
 def propagator(H, dt, hbar=1.0):

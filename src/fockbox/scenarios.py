@@ -212,7 +212,7 @@ def run_free_packet(config, out_dir):
     energy_drift = 0.0
     e0 = float(np.trace(hd @ rho0).real)
     for t in ts:
-        rho_t = evolve_state(rho0, h, 0.0, float(t))
+        rho_t = evolve_state(rho0, h, 0.0, float(t), hbar=model.hbar)
         trace_drift = max(trace_drift, abs(np.trace(rho_t).real - 1.0))
         energy_drift = max(energy_drift, abs(np.trace(hd @ rho_t).real - e0))
         for x in range(model.L):
@@ -302,16 +302,16 @@ def run_relaxation(config, out_dir):
     write_csv(Path(out_dir) / "zeta.csv", ["t", "label", "value"],
               traj.as_rows())
 
-    # exact-evolution oracle at sample times
+    # exact-evolution oracle at evenly spread trajectory times
     rho0, _ = gibbs_state(rel, zeta0)
     scale = float(np.max(np.abs(zeta0)))
     worst = 0.0
     guess = zeta0
-    for t in np.linspace(0.0, tau, int(p["exact_samples"]))[1:]:
-        rho_t = evolve_state(rho0, h, 0.0, float(t), hbar=model.hbar)
+    n_steps = len(traj.times) - 1
+    for i in np.round(np.linspace(0, n_steps, int(p["exact_samples"]))[1:]).astype(int):
+        rho_t = evolve_state(rho0, h, 0.0, float(i * step), hbar=model.hbar)
         zx = macrostate_of(rho_t, rel, zeta_guess=guess).values
         guess = zx
-        i = int(round(t / step))
         worst = max(worst, float(np.max(np.abs(traj.zetas[i] - zx))))
 
     conserved = relevant_set(["H", "N"], [h, number_operator(basis)],

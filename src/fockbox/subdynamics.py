@@ -174,14 +174,6 @@ def _fields(basis, model, region_):
                    ladder.indices[at], ladder.data[at] * (1.0 / math.sqrt(model.dx)))
 
 
-def _dense_fields(basis, model, region_):
-    """_fields as a dense (k d, d) array."""
-    fields = _fields(basis, model, region_)
-    out = np.zeros((fields.k * basis.dim, basis.dim), dtype=complex)
-    out[fields.rows, fields.cols] = fields.values
-    return out
-
-
 def _field_sums(basis, model, region_, weights):
     """sum_m weights[i, m] psi_m over the region's fields, site-major, for each
     row i of weights, as a dense (n, d, d) stack; the ladder amplitudes are real,
@@ -418,7 +410,7 @@ def induced_observable(A, rho_prime, basis, model, region_, windows=None):
     rho_prime = np.asarray(rho_prime, dtype=complex)
     a = A.to_dense() if isinstance(A, FieldOperator) else np.asarray(A, complex)
     # psi(y', sigma') by row, psi^dag(y, sigma) by column
-    fields = _dense_fields(basis, model, region_).reshape(-1, basis.dim, basis.dim)
+    fields = _field_sums(basis, model, region_, np.eye(len(region_) * model.g))
     adjoints = fields.conj().transpose(0, 2, 1)
     sandwich = adjoints @ rho_prime
     kernel = _traces(fields, a @ sandwich)
@@ -484,7 +476,8 @@ def embed_two_quanton(psi2, rho_prime, basis, model, region_,
     # b = sum_i psi^dag_i B_i with B_i = sum_j dx^2 psi2_ij psi^dag_j: the adjoint
     # field stack times the B_i stacked
     creators = _field_sums(basis, model, region_, model.dx**2 * psi2).transpose(0, 2, 1)
-    b = _dense_fields(basis, model, region_).conj().T @ creators.reshape(-1, basis.dim)
+    fields = _field_sums(basis, model, region_, np.eye(n)).reshape(-1, basis.dim)
+    b = fields.conj().T @ creators.reshape(-1, basis.dim)
     out = 0.5 * (b @ rho_prime @ b.conj().T)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-10:

@@ -5,6 +5,7 @@ import pytest
 from fresh import modules_loaded
 from scipy.stats import spearmanr
 
+from fockbox import scenarios
 from fockbox.scenarios import run_scenario, spearman
 
 
@@ -33,3 +34,45 @@ def test_provenance_records_no_thread_count(tmp_path):
     run_scenario({"scenario": "free_packet"}, tmp_path)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert "threads" not in summary["provenance"]
+
+
+def test_free_packet_evolves_with_the_model_hbar(tmp_path):
+    """In the empty box H is kinetic, so H / hbar scales with hbar: a run at
+    hbar 2 to t 1 is the run at hbar 1 to t 2."""
+    def densities(hbar, t_final):
+        out = tmp_path / f"hbar{hbar}_t{t_final}"
+        run_scenario({"scenario": "free_packet", "model": {"hbar": hbar},
+                      "params": {"t_final": t_final}}, out)
+        return np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)[:, 2]
+
+    assert np.max(np.abs(densities(2.0, 1.0) - densities(1.0, 2.0))) <= 1e-12
+
+
+def test_relaxation_oracle_reads_the_trajectory_at_its_own_times(tmp_path, monkeypatch):
+    """Every state the exact oracle matches was evolved to a time of the
+    trajectory it is compared with, also when the decay time is no multiple
+    of the spacing between oracle samples."""
+    evolved, oracle_times, trajectories = {}, [], []
+    evolve, match, dynamics = (scenarios.evolve_state, scenarios.macrostate_of,
+                               scenarios.zeta_dynamics)
+
+    def evolve_state(rho, h, t0, t1, **kwargs):
+        out = evolve(rho, h, t0, t1, **kwargs)
+        evolved[id(out)] = (out, t1)  # out is held so that no later state reuses its id
+        return out
+
+    def macrostate_of(rho, *args, **kwargs):
+        oracle_times.append(evolved[id(rho)][1])
+        return match(rho, *args, **kwargs)
+
+    def zeta_dynamics(*args, **kwargs):
+        trajectories.append(dynamics(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(scenarios, "evolve_state", evolve_state)
+    monkeypatch.setattr(scenarios, "macrostate_of", macrostate_of)
+    monkeypatch.setattr(scenarios, "zeta_dynamics", zeta_dynamics)
+    run_scenario({"scenario": "relaxation", "params": {"decay_horizon": 2.4}}, tmp_path)
+    times = trajectories[0].times
+    assert len(oracle_times) == 5
+    assert all(np.min(np.abs(times - t)) <= 1e-12 for t in oracle_times)
