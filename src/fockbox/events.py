@@ -20,6 +20,7 @@ from .propagate import Spectrum, evolve_state
 from .subdynamics import Region, _field_sums, _region_modes, _require_vacuum
 
 EVENT_VACUUM_TOL = 1e-8
+SUPPORT_TOL = 1e-12
 
 
 class InactiveSourceError(RuntimeError):
@@ -36,16 +37,17 @@ class EventSpec:
 
     kernel[y_index, x_index] couples channel site y (row, over omega_I) to
     source site x (column, over omega_S): the emission operator acts as
-    A(y, sigma) = sum_x K(y, x) psi(x, sigma).  The window records the
-    history interval [t_bar - tau, t_bar] the kernel stands for; the time
-    integral of the underlying record is folded into K itself.
+    A(y, sigma) = sum_x K(y, x) psi(x, sigma).  The time integral of the
+    history record the kernel stands for is folded into K itself.  The
+    background must be a vacuum in the channel to EVENT_VACUUM_TOL, and a
+    detector may differ from the identity outside the channel by at most
+    SUPPORT_TOL per matrix element.
     """
 
     lam: float
     source: Region
     channel: Region
     kernel: np.ndarray
-    window: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
@@ -86,19 +88,18 @@ def _emission_operator(spec, basis, model):
     return model.dx * (fields.reshape(-1, d).T @ _emitters(spec, basis, model).reshape(-1, d))
 
 
-def build_event_mixture(rho_normal, spec, basis, model,
-                        vacuum_tol=EVENT_VACUUM_TOL):
+def build_event_mixture(rho_normal, spec, basis, model):
     """Anomalous component and mixture seeded by the source kernel.
 
     The anomalous state is the normalized bilinear correction
     S rho_n S^dag / Tr(...) with S the emission operator; the induced
     one-quanton kernel Tr(A(y) rho_n A^dag(y')) is normalized to unit
     lattice trace and returned alongside.  The background must satisfy the
-    vacuum condition in the channel; an emission operator that annihilates
-    the background raises InactiveSourceError.
+    vacuum condition in the channel to EVENT_VACUUM_TOL; an emission operator
+    that annihilates the background raises InactiveSourceError.
     """
     rho_n = np.asarray(rho_normal, dtype=complex)
-    _require_vacuum(rho_n, basis, model, spec.channel, vacuum_tol,
+    _require_vacuum(rho_n, basis, model, spec.channel, EVENT_VACUUM_TOL,
                     what="normal component")
     s_op = _emission_operator(spec, basis, model)
     raw = s_op @ rho_n @ s_op.conj().T
@@ -128,8 +129,8 @@ def _quanton_kernel(rho_n, spec, basis, model):
     return kernel / trace
 
 
-def check_channel_support(B, basis, model, spec, tol=1e-12):
-    """Raise unless B acts as identity outside the channel region.
+def check_channel_support(B, basis, model, spec):
+    """Raise unless B acts as identity outside the channel region, to SUPPORT_TOL.
 
     An operator built solely from fields at channel sites has vanishing
     matrix elements between occupation vectors that differ outside the
@@ -145,13 +146,13 @@ def check_channel_support(B, basis, model, spec, tol=1e-12):
     _, inner = np.unique(basis.occ[:, channel], axis=0, return_inverse=True)
     _, outer = np.unique(basis.occ[:, ~channel], axis=0, return_inverse=True)
     same = outer[:, None] == outer[None, :]
-    coupling = np.flatnonzero(~same & (np.abs(dense) > tol))
+    coupling = np.flatnonzero(~same & (np.abs(dense) > SUPPORT_TOL))
     # pairs within one outside configuration, keyed by their channel occupations
     within = np.flatnonzero(same)
     keys = (inner[:, None] * (inner.max() + 1) + inner[None, :]).ravel()[within]
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
     values = dense.ravel()[within]
-    varying = within[np.abs(values - values[first[which]]) > tol]
+    varying = within[np.abs(values - values[first[which]]) > SUPPORT_TOL]
     if coupling.size and (not varying.size or coupling[0] < varying[0]):
         r, c = divmod(int(coupling[0]), basis.dim)
         raise SupportViolationError(

@@ -30,7 +30,7 @@ import numpy as np
 # which builds no operator does not pay for it
 
 # defined in the numpy-free config, re-exported here
-from .config import BOSE, DEFAULT_DIM_CAP, DIM_CAP_ENV, FERMI, dim_cap_from_env, fock_dimension
+from .config import BOSE, DIM_CAP_ENV, FERMI, dim_cap_from_env, fock_dimension
 
 HERMITICITY_TOL = 1e-12
 

@@ -23,6 +23,7 @@ MATCH_TOL = 1e-9
 MAX_NEWTON_ITERS = 60
 EIG_FLOOR = 1e-14
 GAUGE_TOL = 1e-10
+ZETA_MAX = 20.0
 
 
 class MatchFailure(RuntimeError):
@@ -203,23 +204,12 @@ def _kubo_kernel(w, u=None):
     return kappa
 
 
-def kubo_matrix(p, cs, bs):
-    """Matrix of canonical correlations <C_j, B_l> in the state with eigenvalues p.
-
-    cs and bs are (n, d, d) stacks of operators already expressed in the
-    state's eigenbasis; they enter the contraction of _kubo as one block
-    spanning the space, by views.  The connected part contracts each pair with
-    the closed-form divided-difference kernel (Higham, Functions of Matrices,
-    ch. 3); the disconnected part is Tr(C W) Tr(B W).
-    """
-    full = slice(0, len(p))
-    return _kubo(p, [(full, full, np.swapaxes(cs, 1, 2), bs)], (len(cs), len(bs)))[0]
-
-
 def _kubo(p, pairs, shape, kappa=None):
     """(K, m): K[j, l] = <C_j, B_l> and m[j] = Tr(C_j W) in the state W with
     eigenvalues p, summed over the sector-pair blocks of the operators in its
-    eigenbasis, one block at a time.
+    eigenbasis, one block at a time.  The connected part contracts each pair
+    with the closed-form divided-difference kernel (Higham, Functions of
+    Matrices, ch. 3); the disconnected part is Tr(C W) Tr(B W).
 
     pairs yields (rs, cs, ct, b) for the pairs of rows rs and columns cs where
     the B_l live: ct holds the blocks there of the C_j transposed, (n_c, |rs|,
@@ -267,8 +257,9 @@ def kubo(C, B, W, eig_floor=EIG_FLOOR):
     if eig_floor is None and w.min() <= 0.0:
         raise ValueError("W is singular; pass eig_floor (e.g. 1e-14) to regularize")
     floored = w if eig_floor is None else np.clip(w, eig_floor, None)
-    mats = eigenbasis_stack(spectrum, [C, B])
-    return complex(kubo_matrix(floored, mats[:1], mats[1:])[0, 0])
+    c, b = eigenbasis_stack(spectrum, [C, B])[:, None]
+    full = slice(None)
+    return complex(_kubo(floored, [(full, full, c.transpose(0, 2, 1), b)], (1, 1))[0][0, 0])
 
 
 def cumulant_expect(C, A_exponent, B_perturbation, eig_floor=EIG_FLOOR):
@@ -280,10 +271,11 @@ def cumulant_expect(C, A_exponent, B_perturbation, eig_floor=EIG_FLOOR):
     """
     spectrum = Spectrum(A_exponent)
     p, _ = spectrum.gibbs()
-    mats = eigenbasis_stack(spectrum, [C, B_perturbation])
+    c, b = eigenbasis_stack(spectrum, [C, B_perturbation])[:, None]
     floored = p if eig_floor is None else np.clip(p, eig_floor, None)
-    corr = kubo_matrix(floored, mats[:1], mats[1:])[0, 0]
-    return float((np.diagonal(mats[0]) @ p + corr).real)
+    full = slice(None)
+    corr = _kubo(floored, [(full, full, c.transpose(0, 2, 1), b)], (1, 1))[0][0, 0]
+    return float((np.diagonal(c[0]) @ p + corr).real)
 
 
 def expectations(relevant, rho):
@@ -331,21 +323,17 @@ def _gram(relevant, spectrum, p):
     return 0.5 * (g + g.T)
 
 
-ZETA_MAX = 20.0
-
-
-def match_expectations(relevant, targets, zeta_init=None, tol=MATCH_TOL,
-                       max_iters=MAX_NEWTON_ITERS, zeta_max=ZETA_MAX):
+def match_expectations(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_ITERS):
     """Solve Tr(A_j w[zeta]) = targets_j by damped Newton iteration.
 
     The Jacobian is the negative weighted correlation Gram matrix; steps are
     projected off the gauge directions (the component of zeta along them
     stays at its initial value) and damped by halving until the residual
     norm decreases.  Raises MatchFailure with the residual and, for rank
-    problems, the offending null direction.  Targets on the boundary of the
-    attainable set (sharp eigenstate expectations) make the parameters
-    diverge; that is reported as a failure once the iterate passes zeta_max
-    while still unconverged.
+    problems, the offending null direction.  Converged means every residual
+    is below MATCH_TOL.  Targets on the boundary of the attainable set (sharp
+    eigenstate expectations) make the parameters diverge; that is reported
+    as a failure once the iterate passes ZETA_MAX while still unconverged.
     """
     targets = np.asarray(targets, float)
     n = len(relevant)
@@ -359,7 +347,7 @@ def match_expectations(relevant, targets, zeta_init=None, tol=MATCH_TOL,
     state, p, logz = _gibbs(relevant, zeta)
     resid = expectations(relevant, _density(state, p)) - targets
     for _ in range(max_iters):
-        if np.max(np.abs(resid)) < tol:
+        if np.max(np.abs(resid)) < MATCH_TOL:
             return ZetaField(labels=relevant.labels, values=zeta,
                              zeta0=logz, gauge_projector=proj)
         gram = _gram(relevant, state, np.clip(p, EIG_FLOOR, None))
@@ -394,13 +382,13 @@ def match_expectations(relevant, targets, zeta_init=None, tol=MATCH_TOL,
                 f"(residual inf-norm {np.max(np.abs(resid)):.3e})",
                 residual=resid, null_direction=null)
         zeta, state, p, logz, resid = trial, state_t, p_t, logz_t, resid_t
-        if np.max(np.abs(zeta)) > zeta_max and np.max(np.abs(resid)) >= tol:
+        if np.max(np.abs(zeta)) > ZETA_MAX and np.max(np.abs(resid)) >= MATCH_TOL:
             raise MatchFailure(
                 "parameters diverged past "
-                f"{zeta_max:g} before convergence; the targets lie on (or "
+                f"{ZETA_MAX:g} before convergence; the targets lie on (or "
                 "outside) the boundary of the attainable expectation set",
                 residual=resid, null_direction=None)
-    if np.max(np.abs(resid)) < tol:
+    if np.max(np.abs(resid)) < MATCH_TOL:
         return ZetaField(labels=relevant.labels, values=zeta, zeta0=logz,
                          gauge_projector=proj)
     raise MatchFailure(

@@ -28,7 +28,6 @@ from .maxent import (
     exponent_matrix,
     expectations,
     gibbs_state,
-    kubo_matrix,
     match_expectations,
     state_from_exponent,
 )
@@ -36,6 +35,8 @@ from .propagate import OperatorStack, Spectrum, eigenbasis_stack, sector_blocks
 
 HERM_WARN = 1e-10
 HERM_FAIL = 1e-6
+DECAY_THRESHOLD = 0.05
+ENTROPY_STEP_TOL = 1e-6
 
 
 class GramConditionError(RuntimeError):
@@ -428,18 +429,16 @@ def zeta_dynamics(relevant, zeta_t0, history, H, t0, t_end, step,
     zs = [zeta.copy()]
     zdots = []
     cond_seen = 0.0
-    t = t0
-    for _ in range(n_steps):
-        f1, c1 = engine.derivative(t, zs[-1])
-        engine.record(t, zs[-1], f1)
+    for i in range(n_steps):
+        f1, c1 = engine.derivative(ts[-1], zs[-1])
+        engine.record(ts[-1], zs[-1], f1)
         zdots.append(f1)
         zm = zs[-1] + 0.5 * step * f1
-        f2, c2 = engine.derivative(t + 0.5 * step, zm)
+        f2, c2 = engine.derivative(t0 + (i + 0.5) * step, zm)
         zs.append(zs[-1] + step * f2)
-        t += step
-        ts.append(t)
+        ts.append(t0 + (i + 1) * step)
         cond_seen = max(cond_seen, c1, c2)
-    f_final, c_final = engine.derivative(t, zs[-1])
+    f_final, c_final = engine.derivative(ts[-1], zs[-1])
     zdots.append(f_final)
     cond_seen = max(cond_seen, c_final)
 
@@ -459,8 +458,8 @@ def zeta_dynamics(relevant, zeta_t0, history, H, t0, t_end, step,
 class DecayReport:
     """Correlation table C_jl(s) with the measured decay horizon.
 
-    tau is the smallest sampled s* whose smoothed aggregate stays below the
-    threshold fraction of its s = 0 value throughout [s*, 3 s*]; finite
+    tau is the smallest sampled s* whose aggregate stays below the
+    DECAY_THRESHOLD fraction of its peak throughout [s*, 3 s*]; finite
     systems are quasiperiodic, so no_decay marks the (expected) case where
     no such s* exists within the sampled horizon.
     """
@@ -473,13 +472,13 @@ class DecayReport:
     labels: tuple
 
 
-def decay_time(relevant, zeta, H, horizon, n_samples=61, threshold=0.05,
-               hbar=1.0):
+def decay_time(relevant, zeta, H, horizon, n_samples=61, hbar=1.0):
     """Correlation decay time of the commutator-density correlations.
 
     C_jl(s) = <(i/hbar)[H, A_j], A_l(-s)> in the state w[zeta]; the scalar
     aggregate contracts l with the current parameters (uniformly when zeta
-    vanishes) and takes the 2-norm over j.
+    vanishes) and takes the 2-norm over j.  The horizon tau is read at
+    DECAY_THRESHOLD of the aggregate's peak.
     """
     spectrum = Spectrum(H, hbar=hbar)
     state, p = _macrostate(relevant, zeta)
@@ -487,9 +486,11 @@ def decay_time(relevant, zeta, H, horizon, n_samples=61, threshold=0.05,
                                     for a in relevant.operators])
     a_eig = eigenbasis_stack(spectrum, relevant.operators)
     times = np.linspace(0.0, horizon, n_samples)
+    # one whole-space block per sample, all against the one state's kernel
+    full, ct, kappa = slice(None), c_st.transpose(0, 2, 1), _kubo_kernel(p)
     table = np.array([
-        kubo_matrix(p, c_st,
-                    state.from_other(spectrum, spectrum.dress_eig(a_eig, -s))).real
+        _kubo(p, [(full, full, ct, state.from_other(spectrum, spectrum.dress_eig(a_eig, -s)))],
+              (len(ct), len(ct)), kappa)[0].real
         for s in times])
 
     zeta = np.asarray(zeta, float)
@@ -502,7 +503,7 @@ def decay_time(relevant, zeta, H, horizon, n_samples=61, threshold=0.05,
     if scale <= 1e-14 * max(1.0, float(np.max(np.abs(table))) if table.size else 1.0):
         return DecayReport(tau=0.0, no_decay=False, times=times, table=table,
                            aggregate=aggregate, labels=relevant.labels)
-    level = threshold * scale
+    level = DECAY_THRESHOLD * scale
     for i, s_star in enumerate(times[1:], start=1):
         if 3.0 * s_star > horizon:
             break
@@ -528,11 +529,11 @@ class EntropySeries:
     min_step: float
 
 
-def entropy_monitor(trajectory, relevant, conserved=None, step_tol=1e-6):
+def entropy_monitor(trajectory, relevant, conserved=None):
     """Macrostate entropy along a parameter trajectory, with equilibrium gap.
 
     For each sample, S(t) of w[zeta(t)]; steps decreasing by more than
-    step_tol are flagged.  When a conserved relevant set is given (e.g.
+    ENTROPY_STEP_TOL are flagged.  When a conserved relevant set is given (e.g.
     total energy and number), the distance to the equilibrium Gibbs state
     with the same conserved totals is reported alongside.
     """
@@ -554,7 +555,7 @@ def entropy_monitor(trajectory, relevant, conserved=None, step_tol=1e-6):
             rho_eq, _ = gibbs_state(conserved, zf.values)
             dist[i] = float(np.linalg.norm(rho - rho_eq))
     steps = np.diff(s_vals)
-    bad = tuple(int(i) for i in np.flatnonzero(steps < -step_tol))
+    bad = tuple(int(i) for i in np.flatnonzero(steps < -ENTROPY_STEP_TOL))
     return EntropySeries(times=times.copy(), entropy=s_vals,
                          dist_equilibrium=dist, decreasing_steps=bad,
                          min_step=float(steps.min()) if len(steps) else 0.0)

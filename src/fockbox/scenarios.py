@@ -18,14 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (  # the catalog, re-exported
-    CATALOG,
-    DECOHERENCE_DEFAULTS,
-    EMBEDDING_CHECK_DEFAULTS,
-    EVENT_CHANNEL_DEFAULTS,
-    FREE_PACKET_DEFAULTS,
-    RELAXATION_DEFAULTS,
-    ZUBAREV_DEFAULTS,
+from .config import (  # the catalog functions, re-exported
     build_model,
     list_scenarios,
     merged_config,
@@ -316,7 +309,7 @@ def run_relaxation(config, out_dir):
 
     conserved = relevant_set(["H", "N"], [h, number_operator(basis)],
                              [1.0, 1.0])
-    series = entropy_monitor(traj, rel, conserved=conserved, step_tol=1e-6)
+    series = entropy_monitor(traj, rel, conserved=conserved)
     micro_drift = 0.0
     s_micro = entropy(rho0)
     for t in (0.5 * tau, tau):

@@ -26,6 +26,7 @@ import numpy as np
 from .fock import FieldOperator, check_model
 
 VACUUM_TOL = 1e-10
+SYMMETRY_TOL = 1e-10
 
 
 class VacuumConditionError(ValueError):
@@ -59,10 +60,6 @@ class Region:
         if len(self.sites) == 1:
             return (self.sites[0],)
         return (self.sites[0], self.sites[-1])
-
-    @property
-    def interior(self):
-        return tuple(s for s in self.sites if s not in self.boundary)
 
     def __len__(self):
         return len(self.sites)
@@ -119,9 +116,8 @@ class OneQuantonState:
         )
 
 
-def one_quanton(region_, amplitudes, dx=1.0, normalize=True):
-    psi = OneQuantonState(region_, np.asarray(amplitudes, complex), dx)
-    return psi.normalized() if normalize else psi
+def one_quanton(region_, amplitudes, dx=1.0):
+    return OneQuantonState(region_, np.asarray(amplitudes, complex), dx).normalized()
 
 
 def gaussian_packet(region_, center, width, k=0.0, dx=1.0, g=1):
@@ -222,18 +218,18 @@ def _creator_for(psi, basis, model):
     return _field_sums(basis, model, psi.region, [model.dx * psi.amplitudes])[0].T
 
 
-def embed(state, rho_prime, basis, model, region_, vacuum_tol=VACUUM_TOL):
+def embed(state, rho_prime, basis, model, region_):
     """Dress a vacuum-in-region background with a one-quanton state.
 
     state is either a OneQuantonState (pure case) or a Hermitian PSD kernel
     matrix over the region grid, unit trace in the lattice measure
     (dx * sum of the diagonal = 1).  The result is Hermitian, positive
     semidefinite and of unit trace whenever the background satisfies the
-    strong vacuum condition and has truncation headroom for one more
-    particle.
+    strong vacuum condition (residual below VACUUM_TOL) and has truncation
+    headroom for one more particle.
     """
     rho_prime = np.asarray(rho_prime, dtype=complex)
-    _require_vacuum(rho_prime, basis, model, region_, vacuum_tol)
+    _require_vacuum(rho_prime, basis, model, region_, VACUUM_TOL)
     if isinstance(state, OneQuantonState):
         b = _creator_for(state, basis, model)
         out = b @ rho_prime @ b.conj().T
@@ -262,11 +258,12 @@ def embed(state, rho_prime, basis, model, region_, vacuum_tol=VACUUM_TOL):
     return out
 
 
-def extract_pure(rho_embedded, basis, model, region_, rho_ref_phase=0):
+def extract_pure(rho_embedded, basis, model, region_):
     """Recover the quanton amplitudes from a purely embedded vacuum state.
 
     Takes the dominant eigenvector of the one-particle block and fixes the
-    global phase against the largest amplitude (or the given site ordinal).
+    global phase against the first amplitude, or against the largest one
+    when the first is below 1e-12 in modulus.
     """
     rho = np.asarray(rho_embedded)
     w, v = np.linalg.eigh(rho)
@@ -274,8 +271,7 @@ def extract_pure(rho_embedded, basis, model, region_, rho_ref_phase=0):
     one = np.eye(basis.modes, dtype=np.int64)[_region_modes(basis, model, region_)]
     amps = (vec[basis.rank(one)] / np.sqrt(model.dx)).reshape(len(region_), model.g)
     flat = amps.ravel()
-    ref = flat[rho_ref_phase] if np.abs(flat[rho_ref_phase]) > 1e-12 \
-        else flat[np.argmax(np.abs(flat))]
+    ref = flat[0] if np.abs(flat[0]) > 1e-12 else flat[np.argmax(np.abs(flat))]
     amps = amps * (np.abs(ref) / ref)
     return OneQuantonState(region_, amps, model.dx)
 
@@ -297,10 +293,8 @@ def reduced_schrodinger_step(psi, model, t, dt):
 def reduced_path(psi0, model, t0, dt, n_steps):
     """Sampled reduced-equation trajectory [psi(t0), ..., psi(t0 + n dt)]."""
     path = [psi0]
-    t = t0
-    for _ in range(n_steps):
-        path.append(reduced_schrodinger_step(path[-1], model, t, dt))
-        t += dt
+    for i in range(n_steps):
+        path.append(reduced_schrodinger_step(path[-1], model, t0 + i * dt, dt))
     return path
 
 
@@ -311,14 +305,13 @@ class ResidualReport:
     grid_too_coarse: bool
 
 
-def embedding_residual(psi_path, rho_prime_path, basis, model, region_, dt,
-                       H=None, index=None, vacuum_tol=VACUUM_TOL):
+def embedding_residual(psi_path, rho_prime_path, basis, model, region_, dt):
     """How far the embedded trajectory is from solving the full dynamics.
 
     Central-difference time derivative of the embedded state against
-    -(i/hbar)[H, rho] at one grid point; also evaluated on the doubled
-    stencil, and flagged when the two differ by more than 10% (grid too
-    coarse to trust the derivative).
+    -(i/hbar)[H, rho], H built at t = 0, at the middle grid point m // 2;
+    also evaluated on the doubled stencil, and flagged when the two differ
+    by more than 10% (grid too coarse to trust the derivative).
     """
     from .lattice import build_hamiltonian
 
@@ -327,16 +320,11 @@ def embedding_residual(psi_path, rho_prime_path, basis, model, region_, dt,
         raise ValueError("paths differ in length")
     if m < 5:
         raise ValueError("need at least 5 grid points")
-    k = m // 2 if index is None else index
-    if k < 2 or k > m - 3:
-        raise ValueError("index must leave two points on each side")
-    if H is None:
-        H = build_hamiltonian(basis, model, 0.0)
-    hd = H.to_dense()
+    k = m // 2
+    hd = build_hamiltonian(basis, model, 0.0).to_dense()
 
     def embedded(i):
-        return embed(psi_path[i], rho_prime_path[i], basis, model, region_,
-                     vacuum_tol=vacuum_tol)
+        return embed(psi_path[i], rho_prime_path[i], basis, model, region_)
 
     rho_m = embedded(k)
     comm = hd @ rho_m - rho_m @ hd
@@ -447,27 +435,26 @@ def observable_drift(A, rho_prime_path, basis, model, region_):
     return max(float(np.linalg.norm(k - ref)) for k in kernels) / ref_norm
 
 
-def embed_two_quanton(psi2, rho_prime, basis, model, region_,
-                      vacuum_tol=VACUUM_TOL, symmetry_tol=1e-10):
+def embed_two_quanton(psi2, rho_prime, basis, model, region_):
     """Two-quanton embedding with the 1/2! collision of orderings.
 
     psi2 is the amplitude matrix over the flattened (site, component) grid
-    of the region, (anti)symmetric to match the field statistics and
-    normalized so that dx^2 * sum |psi2|^2 = 1; then the embedded state has
-    unit trace over a vacuum-condition background with two particles of
-    truncation headroom.
+    of the region, (anti)symmetric to match the field statistics (to
+    SYMMETRY_TOL) and normalized so that dx^2 * sum |psi2|^2 = 1; then the
+    embedded state has unit trace over a vacuum-condition background
+    (residual below VACUUM_TOL) with two particles of truncation headroom.
     """
     from .fock import BOSE
 
     rho_prime = np.asarray(rho_prime, dtype=complex)
-    _require_vacuum(rho_prime, basis, model, region_, vacuum_tol)
+    _require_vacuum(rho_prime, basis, model, region_, VACUUM_TOL)
     n = len(region_) * model.g
     psi2 = np.asarray(psi2, dtype=complex)
     if psi2.shape != (n, n):
         raise ValueError(f"two-quanton amplitude must be {(n, n)}, got {psi2.shape}")
     sign = 1.0 if model.statistics == BOSE else -1.0
     sym_dev = float(np.max(np.abs(psi2 - sign * psi2.T)))
-    if sym_dev > symmetry_tol:
+    if sym_dev > SYMMETRY_TOL:
         kind = "symmetric" if sign > 0 else "antisymmetric"
         raise ValueError(
             f"two-quanton amplitude is not {kind} for {model.statistics} "

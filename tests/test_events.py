@@ -37,8 +37,7 @@ def channel_box():
 def delta_spec(lam=0.5, target=0):
     k = np.zeros((2, 2), dtype=complex)
     k[target, 0] = 1.0  # source site 0 feeds channel site 3 + target
-    return EventSpec(lam=lam, source=region([0, 1]), channel=region([3, 4]),
-                     kernel=k, window=(-1.0, 0.0))
+    return EventSpec(lam=lam, source=region([0, 1]), channel=region([3, 4]), kernel=k)
 
 
 def test_delta_kernel_moves_particle(channel_box):

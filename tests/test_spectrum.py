@@ -48,13 +48,13 @@ from fockbox.maxent import (
     _density,
     _gibbs,
     _gram,
+    _kubo,
     eigenbasis_stack,
     expectations,
     exponent_matrix,
     gauge_projector,
     gibbs_state,
     kubo_gram,
-    kubo_matrix,
     relevant_set,
     state_from_exponent,
 )
@@ -65,6 +65,7 @@ from fockbox.neqso import (
     _DynamicsEngine,
     _macrostate,
     cosine_test_function,
+    decay_time,
     evolve_and_rewrite,
     zeta_dynamics,
 )
@@ -80,6 +81,12 @@ from fockbox.propagate import (
 )
 
 # ---- test-only oracles -------------------------------------------------------
+
+
+def kubo_matrix(p, cs, bs):
+    """<C_j, B_l> for (n, d, d) stacks in the state's eigenbasis: one whole-space block."""
+    return _kubo(p, [(slice(None), slice(None), np.swapaxes(cs, 1, 2), bs)],
+                 (len(cs), len(bs)))[0]
 
 
 def eigenvectors(spectrum, dtype=complex):
@@ -592,6 +599,33 @@ def test_real_and_complex_spectra_match_oracles(data):
     want = oracle_kubo_matrix(rel_dense, rel_dense, rho).real
     g = kubo_gram(rel, rho)
     assert np.max(np.abs(g - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+@SETTINGS
+@given(st.data())
+def test_decay_table_matches_dense_oracle(data):
+    """The whole decay_time table, C_jl(s) = <(i/hbar)[H, A_j], A_l(-s)> at every
+    sample, against expm-dressed A_l contracted by the pairwise Kubo oracle."""
+    basis, model, h = data.draw(hermitian_models())
+    rel = mass_relevant(basis, model, h)
+    zeta = np.array(data.draw(st.one_of(
+        st.just([0.0] * len(rel)),
+        st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0]), min_size=len(rel),
+                 max_size=len(rel)))))
+    rep = decay_time(rel, zeta, h, horizon=1.5, n_samples=7)
+
+    hd = h.to_dense()
+    dense = [op.to_dense() for op in rel.operators]
+    rho = oracle_gibbs(-sum(z * w * a for z, w, a in zip(zeta, rel.weights, dense)))
+    cs = [1j * (hd @ a - a @ hd) for a in dense]
+    table = []
+    for s in rep.times:
+        u = scipy.linalg.expm(-1j * s * hd)
+        table.append(oracle_kubo_matrix(cs, [u @ a @ u.conj().T for a in dense], rho).real)
+    table = np.array(table)
+    v = rel.weights * (zeta if np.any(zeta) else 1.0)
+    assert_close(rep.table, table)
+    assert_close(rep.aggregate, np.linalg.norm(table @ v, axis=1))
 
 
 @NO_COMPLEX_CASTS
