@@ -10,7 +10,6 @@ expectations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -62,7 +61,7 @@ class RelevantSet:
             raise ValueError("div_currents and operators differ in length")
         # built with the set: made on first use inside the Gibbs and Kubo stages,
         # these long-lived arrays kept freed heap memory resident
-        _ = self.columns, self.stacked
+        _ = self.columns, self.conj_rows, self.stacked
 
     def __len__(self):
         return len(self.operators)
@@ -84,6 +83,11 @@ class RelevantSet:
     def columns(self):
         """rows transposed: the members as the columns of a sparse (d*d, n) matrix."""
         return self.rows.T
+
+    @cached_property
+    def conj_rows(self):
+        """rows with conjugated entries, the form expectations reads rho with."""
+        return self.rows.conj()
 
     @cached_property
     def stacked(self):
@@ -113,16 +117,6 @@ class ZetaField:
     values: np.ndarray
     zeta0: float
     gauge_projector: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "labels": list(self.labels),
-                "values": [float(v) for v in self.values],
-                "zeta0": float(self.zeta0),
-            },
-            sort_keys=True,
-        )
 
 
 def exponent_matrix(relevant, zeta):
@@ -284,7 +278,7 @@ def expectations(relevant, rho):
     Tr(A rho) = sum_ik A_ik rho_ki = sum_ik conj(A_ki) rho_ki for a Hermitian
     A, so the conjugated rows meet rho as it is laid out, with no copy.
     """
-    return (relevant.rows.conj() @ np.asarray(rho).ravel()).real
+    return (relevant.conj_rows @ np.asarray(rho).ravel()).real
 
 
 def gauge_projector(relevant):
@@ -299,7 +293,7 @@ def gauge_projector(relevant):
     """
     d, w = relevant.basis.dim, relevant.weights
     traces = w * np.array([op.trace() for op in relevant.operators])
-    gram = w[:, None] * (relevant.rows.conj() @ relevant.rows.T).toarray() * w[None, :]
+    gram = w[:, None] * (relevant.conj_rows @ relevant.columns).toarray() * w[None, :]
     gram = (gram - np.outer(traces.conj(), traces) / d).real
     evals, evecs = np.linalg.eigh(gram)
     scale = max(evals.max(), 1.0)

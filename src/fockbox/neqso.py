@@ -21,7 +21,6 @@ import numpy as np
 
 from .maxent import (
     EIG_FLOOR,
-    _gibbs,
     _kubo,
     _kubo_kernel,
     entropy,
@@ -31,7 +30,7 @@ from .maxent import (
     match_expectations,
     state_from_exponent,
 )
-from .propagate import OperatorStack, Spectrum, eigenbasis_stack, sector_blocks
+from .propagate import Spectrum, diagonal_blocks
 
 HERM_WARN = 1e-10
 HERM_FAIL = 1e-6
@@ -120,6 +119,11 @@ def _trapezoid_weights(nodes):
     return w
 
 
+def _weighted(c, stack):
+    """sum_k c[k] stack[k] over an (m, d, d) stack, as one matrix product."""
+    return (c @ stack.reshape(len(stack), np.prod(stack.shape[1:]))).reshape(stack.shape[1:])
+
+
 def _checked_hermitian(x, what):
     dev = float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
     if dev > HERM_FAIL:
@@ -130,43 +134,71 @@ def _checked_hermitian(x, what):
     return x
 
 
-def _phased_integral(spectrum, s, weights, stack):
-    """sum_k weights[k] stack[k] dressed by -s: stack[k] is dressed by its t'."""
-    return spectrum.dress_eig(np.tensordot(weights, stack, 1), -s)
+def _masks(spectrum, t):
+    """exp(i (w_a - w_b) t / hbar) on each block of spectrum: dressing by t there."""
+    phase = np.exp(1j * spectrum.w * t / spectrum.hbar)
+    return [np.outer(phase[sl], phase[sl].conj()) for sl in spectrum.slices]
 
 
 class _PreparedHistory:
-    """The [T, t0] record and terminal term, combined in the eigenbasis of H."""
+    """The [T, t0] record and terminal term on each block of spectrum, H's (as one
+    block when a member, current divergence or history operator couples two):
+    there members holds the A_j, div_rates the i div J_j (real for the imaginary
+    divergences of a real model), stack the combined preparation nodes, each
+    dressed once by its t', and gamma the terminal term."""
 
-    def __init__(self, relevant, history, spectrum):
-        self.history = history
-        self.spectrum = spectrum
-        terms = history.terms
+    def __init__(self, relevant, history, H, hbar):
+        self.history, terms = history, history.terms
+        groups = [relevant.stacked] + [term.operators for term in terms]
+        groups += [] if relevant.div_currents is None else [relevant.div_currents]
+        spectrum = Spectrum(H, hbar=hbar)
+        blocks = [diagonal_blocks(spectrum, ops) for ops in groups]
+        if None in blocks:
+            spectrum = Spectrum(H.to_dense(), hbar=hbar)
+            blocks = [diagonal_blocks(spectrum, ops) for ops in groups]
+        self.spectrum, self.members = spectrum, blocks[0]
+        self.div_rates = None if relevant.div_currents is None else [
+            1j * b if np.any(b.real) else -b.imag for b in blocks[-1]]
         self.nodes = history.prep_grid() if terms else np.array([])
         h = np.array([[term.h(tp) for term in terms] for tp in self.nodes])
-        d = len(spectrum.w)
-        combos = np.array([
-            np.tensordot(term.coeffs, eigenbasis_stack(spectrum, term.operators), 1)
-            for term in terms], dtype=complex).reshape(len(terms), d, d)
         # each node dressed once, by its t': mask(t' - s) = mask(-s) * mask(t')
-        self.stack = np.tensordot(h.reshape(len(self.nodes), len(terms)), combos, 1)
-        phase = np.exp(1j * np.multiply.outer(self.nodes, spectrum.w) / spectrum.hbar)
-        self.stack *= phase[:, :, None]
-        self.stack *= phase.conj()[:, None, :]
-        self.gamma = None if history.gamma_T is None else np.tensordot(
-            np.asarray(history.gamma_T, float) * relevant.weights,
-            eigenbasis_stack(spectrum, relevant.operators), 1)
+        phase = np.exp(1j * np.multiply.outer(self.nodes, spectrum.w) / hbar)
+        self.stack = []
+        for k, (sl, a) in enumerate(zip(spectrum.slices, self.members)):
+            combos = np.array([_weighted(term.coeffs, b[k]) for term, b in zip(terms, blocks[1:])],
+                              dtype=complex).reshape((len(terms),) + a.shape[1:])
+            self.stack.append(np.tensordot(h.reshape(len(self.nodes), len(terms)), combos, 1)
+                              * phase[:, sl, None] * phase[:, None, sl].conj())
+        self.gamma = None if history.gamma_T is None else [
+            _weighted(np.asarray(history.gamma_T, float) * relevant.weights, a)
+            for a in self.members]
+
+    def rates(self):
+        """R_j = (w_a - w_b)/hbar * A_j per block, so that (i/hbar)[H, A_j] = i R_j."""
+        w, hbar = self.spectrum.w, self.spectrum.hbar
+        return [np.subtract.outer(w[sl], w[sl]) / hbar * a
+                for sl, a in zip(self.spectrum.slices, self.members)]
+
+    def state(self, relevant, zeta):
+        """Per block, the eigenvectors u of the exponent of w[zeta], which w[zeta]
+        shares, and the weights of w[zeta] on them, floored at EIG_FLOOR."""
+        eigs = [np.linalg.eigh(_weighted(-relevant.weights * zeta, a)) for a in self.members]
+        x = np.concatenate([x for x, _ in eigs])
+        p = np.exp(x - x.max())
+        return [u for _, u in eigs], np.clip(p / p.sum(), EIG_FLOOR, None)
 
     def operand(self, s, cutoff=-np.inf):
-        """History exponent of the operator prepared at s, in the eigenbasis:
-        test-function integrals over [T, t0] dressed by -(s - t') minus gamma_T
-        dressed by -(s - T); nodes before cutoff drop out, gamma_T once T does."""
+        """History exponent of the operator prepared at s, per block: test-function
+        integrals over [T, t0] dressed by -(s - t') minus gamma_T dressed by
+        -(s - T); nodes before cutoff drop out, gamma_T once T does."""
         first = np.searchsorted(self.nodes, cutoff)
-        acc = _phased_integral(self.spectrum, s, _trapezoid_weights(self.nodes[first:]),
-                               self.stack[first:])
+        weights = _trapezoid_weights(self.nodes[first:])
+        out = [mask * _weighted(weights, stack[first:])
+               for mask, stack in zip(_masks(self.spectrum, -s), self.stack)]
         if self.gamma is not None and self.history.T >= cutoff:
-            acc -= self.spectrum.dress_eig(self.gamma, -(s - self.history.T))
-        return acc
+            masks = _masks(self.spectrum, self.history.T - s)
+            out = [acc - mask * gamma for acc, mask, gamma in zip(out, masks, self.gamma)]
+        return out
 
 
 def build_rho_t0(relevant, zeta_t0, history, H, hbar=1.0):
@@ -177,13 +209,12 @@ def build_rho_t0(relevant, zeta_t0, history, H, hbar=1.0):
     negative delay), minus the terminal term gamma_T.  All-zero history
     reduces exactly to the generalized Gibbs state.  Returns (rho, logZ).
     """
-    past = _PreparedHistory(relevant, history, Spectrum(H, hbar=hbar))
-    return _prepared_state(relevant, zeta_t0, past)
+    return _prepared_state(relevant, zeta_t0, _PreparedHistory(relevant, history, H, hbar))
 
 
 def _prepared_state(relevant, zeta_t0, past):
     x = exponent_matrix(relevant, zeta_t0)
-    x = x + past.spectrum.from_eigenbasis(past.operand(past.history.t0))
+    x = x + past.spectrum.from_blocks(past.operand(past.history.t0))
     return state_from_exponent(_checked_hermitian(x, "prepared"),
                                relevant.basis.sector_slices())
 
@@ -218,23 +249,22 @@ def evolve_and_rewrite(relevant, zeta_t0, history, H, t, zeta_of_t,
     """
     if relevant.div_currents is None:
         raise ValueError("relevant set needs div_currents for the rewrite")
-    spectrum = Spectrum(H, hbar=hbar)
-    past = _PreparedHistory(relevant, history, spectrum)
+    past = _PreparedHistory(relevant, history, H, hbar)
     rho0, _ = _prepared_state(relevant, zeta_t0, past)
-    u = spectrum.unitary(t - history.t0)
+    u = past.spectrum.unitary(t - history.t0)
     rho_direct = u @ rho0 @ u.conj().T
-    x_past = (exponent_matrix(relevant, zeta_of_t(t))
-              + spectrum.from_eigenbasis(past.operand(t)))
-    ad_eig = eigenbasis_stack(spectrum, relevant.operators + relevant.div_currents)
+    x_past = exponent_matrix(relevant, zeta_of_t(t))
+    operand = past.operand(t)
 
     def rewritten(nq):
-        x = x_past
+        blocks = operand
         if t != history.t0:
             grid = np.linspace(history.t0, t, nq)
             zetas = np.array([zeta_of_t(tp) for tp in grid])
             zdots = np.gradient(zetas, grid, axis=0)
-            x = x + spectrum.from_eigenbasis(_spontaneous_integral(
-                relevant, spectrum, ad_eig, t, grid, zetas, zdots))
+            blocks = [a + b for a, b in zip(blocks, _spontaneous_integral(
+                relevant, past, t, grid, zetas, zdots))]
+        x = x_past + past.spectrum.from_blocks(blocks)
         rho, _ = state_from_exponent(_checked_hermitian(x, "rewritten"),
                                      relevant.basis.sector_slices())
         return rho
@@ -249,16 +279,21 @@ def evolve_and_rewrite(relevant, zeta_t0, history, H, t, zeta_of_t,
                          quadrature_suspect=bool(suspect))
 
 
-def _spontaneous_integral(relevant, spectrum, ad_eig, s, nodes, zetas, zdots):
+def _spontaneous_integral(relevant, past, s, nodes, zetas, zdots):
     """Trapezoid over nodes of sum_l w_l (zdot_l A_l - zeta_l div J_l)(-(s - t')),
-    with ad_eig the A_l then the div J_l in the eigenbasis of H, contracted as
-    one phase kernel sum_k c_kl mask(t_k - s) per member: no (nodes, d, d) stack."""
-    w = relevant.weights
-    coef = _trapezoid_weights(nodes)[:, None] * np.hstack([zdots * w, -zetas * w])
+    per block of past, contracted as one phase kernel sum_k c_kl mask(t_k - s) per
+    member against its A_l and i div J_l there: no (nodes, d, d) stack."""
+    w, n, spectrum = relevant.weights, len(relevant), past.spectrum
+    # -zeta div J = i zeta (i div J)
+    coef = _trapezoid_weights(nodes)[:, None] * np.hstack([zdots * w, 1j * zetas * w])
     phase = np.exp(1j * np.multiply.outer(nodes - s, spectrum.w) / spectrum.hbar)
-    weighted = (coef[:, :, None] * phase[:, None, :]).reshape(len(nodes), -1)
-    kernels = (weighted.T @ phase.conj()).reshape(ad_eig.shape)
-    return np.einsum("lab,lab->ab", kernels, ad_eig)
+    out = []
+    for sl, a, j in zip(spectrum.slices, past.members, past.div_rates):
+        weighted = (coef[:, :, None] * phase[:, None, sl]).reshape(len(nodes), -1)
+        kernels = (weighted.T @ phase[:, sl].conj()).reshape((2 * n,) + a.shape[1:])
+        out.append(np.einsum("lab,lab->ab", kernels[:n], a)
+                   + np.einsum("lab,lab->ab", kernels[n:], j))
+    return out
 
 
 def macrostate_of(rho, relevant, zeta_guess=None):
@@ -300,49 +335,42 @@ class ZetaTrajectory:
         return rows
 
 
-def _macrostate(relevant, zeta):
-    """Eigenbasis of w[zeta] and its eigenvalues, floored at EIG_FLOOR."""
-    state, p, _ = _gibbs(relevant, zeta)
-    return state, np.clip(p, EIG_FLOOR, None)
-
-
 class _DynamicsEngine:
-    """The parameter equation, with the spontaneous history as a stack of phased nodes."""
+    """The parameter equation in the eigenbasis of H, one block at a time.
+
+    To the members, i div J_j and preparation record that past holds per block
+    the engine adds the commutator rates R_j and the spontaneous history as
+    phased nodes, one buffer per block that doubles when full.  A derivative
+    diagonalizes the exponent of w[zeta] on each block, moves [A; R] and the
+    history operand into its eigenvectors and makes one Kubo pass.
+    """
 
     def __init__(self, relevant, history, H, hbar, tau_cut, cond_max=1e12):
         if relevant.div_currents is None:
             raise ValueError("relevant set needs div_currents for the dynamics")
-        self.relevant = relevant
-        self.tau_cut = tau_cut
-        self.cond_max = cond_max
-        self.spectrum = Spectrum(H, hbar=hbar)
-        self.commutators = [(1j / hbar) * (H @ a - a @ H) for a in relevant.operators]
-        self.operands = OperatorStack(list(relevant.operators) + self.commutators)
-        self.ad_eig = eigenbasis_stack(self.spectrum,
-                                       relevant.operators + relevant.div_currents)
-        self.past = _PreparedHistory(relevant, history, self.spectrum)
+        self.relevant, self.tau_cut, self.cond_max = relevant, tau_cut, cond_max
+        self.past = _PreparedHistory(relevant, history, H, hbar)
+        self.rates = self.past.rates()
         self.proj = relevant.gauge_projector
         self.times = []
-        self._nodes = np.zeros((0,) + (len(self.spectrum.w),) * 2, dtype=complex)
-
-    def _combo(self, zeta, zdot):
-        w = self.relevant.weights
-        return np.tensordot(np.concatenate([w * zdot, -w * zeta]), self.ad_eig, 1)
+        self._nodes = [np.zeros((0,) + a.shape[1:], dtype=complex) for a in self.past.members]
 
     @property
     def stack(self):
-        """The phased nodes recorded so far, in order: the filled prefix of a
-        buffer that doubles when full."""
-        return self._nodes[:len(self.times)]
+        """The phased nodes recorded so far, in order: per block, the filled
+        prefix of its buffer."""
+        return [nodes[:len(self.times)] for nodes in self._nodes]
 
     def record(self, t, zeta, zdot):
-        """Store the spontaneous history node at t, after every node stored so far."""
-        k = len(self.times)
-        if k == len(self._nodes):
-            grown = np.empty((max(1, 2 * k),) + self._nodes.shape[1:], dtype=complex)
-            grown[:k] = self._nodes
-            self._nodes = grown
-        self._nodes[k] = self.spectrum.dress_eig(self._combo(zeta, zdot), t)
+        """Store the node sum_l w_l (zdot_l A_l - zeta_l div J_l) at t, dressed by t,
+        after every node stored so far."""
+        k, w = len(self.times), self.relevant.weights
+        if k == len(self._nodes[0]):
+            self._nodes = [np.concatenate([b, np.empty_like(b, shape=(max(1, k),) + b.shape[1:])])
+                           for b in self._nodes]
+        for nodes, mask, a, j in zip(self._nodes, _masks(self.past.spectrum, t),
+                                     self.past.members, self.past.div_rates):
+            nodes[k] = mask * (_weighted(w * zdot, a) + 1j * _weighted(w * zeta, j))
         self.times.append(t)
 
     def derivative(self, t, zeta):
@@ -351,8 +379,6 @@ class _DynamicsEngine:
         The history integrand enters linearly through <C_j, O>, so all its
         pieces are summed in the eigenbasis of H before one correlation.
         """
-        state, p = _macrostate(self.relevant, zeta)
-
         # preparation branch and terminal gamma(T) term; a memory cutoff
         # drops the latter together with the rest of the preparation record
         # once T falls behind the window, which is what makes the truncated
@@ -365,29 +391,32 @@ class _DynamicsEngine:
         # the unknown zeta-dot stays on the left-hand side of the linear solve
         first = np.searchsorted(self.times, cutoff)
         *wq, w_end = _trapezoid_weights(np.append(self.times[first:], t))
-        operand += _phased_integral(self.spectrum, t, wq, self.stack[first:])
-        operand += w_end * self._combo(zeta, np.zeros_like(zeta))
-        operand = state.from_other(self.spectrum, operand)
+        wz = self.relevant.weights * zeta
+        for acc, mask, nodes, j in zip(operand, _masks(self.past.spectrum, -t),
+                                       self.stack, self.past.div_rates):
+            acc += mask * _weighted(wq, nodes[first:]) + (1j * w_end) * _weighted(wz, j)
 
-        # one Kubo contraction per sector block: the A_j and commutators C_j
-        # against the conjugated A_l and operand.  The operands are Hermitian,
-        # so transposing one conjugates it, and that contraction gives the
-        # conjugate of each correlation, whose real part is kept
+        us, p = self.past.state(self.relevant, zeta)
+
+        # one Kubo contraction per block: the A_j and R_j against the conjugated A_l
+        # and operand.  Hermitian A_j give the conjugate of each correlation (the
+        # real part is kept); anti-Hermitian R_j give -conj(<R_j, .>) = conj(<C_j, .>) / i
         n = len(self.relevant)
 
         def pairs():
-            for rs, cs, block in sector_blocks(state, self.operands):
-                b = np.concatenate([block[:n], operand[None, rs, cs]])
-                yield rs, cs, block, np.conjugate(b, out=b)
+            for sl, u, a, r, o in zip(self.past.spectrum.slices, us,
+                                      self.past.members, self.rates, operand):
+                block = u.conj().T @ np.concatenate([a, r]) @ u
+                b = np.concatenate([block[:n], (u.conj().T @ o @ u)[None]])
+                yield sl, sl, block, np.conjugate(b, out=b)
 
         k, means = _kubo(p, pairs(), (2 * n, n + 1), _kubo_kernel(p))
         gram = k[:n, :n].real
-        rhs = (means[n:] + k[n:, n]).real
-        kmat = k[n:, :n].real
+        rhs = (1j * (means[n:] + k[n:, n])).real
+        kmat = (1j * k[n:, :n]).real
 
         # ---- linear solve:  -(G + w_end K) diag(w) zdot = rhs -------------
-        m = gram + w_end * kmat
-        mw = m * self.relevant.weights[None, :]
+        mw = (gram + w_end * kmat) * self.relevant.weights[None, :]
         cond = self._deflated_condition(gram)
         if cond > self.cond_max:
             raise GramConditionError(cond, t, self.cond_max)
@@ -425,10 +454,7 @@ def zeta_dynamics(relevant, zeta_t0, history, H, t0, t_end, step,
     if n_steps < 1:
         raise ValueError("need at least one step")
 
-    ts = [t0]
-    zs = [zeta.copy()]
-    zdots = []
-    cond_seen = 0.0
+    ts, zs, zdots, cond_seen = [t0], [zeta.copy()], [], 0.0
     for i in range(n_steps):
         f1, c1 = engine.derivative(ts[-1], zs[-1])
         engine.record(ts[-1], zs[-1], f1)
@@ -442,13 +468,8 @@ def zeta_dynamics(relevant, zeta_t0, history, H, t0, t_end, step,
     zdots.append(f_final)
     cond_seen = max(cond_seen, c_final)
 
-    return ZetaTrajectory(
-        labels=relevant.labels,
-        times=np.array(ts),
-        zetas=np.array(zs),
-        zdots=np.array(zdots),
-        gram_cond_max=cond_seen,
-    )
+    return ZetaTrajectory(labels=relevant.labels, times=np.array(ts), zetas=np.array(zs),
+                          zdots=np.array(zdots), gram_cond_max=cond_seen)
 
 
 # ---- correlation decay -------------------------------------------------------
@@ -480,18 +501,17 @@ def decay_time(relevant, zeta, H, horizon, n_samples=61, hbar=1.0):
     vanishes) and takes the 2-norm over j.  The horizon tau is read at
     DECAY_THRESHOLD of the aggregate's peak.
     """
-    spectrum = Spectrum(H, hbar=hbar)
-    state, p = _macrostate(relevant, zeta)
-    c_st = eigenbasis_stack(state, [(1j / hbar) * (H @ a - a @ H)
-                                    for a in relevant.operators])
-    a_eig = eigenbasis_stack(spectrum, relevant.operators)
+    past = _PreparedHistory(relevant, HistorySpec.empty(), H, hbar)
+    us, p = past.state(relevant, zeta)
+    n, kappa = len(relevant), _kubo_kernel(p)
+    # per block of the eigenbasis of H: C_j = i R_j, transposed into the state's
+    # eigenvectors once, and A_l(-s) moved there per sample
+    cts = [np.swapaxes(u.conj().T @ r @ u, 1, 2) for u, r in zip(us, past.rates())]
     times = np.linspace(0.0, horizon, n_samples)
-    # one whole-space block per sample, all against the one state's kernel
-    full, ct, kappa = slice(None), c_st.transpose(0, 2, 1), _kubo_kernel(p)
-    table = np.array([
-        _kubo(p, [(full, full, ct, state.from_other(spectrum, spectrum.dress_eig(a_eig, -s)))],
-              (len(ct), len(ct)), kappa)[0].real
-        for s in times])
+    table = np.array([(1j * _kubo(p, [
+        (sl, sl, ct, u.conj().T @ (mask * a) @ u) for sl, u, ct, mask, a in zip(
+            past.spectrum.slices, us, cts, _masks(past.spectrum, -s), past.members)],
+        (n, n), kappa)[0]).real for s in times])
 
     zeta = np.asarray(zeta, float)
     v = relevant.weights * (zeta if np.max(np.abs(zeta)) > 0 else 1.0)
@@ -500,21 +520,16 @@ def decay_time(relevant, zeta, H, horizon, n_samples=61, hbar=1.0):
     # time-reversal symmetry of real models makes the s = 0 value vanish
     # identically; reference the threshold to the kernel peak in that case
     scale = max(aggregate[0], float(aggregate.max()))
-    if scale <= 1e-14 * max(1.0, float(np.max(np.abs(table))) if table.size else 1.0):
-        return DecayReport(tau=0.0, no_decay=False, times=times, table=table,
-                           aggregate=aggregate, labels=relevant.labels)
-    level = DECAY_THRESHOLD * scale
-    for i, s_star in enumerate(times[1:], start=1):
+    tau = 0.0 if scale <= 1e-14 * max(1.0, float(np.max(np.abs(table)))) else None
+    for s_star in times[1:] if tau is None else ():
         if 3.0 * s_star > horizon:
             break
         window = (times >= s_star) & (times <= 3.0 * s_star)
-        if np.all(aggregate[window] <= level):
-            return DecayReport(tau=float(s_star), no_decay=False, times=times,
-                               table=table, aggregate=aggregate,
-                               labels=relevant.labels)
-    return DecayReport(tau=float(horizon), no_decay=True, times=times,
-                       table=table, aggregate=aggregate,
-                       labels=relevant.labels)
+        if np.all(aggregate[window] <= DECAY_THRESHOLD * scale):
+            tau = float(s_star)
+            break
+    return DecayReport(tau=float(horizon) if tau is None else tau, no_decay=tau is None,
+                       times=times, table=table, aggregate=aggregate, labels=relevant.labels)
 
 
 # ---- entropy monitor ---------------------------------------------------------

@@ -3,12 +3,12 @@
 Propagators are built by Hermitian eigendecomposition rather than by any
 stepping scheme: at desk-scale dimensions exactness of the unitary matters
 more than speed.  Two structures of the box model keep that exactness
-cheap.  The basis enumeration keeps particle-number sectors contiguous, so
-a generator that couples no two sectors is diagonalized sector by sector,
-and every operand is transformed only on the sector pairs it connects, one
-pair at a time, so a consumer never needs the full (n, d, d) stack.  The
-model is real in the occupation basis, so a generator or operand with no
-imaginary part is diagonalized and transformed in real arithmetic.
+cheap.  Particle-number sectors are contiguous, so a generator that couples
+no two is diagonalized by blocks, runs of consecutive sectors, and every
+operand is transformed only on the block pairs it connects, one pair at a
+time, so a consumer never needs the full (n, d, d) stack.  The model is
+real in the occupation basis, so a generator or operand with no imaginary
+part is diagonalized and transformed in real arithmetic.
 """
 
 from __future__ import annotations
@@ -19,19 +19,22 @@ from .fock import FieldOperator
 
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
+# a Spectrum block closes at this many states; from this many on a side of a block
+# pair, each operator is transformed on its own nonzero rows, else all in one product
+ROW_RESTRICT = 32
 
 
 class Spectrum:
     """Eigendecomposition of a Hermitian operator, blocked by particle number.
 
-    op is a FieldOperator or a dense Hermitian matrix.  It is diagonalized
-    block by block over the particle-number sectors of its basis (or the
-    given sectors, for a dense matrix) when it couples none of them, and as
-    one sector spanning the basis otherwise: blocks[i] holds the
-    eigenvectors of slices[i], real when op is; no full eigenvector matrix
-    is held.  Changes of basis act on the sector pairs an operand connects:
-    sector_blocks yields an operator stack's blocks there one pair at a
-    time, and eigenbasis_stack scatters them into a full stack.  Dressing
+    op is a FieldOperator or a dense Hermitian matrix.  Its blocks are runs of
+    consecutive particle-number sectors of its basis (or the given sectors),
+    each closed once it holds ROW_RESTRICT states; op is diagonalized block by
+    block when it couples no two of them, else as one block: blocks[i] holds
+    the eigenvectors of slices[i], real when op is.  Changes of basis act on
+    the block pairs an operand connects: sector_blocks yields an operator
+    stack's blocks there one pair at a time, diagonal_blocks gathers them per
+    block, eigenbasis_stack scatters them into a full stack.  Dressing
     A -> exp(+iHt/hbar) A exp(-iHt/hbar) is an elementwise phase mask in the
     eigenbasis, computed afresh on each call; negative times give the
     retarded operators A(-s) of the history integrals.
@@ -46,7 +49,11 @@ class Spectrum:
         dev = float(np.max(np.abs(m - m.conj().T)))
         if dev >= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m)))):
             raise ValueError(f"operator is not Hermitian: ||A - A^dag||_max = {dev:.3e}")
-        self.slices = [sl for _, sl in sectors or ()]
+        self.slices = []
+        for _, sl in sectors or ():
+            if self.slices and self.slices[-1].stop - self.slices[-1].start < ROW_RESTRICT:
+                sl = slice(self.slices.pop().start, sl.stop)
+            self.slices.append(sl)
         if not self.slices or np.count_nonzero(m) != sum(
                 np.count_nonzero(m[sl, sl]) for sl in self.slices):
             self.slices = [slice(0, len(m))]
@@ -58,36 +65,30 @@ class Spectrum:
         self.blocks = [v for _, v in eigs]
 
     def _pairs(self, rows, cols):
-        """The sector pairs (r, c) holding the entries at (rows, cols)."""
+        """The block pairs (r, c) holding the entries at (rows, cols)."""
         k = len(self.slices)
         counts = np.bincount(self.sector[rows] * k + self.sector[cols], minlength=k * k)
         return [divmod(int(p), k) for p in np.flatnonzero(counts)]
-
-    def _sandwich(self, x, left, right):
-        """left[r] X_rc right[c] on each sector pair (r, c) that a dense matrix or
-        (n, d, d) stack X connects; zero elsewhere."""
-        stack = np.asarray(x).reshape((-1,) + np.shape(x)[-2:])
-        out = np.zeros(stack.shape, dtype=np.result_type(stack, *left, *right))
-        for r, c in self._pairs(*np.nonzero(np.any(stack, axis=0))):
-            rs, cs = self.slices[r], self.slices[c]
-            out[:, rs, cs] = left[r] @ stack[:, rs, cs] @ right[c]
-        return out.reshape(np.shape(x))
 
     def to_eigenbasis(self, A):
         return eigenbasis_stack(self, [A])[0]
 
     def from_eigenbasis(self, m):
-        """v m v^dag for one matrix or an (n, d, d) stack in the eigenbasis."""
-        return self._sandwich(m, self.blocks, [b.T.conj() for b in self.blocks])
+        """v m v^dag for one matrix or an (n, d, d) stack in the eigenbasis, on
+        each block pair (r, c) it connects: v_r m_rc v_c^dag; zero elsewhere."""
+        stack = np.asarray(m).reshape((-1,) + np.shape(m)[-2:])
+        out = np.zeros(stack.shape, dtype=np.result_type(stack, *self.blocks))
+        for r, c in self._pairs(*np.nonzero(np.any(stack, axis=0))):
+            rs, cs = self.slices[r], self.slices[c]
+            out[:, rs, cs] = self.blocks[r] @ stack[:, rs, cs] @ self.blocks[c].T.conj()
+        return out.reshape(np.shape(m))
 
-    def from_other(self, other, m):
-        """m, a matrix or stack in the eigenbasis of other, in this eigenbasis:
-        through the block overlaps v_r^dag u_r when both share their sectors."""
-        if self.slices != other.slices:
-            return self._sandwich(other.from_eigenbasis(m),
-                                  [b.T.conj() for b in self.blocks], self.blocks)
-        overlap = [a.T.conj() @ b for a, b in zip(self.blocks, other.blocks)]
-        return self._sandwich(m, overlap, [o.T.conj() for o in overlap])
+    def from_blocks(self, ms):
+        """sum_k v_k m_k v_k^dag for one matrix m_k per block, in the eigenbasis."""
+        out = np.zeros((len(self.w),) * 2, dtype=np.result_type(*ms, *self.blocks))
+        for sl, v, m in zip(self.slices, self.blocks, ms):
+            out[sl, sl] = v @ m @ v.T.conj()
+        return out
 
     def dress_eig(self, A_eig, t):
         """Dress an operator (or a stack) already expressed in the eigenbasis."""
@@ -98,7 +99,7 @@ class Spectrum:
         return self.from_eigenbasis(self.dress_eig(self.to_eigenbasis(A), t))
 
     def with_eigenvalues(self, f):
-        """sum_a f[a] |a><a|, by sector block; on real blocks the real and
+        """sum_a f[a] |a><a|, block by block; on real blocks the real and
         imaginary parts of a complex f take one real product each."""
         out = np.zeros((len(self.w),) * 2, dtype=np.result_type(f, *self.blocks))
         split = np.iscomplexobj(f) and np.isrealobj(self.blocks[0])
@@ -140,17 +141,13 @@ def stacked(ops):
     return s if np.any(s.data.imag) else s.real
 
 
-# from this many states on a side of a sector pair, each operator is transformed
-# on its own nonzero rows; smaller pairs take one batched product
-ROW_RESTRICT = 32
-
 
 class OperatorStack:
     """n operators on one basis, held for repeated changes of basis.
 
     matrix is the stack as one sparse (n d, d) CSR matrix, real when every
-    entry is.  The stack is split by the sector partition of the last spectrum
-    it met: on each sector pair (r, c) the operators connect, a pair with
+    entry is.  The stack is split by the block partition of the last spectrum
+    it met: on each block pair (r, c) the operators connect, a pair with
     fewer than ROW_RESTRICT states on each side keeps the dense (n, d_r, d_c)
     block of all n, a larger one, for each operator j, the rows R it touches
     in r and its entries A[R, c] as CSR, as (j, R or None for all rows, A).
@@ -165,7 +162,7 @@ class OperatorStack:
         self._held = (None, None)
 
     def split(self, spectrum):
-        """[(r, c, part)] over the sector pairs of spectrum the operators connect."""
+        """[(r, c, part)] over the block pairs of spectrum the operators connect."""
         key = tuple((sl.start, sl.stop) for sl in spectrum.slices)
         if self._held[0] != key:
             self._held = (key, self._parts(spectrum))
@@ -178,7 +175,7 @@ class OperatorStack:
         member, row = np.divmod(np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)),
                                 self.dim)
         col = m.indices
-        # entries grouped by sector pair, operator-major within each pair
+        # entries grouped by block pair, operator-major within each pair
         pair = spectrum.sector[row] * k + spectrum.sector[col]
         order = np.argsort(pair, kind="stable")
         keys, starts = np.unique(pair[order], return_index=True)
@@ -204,7 +201,7 @@ class OperatorStack:
 
 
 def sector_blocks(spectrum, held):
-    """Yield (rs, cs, block) for each sector pair (r, c) of spectrum that the
+    """Yield (rs, cs, block) for each block pair (r, c) of spectrum that the
     operators of the OperatorStack held connect: block = v_r^dag A_rc v_c for
     every operator A, a fresh (n, d_r, d_c) array, real when both are; rs and
     cs are the pair's slices.
@@ -217,8 +214,21 @@ def sector_blocks(spectrum, held):
                _transformed(spectrum.blocks[r], spectrum.blocks[c], part, held.n))
 
 
+def diagonal_blocks(spectrum, ops):
+    """[v_k^dag A v_k for every A of ops] on each block k of spectrum, an (n, d_k,
+    d_k) array, real when both are; None when an operator couples two blocks.
+    ops is a list of operators or an OperatorStack."""
+    held = ops if isinstance(ops, OperatorStack) else OperatorStack(ops)
+    parts = {r: part for r, c, part in held.split(spectrum) if r == c}
+    if len(parts) < len(held.split(spectrum)):
+        return None
+    return [_transformed(v, v, parts[k], held.n) if k in parts else np.zeros(
+        (held.n,) + v.shape, dtype=np.result_type(held.matrix.dtype, v))
+        for k, v in enumerate(spectrum.blocks)]
+
+
 def _transformed(vr, vc, part, n):
-    """v_r^dag A v_c on one sector pair, from a part of OperatorStack.split."""
+    """v_r^dag A v_c on one block pair, from a part of OperatorStack.split."""
     if isinstance(part, np.ndarray):
         return vr.conj().T @ part @ vc
     out = np.zeros((n, len(vr), len(vc)), dtype=np.result_type(vr, part[0][2].dtype))
@@ -241,7 +251,7 @@ def eigenbasis_stack(spectrum, ops):
 
 
 def hermitian_eig(op):
-    """Eigenvalues of a Hermitian FieldOperator, ascending within each sector,
+    """Eigenvalues of a Hermitian FieldOperator, ascending within each block,
     and its full complex eigenvector matrix, assembled from the Spectrum's blocks."""
     spectrum = Spectrum(op)
     v = np.zeros((len(spectrum.w),) * 2, dtype=complex)

@@ -55,12 +55,6 @@ class Region:
             raise ValueError("region sites must be contiguous")
         object.__setattr__(self, "sites", s)
 
-    @property
-    def boundary(self):
-        if len(self.sites) == 1:
-            return (self.sites[0],)
-        return (self.sites[0], self.sites[-1])
-
     def __len__(self):
         return len(self.sites)
 
@@ -101,19 +95,6 @@ class OneQuantonState:
         if n == 0.0:
             raise ValueError("cannot normalize a zero state")
         return OneQuantonState(self.region, self.amplitudes / n, self.dx)
-
-    def to_json(self):
-        import json
-
-        return json.dumps(
-            {
-                "sites": list(self.region.sites),
-                "dx": self.dx,
-                "amplitudes": [[[float(z.real), float(z.imag)] for z in row]
-                               for row in self.amplitudes],
-            },
-            sort_keys=True,
-        )
 
 
 def one_quanton(region_, amplitudes, dx=1.0):

@@ -245,7 +245,7 @@ def oracle_surface_term(psi, rho, basis, model):
 
     pref = model.hbar**2 / (2.0 * model.mass)
     acc = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for yb in reg.boundary:
+    for yb in sorted({reg.sites[0], reg.sites[-1]}):
         for s in range(model.g):
             grad, fb = outward_gradient(yb, s), fields[pos[yb]][s]
             for iy in range(len(reg)):

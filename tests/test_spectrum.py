@@ -63,7 +63,6 @@ from fockbox.neqso import (
     HistorySpec,
     HistoryTerm,
     _DynamicsEngine,
-    _macrostate,
     cosine_test_function,
     decay_time,
     evolve_and_rewrite,
@@ -199,6 +198,36 @@ def test_non_hermitian_input_rejected():
     for op in (annihilation(basis, 0), annihilation(basis, 0).to_dense()):
         with pytest.raises(ValueError, match="not Hermitian"):
             Spectrum(op)
+
+
+def assert_runs_of_sectors(spectrum, basis):
+    """The blocks are runs of whole consecutive sectors, each closed as soon as
+    it holds ROW_RESTRICT states: all but the last hold that many, and none
+    would without its last sector."""
+    starts = [a for _, a, _ in basis.sectors] + [basis.dim]
+    assert spectrum.slices[0].start == 0 and spectrum.slices[-1].stop == basis.dim
+    for sl, nxt in zip(spectrum.slices, spectrum.slices[1:]):
+        assert sl.stop == nxt.start
+    for i, sl in enumerate(spectrum.slices):
+        assert sl.start in starts and sl.stop in starts
+        last = max(a for a in starts if a < sl.stop)
+        assert last - sl.start < propagate.ROW_RESTRICT
+        if i < len(spectrum.slices) - 1:
+            assert sl.stop - sl.start >= propagate.ROW_RESTRICT
+
+
+@SETTINGS
+@given(st.data())
+def test_blocks_are_runs_of_whole_sectors(data):
+    basis, _, h = data.draw(hermitian_models())
+    # the library's threshold and smaller ones, under which these small bases
+    # split into several blocks
+    row_restrict = data.draw(st.sampled_from([1, 4, propagate.ROW_RESTRICT]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "ROW_RESTRICT", row_restrict)
+        for spectrum in (Spectrum(h), Spectrum(h.to_dense(), sectors=basis.sector_slices())):
+            assert_runs_of_sectors(spectrum, basis)
+            assert_close(spectrum.with_eigenvalues(spectrum.w), h.to_dense())
 
 
 # ---- kubo_matrix ---------------------------------------------------------------
@@ -416,45 +445,62 @@ def spont_combo(rel, ad_eig, zeta, zdot):
     return np.tensordot(np.concatenate([w * zdot, -w * zeta]), ad_eig, 1)
 
 
-def per_node_derivative(engine, history, t, zeta, times, zetas, zdots):
+def commutators(rel, h):
+    """(i/hbar)[H, A_j] for every member, hbar = 1."""
+    return [1j * (h @ a - a @ h) for a in rel.operators]
+
+
+def per_node_operand(rel, history, h, tau_cut, t, zeta, records):
+    """The history operand of the derivative at (t, zeta) in the state's
+    eigenbasis, every node combined and dressed on the spot, and the trapezoid
+    weight of the endpoint; records are the (t', zeta, zdot) nodes so far."""
+    spectrum = Spectrum(h)
+    ad_eig = eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
+    cutoff = -np.inf if tau_cut is None else t - tau_cut
+    operand = per_node_prep(rel, history, spectrum, t, cutoff)
+    kept = [r for r in records if r[0] >= cutoff]
+    nodes = [tp for tp, _, _ in kept] + [t]
+    combos = [spont_combo(rel, ad_eig, z, zd) for _, z, zd in kept]
+    combos.append(spont_combo(rel, ad_eig, zeta, np.zeros_like(zeta)))
+    operand += per_node_integral(spectrum, t, nodes, combos)
+    state = Spectrum(exponent_matrix(rel, zeta), sectors=rel.basis.sector_slices())
+    to_state = eigenvectors(state).conj().T @ eigenvectors(spectrum)
+    return to_state @ operand @ to_state.conj().T, trapezoid(nodes)[-1]
+
+
+def per_node_derivative(rel, history, h, tau_cut, t, zeta, records):
     """The derivative with the history passed in and re-dressed on every call."""
-    rel, spectrum = engine.relevant, engine.spectrum
     state = Spectrum(exponent_matrix(rel, zeta), sectors=rel.basis.sector_slices())
     p = np.clip(state.gibbs()[0], 1e-14, None)
     a_st = eigenbasis_stack(state, rel.operators)
-    c_st = eigenbasis_stack(state, engine.commutators)
+    c_st = eigenbasis_stack(state, commutators(rel, h))
     gram = kubo_matrix(p, a_st, a_st).real
     rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
-    cutoff = -np.inf if engine.tau_cut is None else t - engine.tau_cut
-    operand = per_node_prep(rel, history, spectrum, t, cutoff)
-    kept = [k for k, tp in enumerate(times) if tp >= cutoff]
-    nodes = [times[k] for k in kept] + [t]
-    combos = [spont_combo(rel, engine.ad_eig, zetas[k], zdots[k]) for k in kept]
-    combos.append(spont_combo(rel, engine.ad_eig, zeta, np.zeros_like(zeta)))
-    operand += per_node_integral(spectrum, t, nodes, combos)
-    w_end = trapezoid(nodes)[-1]
-    to_state = eigenvectors(state).conj().T @ eigenvectors(spectrum)
-    operand = to_state @ operand @ to_state.conj().T
+    operand, w_end = per_node_operand(rel, history, h, tau_cut, t, zeta, records)
     rhs += kubo_matrix(p, c_st, operand[None])[:, 0].real
     kmat = kubo_matrix(p, c_st, a_st).real if w_end else 0.0
     mw = (gram + w_end * kmat) * rel.weights[None, :]
     u, *_ = np.linalg.lstsq(mw, -rhs, rcond=1e-13)
-    return engine.proj @ u
+    return gauge_projector(rel) @ u
 
 
 def per_node_trajectory(rel, zeta0, history, h, step, n_steps, tau_cut):
     """Explicit midpoint as zeta_dynamics takes it, with the per-node derivative."""
-    engine = _DynamicsEngine(rel, history, h, 1.0, tau_cut)
     ts, zs, zdots, t = [0.0], [np.asarray(zeta0, float)], [], 0.0
-    for _ in range(n_steps):
-        f1 = per_node_derivative(engine, history, t, zs[-1], ts[:-1], zs[:-1], zdots)
+
+    def derivative(t, zeta, k):
+        return per_node_derivative(rel, history, h, tau_cut, t, zeta,
+                                   list(zip(ts[:k], zs[:k], zdots[:k])))
+
+    for i in range(n_steps):
+        f1 = derivative(t, zs[-1], i)
         zdots.append(f1)
         zm = zs[-1] + 0.5 * step * f1
-        f2 = per_node_derivative(engine, history, t + 0.5 * step, zm, ts, zs, zdots)
+        f2 = derivative(t + 0.5 * step, zm, i + 1)
         zs.append(zs[-1] + step * f2)
         t += step
         ts.append(t)
-    zdots.append(per_node_derivative(engine, history, t, zs[-1], ts[:-1], zs[:-1], zdots))
+    zdots.append(derivative(t, zs[-1], n_steps))
     return np.array(zs), np.array(zdots)
 
 
@@ -517,9 +563,18 @@ def test_trajectory_matches_per_node_oracle(data):
 
 
 def footprint(obj):
-    """Bytes of each array an object holds and the length of each list."""
-    return {k: v.nbytes if isinstance(v, np.ndarray) else len(v)
-            for k, v in vars(obj).items() if isinstance(v, (np.ndarray, list, dict))}
+    """Bytes of each array an object holds, alone or in a list of arrays, and
+    the length of each other list."""
+    def size(v):
+        if isinstance(v, np.ndarray):
+            return v.nbytes
+        return [x.nbytes for x in v] if v and isinstance(v[0], np.ndarray) else len(v)
+    return {k: size(v) for k, v in vars(obj).items() if isinstance(v, (np.ndarray, list, dict))}
+
+
+def block_shapes(engine, n_nodes):
+    return [(n_nodes, sl.stop - sl.start, sl.stop - sl.start)
+            for sl in engine.past.spectrum.slices]
 
 
 def test_engine_memory_is_one_node_per_record():
@@ -538,14 +593,14 @@ def test_engine_memory_is_one_node_per_record():
     n_nodes = 15
     for k in range(n_nodes):
         engine.record(0.05 * k, zeta + 0.01 * k, rng.normal(size=len(rel)))
-    held = [footprint(x) for x in (engine, engine.past, engine.spectrum)]
+    held = [footprint(x) for x in (engine, engine.past, engine.past.spectrum)]
     for t, tau_cut in itertools.product([0.7, 0.725, 1.3, 4.0],
                                         [None, 0.1, 0.4, 0.9, 10.0]):
         engine.tau_cut = tau_cut
         engine.derivative(t, zeta)
-    assert engine.stack.shape == (n_nodes, basis.dim, basis.dim)
+    assert [b.shape for b in engine.stack] == block_shapes(engine, n_nodes)
     assert len(engine.times) == n_nodes
-    assert [footprint(x) for x in (engine, engine.past, engine.spectrum)] == held
+    assert [footprint(x) for x in (engine, engine.past, engine.past.spectrum)] == held
 
 
 # ---- real and complex arithmetic, sector blocks ----------------------------------
@@ -583,14 +638,12 @@ def test_real_and_complex_spectra_match_oracles(data):
         got = kubo_matrix(p, stack, stack)
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
-    # from one eigenbasis to another, sectored alike (through the block
-    # overlaps) or not (a spectrum of H as one sector)
-    real = np.random.default_rng(data.draw(st.integers(0, 99))).normal(size=hd.shape)
-    for other, m in itertools.product((spectrum, Spectrum(hd)), (real, None)):
-        m = other.to_eigenbasis(ops[1]) if m is None else m
-        to_state = eigenvectors(state).conj().T @ eigenvectors(other)
-        want_m = to_state @ m @ to_state.conj().T
-        assert np.max(np.abs(state.from_other(other, m) - want_m)) < 1e-10
+    # one matrix per block of the eigenbasis, back in the occupation basis
+    rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+    ms = [rng.normal(size=(sl.stop - sl.start,) * 2) for sl in spectrum.slices]
+    v = eigenvectors(spectrum)
+    want_m = v @ scipy.linalg.block_diag(*ms) @ v.conj().T
+    assert np.max(np.abs(spectrum.from_blocks(ms) - want_m)) < 1e-10
 
     rel = relevant_set([f"rho[{x}]" for x in range(model.L)] + ["H"],
                        list(density_ops(basis, model)) + [h])
@@ -635,7 +688,7 @@ def test_real_blocks_stay_in_their_sectors_and_public_dtypes_hold():
     model = LatticeModel(L=3, V=v, range_V=rv)
     h = build_hamiltonian(basis, model)
     spectrum = Spectrum(h)
-    assert len(spectrum.blocks) == len(basis.sectors)
+    assert_runs_of_sectors(spectrum, basis)
     assert all(np.isrealobj(b) for b in spectrum.blocks)
     assert hermitian_eig(h)[1].dtype == complex
 
@@ -695,26 +748,21 @@ def oracle_full_gram(relevant, spectrum, p):
     return 0.5 * (g + g.T)
 
 
-def full_stack_derivative(engine, t, zeta):
+def full_stack_derivative(rel, history, h, t, zeta, records):
     """The parameter derivative with full operand stacks in the state's
-    eigenbasis and one full-stack Kubo pass per product."""
-    rel = engine.relevant
-    state, p = _macrostate(rel, zeta)
-    a_st, c_st = np.split(oracle_eigenbasis_stack(state, engine.operands.matrix), 2)
+    eigenbasis and one full-stack Kubo pass per product, without a cutoff."""
+    state, p, _ = _gibbs(rel, zeta)
+    p = np.clip(p, 1e-14, None)
+    ops = stacked(list(rel.operators) + commutators(rel, h))
+    a_st, c_st = np.split(oracle_eigenbasis_stack(state, ops), 2)
     gram = oracle_full_kubo(p, a_st, a_st).real
     rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
-    cutoff = -np.inf if engine.tau_cut is None else t - engine.tau_cut
-    operand = engine.past.operand(t, cutoff)
-    first = np.searchsorted(engine.times, cutoff)
-    *wq, w_end = trapezoid(np.append(engine.times[first:], t))
-    operand += engine.spectrum.dress_eig(np.tensordot(wq, engine.stack[first:], 1), -t)
-    operand += w_end * spont_combo(rel, engine.ad_eig, zeta, np.zeros_like(zeta))
-    operand = state.from_other(engine.spectrum, operand)
+    operand, w_end = per_node_operand(rel, history, h, None, t, zeta, records)
     rhs += oracle_full_kubo(p, c_st, operand[None])[:, 0].real
     kmat = oracle_full_kubo(p, c_st, a_st).real
     mw = (gram + w_end * kmat) * rel.weights[None, :]
     u, *_ = np.linalg.lstsq(mw, -rhs, rcond=1e-13)
-    return engine.proj @ u
+    return gauge_projector(rel) @ u
 
 
 def assert_close(got, want, tol=1e-12):
@@ -755,12 +803,18 @@ def assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, hermitian_ex
         T=-0.4, t0=0.0, n_quad=5, gamma_T=np.full(len(rel), 0.1),
         terms=(HistoryTerm("drive", (rel.operators[0],), np.array([0.3]),
                            cosine_test_function(2.0)),))
+    assert_engine_matches_full_stack_oracle(rel, history, h, zeta[:len(rel)])
+
+
+def assert_engine_matches_full_stack_oracle(rel, history, h, zeta):
     engine = _DynamicsEngine(rel, history, h, 1.0, None)
     rng = np.random.default_rng(3)
-    for k in range(3):
-        engine.record(0.05 * k, zeta[:len(rel)] + 0.01 * k, rng.normal(size=len(rel)))
-    got, _ = engine.derivative(0.15, zeta[:len(rel)])
-    assert_close(got, full_stack_derivative(engine, 0.15, zeta[:len(rel)]))
+    records = [(0.05 * k, zeta + 0.01 * k, rng.normal(size=len(rel))) for k in range(3)]
+    for record in records:
+        engine.record(*record)
+    got, _ = engine.derivative(0.15, zeta)
+    assert_close(got, full_stack_derivative(rel, history, h, 0.15, zeta, records))
+    return engine
 
 
 @NO_COMPLEX_CASTS
@@ -804,6 +858,51 @@ def test_row_restricted_blocks_match_full_stack_oracles(complex_h):
     assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, psi + psi.dag())
 
 
+def test_number_changing_member_takes_the_one_block_path():
+    # sectors of 1, 3, 6, 10, 15, 21 and 28 states: blocks of 35 and 49
+    basis = build_basis(BOSE, L=3, g=1, n_max=6)
+    v, rv = pair_preset("contact", v0=0.6)
+    model = LatticeModel(L=3, V=v, range_V=rv)
+    h = build_hamiltonian(basis, model)
+    assert [sl.stop - sl.start for sl in Spectrum(h).slices] == [35, 49]
+    psi = field_operator(basis, model, 1)
+    base = mass_relevant(basis, model, h)
+    rel = relevant_set(base.labels + ("psi+psi^dag",), base.operators + (psi + psi.dag(),),
+                       div_currents=base.div_currents + (zero_operator(basis),))
+    history = HistorySpec(
+        T=-0.4, t0=0.0, n_quad=5, gamma_T=np.full(len(rel), 0.1),
+        terms=(HistoryTerm("drive", (rel.operators[0],), np.array([0.3]),
+                           cosine_test_function(2.0)),))
+    engine = assert_engine_matches_full_stack_oracle(rel, history, h,
+                                                     np.linspace(-0.3, 0.3, len(rel)))
+    assert engine.past.spectrum.slices == [slice(0, basis.dim)]
+
+
+def test_engine_holds_less_than_one_full_complex_stack():
+    """At dim 165 (blocks of 45 and 120 states) the engine holds its members,
+    commutator rates and current divergences per block and real, so all it
+    keeps stays under 0.6 of the complex (2n, d, d) stack of the members and
+    divergences alone; one history term on the coarsest preparation grid."""
+    basis = build_basis(BOSE, L=8, g=1, n_max=3)
+    v, rv = pair_preset("contact", v0=0.6)
+    model = LatticeModel(L=8, V=v, range_V=rv)
+    h = build_hamiltonian(basis, model)
+    rel = mass_relevant(basis, model, h)
+    history = HistorySpec(
+        T=-0.5, t0=0.0, n_quad=2, gamma_T=np.full(len(rel), 0.1),
+        terms=(HistoryTerm("drive", (rel.operators[0],), np.array([0.3]),
+                           cosine_test_function(2.0)),))
+    _ = rel.gauge_projector
+    tracemalloc.start()
+    try:
+        engine = _DynamicsEngine(rel, history, h, 1.0, None)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n, d = len(rel), basis.dim
+    assert engine is not None and held < 0.6 * (2 * n * d * d * 16)
+
+
 def test_kubo_gram_peak_memory_stays_below_one_full_stack():
     basis = build_basis(BOSE, L=10, g=1, n_max=4)
     v, rv = pair_preset("contact", v0=0.6)
@@ -837,12 +936,19 @@ def test_engine_records_into_a_geometrically_grown_buffer():
     buffers = []
     for record in records:
         engine.record(*record)
-        root = engine.stack
-        while root.base is not None:
-            root = root.base
-        buffers.append(root)
+        roots = []
+        for root in engine.stack:
+            while root.base is not None:
+                root = root.base
+            roots.append(root)
+        buffers.append(roots)
     # every buffer is kept alive, so distinct ones have distinct ids
-    assert len({id(b) for b in buffers}) <= int(np.log2(len(records))) + 2
-    assert engine.stack.shape == (len(records), basis.dim, basis.dim)
-    for node, (t, zeta, zdot) in zip(engine.stack, records):
-        assert np.array_equal(node, engine.spectrum.dress_eig(engine._combo(zeta, zdot), t))
+    for per_block in zip(*buffers):
+        assert len({id(b) for b in per_block}) <= int(np.log2(len(records))) + 2
+    assert [b.shape for b in engine.stack] == block_shapes(engine, len(records))
+    spectrum = engine.past.spectrum
+    ad_eig = eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
+    for k, (t, zeta, zdot) in enumerate(records):
+        node = spectrum.dress_eig(spont_combo(rel, ad_eig, zeta, zdot), t)
+        for nodes, sl in zip(engine.stack, spectrum.slices):
+            assert_close(nodes[k], node[sl, sl])
