@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np  # scipy.sparse is imported where used, as in fock
 
-from .propagate import OperatorStack, Spectrum, eigenbasis_stack, sector_blocks
+from .propagate import OperatorStack, Spectrum, sector_blocks
 
 MATCH_TOL = 1e-9
 MAX_NEWTON_ITERS = 60
@@ -239,10 +239,10 @@ def kubo(C, B, W, eig_floor=EIG_FLOOR):
 
     <C, B>_W = Tr C int_0^1 du exp(uA) B exp(-uA) W  -  Tr(C W) Tr(B W)
     with W = exp(A)/Tr exp(A); evaluated in W's eigenbasis through the
-    closed-form kernel, so no quadrature enters.  W must be positive
-    definite; eigenvalues below eig_floor are lifted to it (documented
-    regularization), unless eig_floor is None, in which case a singular W
-    raises.
+    closed-form kernel, so no quadrature enters.  The operands are
+    transformed one block pair at a time.  W must be positive definite;
+    eigenvalues below eig_floor are lifted to it (documented regularization),
+    unless eig_floor is None, in which case a singular W raises.
     """
     spectrum = Spectrum(W)
     w = spectrum.w
@@ -251,9 +251,7 @@ def kubo(C, B, W, eig_floor=EIG_FLOOR):
     if eig_floor is None and w.min() <= 0.0:
         raise ValueError("W is singular; pass eig_floor (e.g. 1e-14) to regularize")
     floored = w if eig_floor is None else np.clip(w, eig_floor, None)
-    c, b = eigenbasis_stack(spectrum, [C, B])[:, None]
-    full = slice(None)
-    return complex(_kubo(floored, [(full, full, c.transpose(0, 2, 1), b)], (1, 1))[0][0, 0])
+    return _correlation(spectrum, floored, C, B)[0]
 
 
 def cumulant_expect(C, A_exponent, B_perturbation, eig_floor=EIG_FLOOR):
@@ -265,11 +263,21 @@ def cumulant_expect(C, A_exponent, B_perturbation, eig_floor=EIG_FLOOR):
     """
     spectrum = Spectrum(A_exponent)
     p, _ = spectrum.gibbs()
-    c, b = eigenbasis_stack(spectrum, [C, B_perturbation])[:, None]
     floored = p if eig_floor is None else np.clip(p, eig_floor, None)
-    full = slice(None)
-    corr = _kubo(floored, [(full, full, c.transpose(0, 2, 1), b)], (1, 1))[0][0, 0]
-    return float((np.diagonal(c[0]) @ p + corr).real)
+    corr, mean = _correlation(spectrum, floored, C, B_perturbation)
+    return float((mean + corr).real)
+
+
+def _correlation(spectrum, p, C, B):
+    """(<C, B>, Tr(C W)) in the state W with eigenvalues p on the eigenvectors
+    of spectrum, for FieldOperators or matrices C and B.  C^dag and B are
+    transformed as one stack by sector_blocks: on the pair (r, c) where B_rc
+    lives, conj(C^dag_rc) is the C_cr^T that _kubo pairs it with."""
+    c_dag = C.dag() if hasattr(C, "dag") else C.conj().T
+    pairs = ((rs, cs, block[:1].conj(), block[1:])
+             for rs, cs, block in sector_blocks(spectrum, OperatorStack([c_dag, B])))
+    corr, mean = _kubo(p, pairs, (1, 1))
+    return complex(corr[0, 0]), mean[0]
 
 
 def expectations(relevant, rho):

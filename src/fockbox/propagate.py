@@ -6,7 +6,7 @@ more than speed.  Two structures of the box model keep that exactness
 cheap.  Particle-number sectors are contiguous, so a generator that couples
 no two is diagonalized by blocks, runs of consecutive sectors, and every
 operand is transformed only on the block pairs it connects, one pair at a
-time, so a consumer never needs the full (n, d, d) stack.  The model is
+time, so no path builds the full (n, d, d) stack.  The model is
 real in the occupation basis, so a generator or operand with no imaginary
 part is diagonalized and transformed in real arithmetic.
 """
@@ -34,10 +34,7 @@ class Spectrum:
     the eigenvectors of slices[i], real when op is.  Changes of basis act on
     the block pairs an operand connects: sector_blocks yields an operator
     stack's blocks there one pair at a time, diagonal_blocks gathers them per
-    block, eigenbasis_stack scatters them into a full stack.  Dressing
-    A -> exp(+iHt/hbar) A exp(-iHt/hbar) is an elementwise phase mask in the
-    eigenbasis, computed afresh on each call; negative times give the
-    retarded operators A(-s) of the history integrals.
+    block, and from_blocks and with_eigenvalues map back.
     """
 
     def __init__(self, op, hbar=1.0, sectors=None):
@@ -64,39 +61,12 @@ class Spectrum:
         self.w = np.concatenate([w for w, _ in eigs])
         self.blocks = [v for _, v in eigs]
 
-    def _pairs(self, rows, cols):
-        """The block pairs (r, c) holding the entries at (rows, cols)."""
-        k = len(self.slices)
-        counts = np.bincount(self.sector[rows] * k + self.sector[cols], minlength=k * k)
-        return [divmod(int(p), k) for p in np.flatnonzero(counts)]
-
-    def to_eigenbasis(self, A):
-        return eigenbasis_stack(self, [A])[0]
-
-    def from_eigenbasis(self, m):
-        """v m v^dag for one matrix or an (n, d, d) stack in the eigenbasis, on
-        each block pair (r, c) it connects: v_r m_rc v_c^dag; zero elsewhere."""
-        stack = np.asarray(m).reshape((-1,) + np.shape(m)[-2:])
-        out = np.zeros(stack.shape, dtype=np.result_type(stack, *self.blocks))
-        for r, c in self._pairs(*np.nonzero(np.any(stack, axis=0))):
-            rs, cs = self.slices[r], self.slices[c]
-            out[:, rs, cs] = self.blocks[r] @ stack[:, rs, cs] @ self.blocks[c].T.conj()
-        return out.reshape(np.shape(m))
-
     def from_blocks(self, ms):
         """sum_k v_k m_k v_k^dag for one matrix m_k per block, in the eigenbasis."""
         out = np.zeros((len(self.w),) * 2, dtype=np.result_type(*ms, *self.blocks))
         for sl, v, m in zip(self.slices, self.blocks, ms):
             out[sl, sl] = v @ m @ v.T.conj()
         return out
-
-    def dress_eig(self, A_eig, t):
-        """Dress an operator (or a stack) already expressed in the eigenbasis."""
-        phase = np.exp(1j * self.w * t / self.hbar)
-        return np.outer(phase, phase.conj()) * A_eig
-
-    def dress(self, A, t):
-        return self.from_eigenbasis(self.dress_eig(self.to_eigenbasis(A), t))
 
     def with_eigenvalues(self, f):
         """sum_a f[a] |a><a|, block by block; on real blocks the real and
@@ -127,36 +97,30 @@ class Spectrum:
         return boltz / z, float(shift + np.log(z))
 
 
-# the Heisenberg-dressing name of the same object
+# bench/tracing.py traces Spectrum construction under this name until the
+# benchmark moves to Spectrum itself
 Dresser = Spectrum
-
-
-def stacked(ops):
-    """Operators as one sparse (n d, d) CSR matrix, real when every entry is."""
-    import scipy.sparse as sp
-
-    s = sp.vstack([op.matrix if isinstance(op, FieldOperator)
-                   else op if sp.issparse(op) else sp.csr_matrix(op) for op in ops],
-                  format="csr")
-    return s if np.any(s.data.imag) else s.real
-
 
 
 class OperatorStack:
     """n operators on one basis, held for repeated changes of basis.
 
-    matrix is the stack as one sparse (n d, d) CSR matrix, real when every
-    entry is.  The stack is split by the block partition of the last spectrum
-    it met: on each block pair (r, c) the operators connect, a pair with
-    fewer than ROW_RESTRICT states on each side keeps the dense (n, d_r, d_c)
-    block of all n, a larger one, for each operator j, the rows R it touches
-    in r and its entries A[R, c] as CSR, as (j, R or None for all rows, A).
+    ops are FieldOperators or sparse or dense matrices; matrix is the stack as
+    one sparse (n d, d) CSR matrix, real when every entry is.  The stack is
+    split by the block partition of the last spectrum it met: on each block
+    pair (r, c) the operators connect, a pair with fewer than ROW_RESTRICT
+    states on each side keeps the dense (n, d_r, d_c) block of all n, a larger
+    one, for each operator j, the rows R it touches in r and its entries
+    A[R, c] as CSR, as (j, R or None for all rows, A).
     """
 
     def __init__(self, ops):
         import scipy.sparse as sp
 
-        self.matrix = ops if sp.issparse(ops) else stacked(ops)
+        m = sp.vstack([op.matrix if isinstance(op, FieldOperator)
+                       else op if sp.issparse(op) else sp.csr_matrix(op) for op in ops],
+                      format="csr")
+        self.matrix = m if np.any(m.data.imag) else m.real
         self.dim = self.matrix.shape[1]
         self.n = self.matrix.shape[0] // self.dim
         self._held = (None, None)
@@ -234,19 +198,6 @@ def _transformed(vr, vc, part, n):
     out = np.zeros((n, len(vr), len(vc)), dtype=np.result_type(vr, part[0][2].dtype))
     for j, rows, entries in part:
         np.matmul((vr if rows is None else vr[rows]).conj().T, entries @ vc, out=out[j])
-    return out
-
-
-def eigenbasis_stack(spectrum, ops):
-    """(n, d, d) stack of ops (a list, stacked, or an OperatorStack) in the
-    eigenbasis of spectrum, real when both are: the blocks of sector_blocks
-    scattered into a zero stack."""
-    held = ops if isinstance(ops, OperatorStack) else OperatorStack(ops)
-    d = len(spectrum.w)
-    out = np.zeros((held.n, d, d),
-                   dtype=np.result_type(held.matrix.dtype, spectrum.blocks[0].dtype))
-    for rs, cs, block in sector_blocks(spectrum, held):
-        out[:, rs, cs] = block
     return out
 
 

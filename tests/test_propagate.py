@@ -4,7 +4,7 @@ import pytest
 from fockbox.fock import BOSE, build_basis, number_operator
 from fockbox.lattice import LatticeModel, build_hamiltonian, potential_preset
 from fockbox.maxent import entropy
-from fockbox.propagate import Dresser, evolve_state, heisenberg, propagator
+from fockbox.propagate import evolve_state, heisenberg, propagator
 
 
 @pytest.fixture
@@ -106,15 +106,6 @@ def test_time_dependent_steps_second_order():
     rate2 = errs[1] / errs[2]
     assert 3.0 < rate1 < 5.0
     assert 3.0 < rate2 < 5.0
-
-
-def test_dresser_matches_heisenberg(box):
-    basis, _, h = box
-    d = Dresser(h)
-    a = number_operator(basis, 0).to_dense()
-    for t in (0.5, -1.2):
-        direct = heisenberg(a, h, 0.0, t)
-        assert np.max(np.abs(d.dress(a, t) - direct)) < 1e-10
 
 
 def test_heisenberg_duality_time_dependent():

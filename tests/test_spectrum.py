@@ -1,4 +1,4 @@
-"""Spectrum and kubo_matrix against the slow full-space paths they replaced.
+"""Spectrum and the Kubo sums against the slow full-space paths they replaced.
 
 The oracles below are the per-pair Kubo double loop over a full-space
 eigendecomposition of the state, Heisenberg dressing by a full-space eigh
@@ -10,7 +10,7 @@ interacting, or a multiple of the total number operator (fully degenerate
 in each sector), with real Hamiltonians and, from hermitian_models(), complex
 Hermitian ones; the operands include field operators that change the
 particle number.  The full (n, d, d) transform and the per-member Kubo pass
-over it, which the sector-resident paths replaced, are kept as oracles too.
+over it, which the block-pair paths replaced, are kept as oracles too.
 """
 
 import itertools
@@ -45,15 +45,17 @@ from fockbox.lattice import (
     pair_preset,
 )
 from fockbox.maxent import (
+    _correlation,
     _density,
     _gibbs,
     _gram,
     _kubo,
-    eigenbasis_stack,
+    cumulant_expect,
     expectations,
     exponent_matrix,
     gauge_projector,
     gibbs_state,
+    kubo,
     kubo_gram,
     relevant_set,
     state_from_exponent,
@@ -76,7 +78,6 @@ from fockbox.propagate import (
     hermitian_eig,
     propagator,
     sector_blocks,
-    stacked,
 )
 
 # ---- test-only oracles -------------------------------------------------------
@@ -130,6 +131,13 @@ def oracle_dress(h_dense, a, t, hbar=1.0):
     return (v * phase) @ (v.conj().T @ a @ v) @ (v * phase).conj().T
 
 
+def dress_in_eigenbasis(spectrum, m, t):
+    """exp(+iHt/hbar) m exp(-iHt/hbar) for m (or a stack) in the eigenbasis of H:
+    an elementwise phase mask."""
+    phase = np.exp(1j * spectrum.w * t / spectrum.hbar)
+    return np.outer(phase, phase.conj()) * m
+
+
 def oracle_gibbs(x):
     e = scipy.linalg.expm(x)
     return e / np.trace(e).real
@@ -165,7 +173,7 @@ def test_dress_matches_full_space_eigh(data):
     assert np.count_nonzero(eigenvectors(spectrum)) <= blocks
     for op in operands(basis, model, data.draw):
         want = oracle_dress(h.to_dense(), op.to_dense(), t)
-        got = spectrum.dress(op, t)
+        got = heisenberg(op, h, 0.0, t).to_dense()
         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -241,7 +249,7 @@ def test_kubo_matrix_matches_pairwise_oracle(data):
     state = Spectrum(x, sectors=basis.sector_slices())
     p = np.clip(state.gibbs()[0], 1e-14, None)
     ops = operands(basis, model, data.draw) + [h]
-    stack = eigenbasis_stack(state, ops)
+    stack = oracle_eigenbasis_stack(state, ops)
     got = kubo_matrix(p, stack, stack)
     dense = [op.to_dense() for op in ops]
     want = oracle_kubo_matrix(dense, dense, oracle_gibbs(x))
@@ -419,7 +427,7 @@ def per_node_integral(spectrum, s, nodes, combos):
     """Trapezoid over nodes t' of combo(t') dressed by -(s - t'), node by node."""
     acc = np.zeros((len(spectrum.w),) * 2, dtype=complex)
     for tp, wq, combo in zip(nodes, trapezoid(nodes), combos):
-        acc += wq * spectrum.dress_eig(combo, -(s - tp))
+        acc += wq * dress_in_eigenbasis(spectrum, combo, -(s - tp))
     return acc
 
 
@@ -428,15 +436,15 @@ def per_node_prep(rel, history, spectrum, s, cutoff):
     nodes = history.prep_grid() if history.terms else np.array([])
     nodes = nodes[nodes >= cutoff]
     term_combos = [
-        np.tensordot(term.coeffs, eigenbasis_stack(spectrum, term.operators), 1)
+        np.tensordot(term.coeffs, oracle_eigenbasis_stack(spectrum, term.operators), 1)
         for term in history.terms]
     combos = [sum(term.h(tp) * c for term, c in zip(history.terms, term_combos))
               for tp in nodes]
     acc = per_node_integral(spectrum, s, nodes, combos)
     if history.gamma_T is not None and history.T >= cutoff:
         gamma = np.tensordot(history.gamma_T * rel.weights,
-                             eigenbasis_stack(spectrum, rel.operators), 1)
-        acc -= spectrum.dress_eig(gamma, -(s - history.T))
+                             oracle_eigenbasis_stack(spectrum, rel.operators), 1)
+        acc -= dress_in_eigenbasis(spectrum, gamma, -(s - history.T))
     return acc
 
 
@@ -455,7 +463,7 @@ def per_node_operand(rel, history, h, tau_cut, t, zeta, records):
     eigenbasis, every node combined and dressed on the spot, and the trapezoid
     weight of the endpoint; records are the (t', zeta, zdot) nodes so far."""
     spectrum = Spectrum(h)
-    ad_eig = eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
+    ad_eig = oracle_eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
     cutoff = -np.inf if tau_cut is None else t - tau_cut
     operand = per_node_prep(rel, history, spectrum, t, cutoff)
     kept = [r for r in records if r[0] >= cutoff]
@@ -472,8 +480,8 @@ def per_node_derivative(rel, history, h, tau_cut, t, zeta, records):
     """The derivative with the history passed in and re-dressed on every call."""
     state = Spectrum(exponent_matrix(rel, zeta), sectors=rel.basis.sector_slices())
     p = np.clip(state.gibbs()[0], 1e-14, None)
-    a_st = eigenbasis_stack(state, rel.operators)
-    c_st = eigenbasis_stack(state, commutators(rel, h))
+    a_st = oracle_eigenbasis_stack(state, rel.operators)
+    c_st = oracle_eigenbasis_stack(state, commutators(rel, h))
     gram = kubo_matrix(p, a_st, a_st).real
     rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
     operand, w_end = per_node_operand(rel, history, h, tau_cut, t, zeta, records)
@@ -507,14 +515,15 @@ def per_node_trajectory(rel, zeta0, history, h, step, n_steps, tau_cut):
 def per_node_rewritten(rel, zeta_of_t, history, h, t, n_quad):
     """rho_rewritten of evolve_and_rewrite with both history branches per node."""
     spectrum = Spectrum(h)
-    ad_eig = eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
+    ad_eig = oracle_eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
     grid = np.linspace(history.t0, t, n_quad)
     zetas = np.array([zeta_of_t(tp) for tp in grid])
     zdots = np.gradient(zetas, grid, axis=0)
     combos = [spont_combo(rel, ad_eig, z, zd) for z, zd in zip(zetas, zdots)]
     operand = (per_node_prep(rel, history, spectrum, t, -np.inf)
                + per_node_integral(spectrum, t, grid, combos))
-    x = exponent_matrix(rel, zeta_of_t(t)) + spectrum.from_eigenbasis(operand)
+    v = eigenvectors(spectrum)
+    x = exponent_matrix(rel, zeta_of_t(t)) + v @ operand @ v.conj().T
     return state_from_exponent(x, rel.basis.sector_slices())[0]
 
 
@@ -623,7 +632,8 @@ def test_real_and_complex_spectra_match_oracles(data):
     ops = operands(basis, model, data.draw) + [momentum_density_ops(basis, model)[0]]
     dense = [op.to_dense() for op in ops]
     for op, a in zip(ops, dense):
-        assert np.max(np.abs(spectrum.dress(op, t) - oracle_dress(hd, a, t))) < 1e-10
+        got = heisenberg(op, h, 0.0, t).to_dense()
+        assert np.max(np.abs(got - oracle_dress(hd, a, t))) < 1e-10
     assert np.max(np.abs(spectrum.unitary(t) - scipy.linalg.expm(-1j * t * hd))) < 1e-10
 
     x = random_state_exponent(basis, model, h, data.draw)
@@ -633,8 +643,10 @@ def test_real_and_complex_spectra_match_oracles(data):
     assert abs(log_z - np.log(np.trace(scipy.linalg.expm(x)).real)) < 1e-10
     p = np.clip(p, 1e-14, None)
     want = oracle_kubo_matrix(dense, dense, oracle_gibbs(x))
-    for stack in (eigenbasis_stack(state, ops), eigenbasis_stack(state, stacked(ops)),
-                  eigenbasis_stack(state, dense)):
+    # FieldOperators, CSR and dense matrices as the entries of one OperatorStack
+    for stack in (oracle_eigenbasis_stack(state, ops),
+                  oracle_eigenbasis_stack(state, [op.matrix for op in ops]),
+                  oracle_eigenbasis_stack(state, dense)):
         got = kubo_matrix(p, stack, stack)
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -701,8 +713,9 @@ def test_real_blocks_stay_in_their_sectors_and_public_dtypes_hold():
     for m in (spectrum.unitary(0.7), _density(state, p)):
         assert np.count_nonzero(m[~inside]) == 0
     # real operands stay real; the imaginary current divergences do not
-    assert np.isrealobj(eigenbasis_stack(state, rel.operators))
-    assert np.iscomplexobj(eigenbasis_stack(state, rel.div_currents))
+    for ops, real in ((rel.operators, True), (rel.div_currents, False)):
+        blocks = [b for _, _, b in sector_blocks(state, OperatorStack(ops))]
+        assert blocks and all(np.isrealobj(b) == real for b in blocks)
 
     rho, _ = gibbs_state(rel, zeta)
     assert rho.dtype == complex
@@ -722,11 +735,12 @@ def test_real_blocks_stay_in_their_sectors_and_public_dtypes_hold():
 def oracle_eigenbasis_stack(spectrum, ops):
     """The full (n, d, d) transform: one sparse product with the assembled
     block-diagonal eigenvectors, then v_r^dag on each sector pair present."""
-    ops = ops if sp.issparse(ops) else stacked(ops)
-    d = len(spectrum.w)
+    ops = ops if sp.issparse(ops) else OperatorStack(ops).matrix
+    d, k = len(spectrum.w), len(spectrum.slices)
     out = (ops @ eigenvectors(spectrum, spectrum.blocks[0].dtype)).reshape(-1, d, d)
     rows = np.repeat(np.tile(np.arange(d), len(out)), np.diff(ops.indptr))
-    for r, c in spectrum._pairs(rows, ops.indices):
+    pairs = np.unique(spectrum.sector[rows] * k + spectrum.sector[ops.indices])
+    for r, c in (divmod(int(pair), k) for pair in pairs):
         rs, cs = spectrum.slices[r], spectrum.slices[c]
         out[:, rs, cs] = spectrum.blocks[r].T.conj() @ out[:, rs, cs]
     return out
@@ -753,7 +767,7 @@ def full_stack_derivative(rel, history, h, t, zeta, records):
     eigenbasis and one full-stack Kubo pass per product, without a cutoff."""
     state, p, _ = _gibbs(rel, zeta)
     p = np.clip(p, 1e-14, None)
-    ops = stacked(list(rel.operators) + commutators(rel, h))
+    ops = OperatorStack(list(rel.operators) + commutators(rel, h)).matrix
     a_st, c_st = np.split(oracle_eigenbasis_stack(state, ops), 2)
     gram = oracle_full_kubo(p, a_st, a_st).real
     rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
@@ -770,22 +784,23 @@ def assert_close(got, want, tol=1e-12):
 
 
 def assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, hermitian_extra):
-    """Blocks, kubo_matrix, kubo_gram, _gram and one derivative call against the
+    """Blocks, _correlation, kubo_gram, _gram and one derivative call against the
     full-stack oracles: ops are transformed in the eigenbasis of exp(x), the
     Gram and the dynamics use the mass cells and H, plus the number-changing
     Hermitian hermitian_extra (with a zero current divergence) when given."""
     state = Spectrum(x, sectors=basis.sector_slices())
     p = np.clip(state.gibbs()[0], 1e-14, None)
     held = OperatorStack(ops)
-    want = oracle_eigenbasis_stack(state, stacked(ops))
+    want = oracle_eigenbasis_stack(state, ops)
     seen = np.zeros(want.shape[1:], dtype=bool)
     for rs, cs, block in sector_blocks(state, held):
         assert_close(block, want[:, rs, cs])
         seen[rs, cs] = True
     assert not np.any(want[:, ~seen])
-    got = eigenbasis_stack(state, held)
-    assert_close(got, want)
-    assert_close(kubo_matrix(p, got, got), oracle_full_kubo(p, want, want))
+    # every pair through _correlation, which meets C's block at (c, r) on B's (r, c)
+    got = np.array([[_correlation(state, p, c, b) for b in ops] for c in ops])
+    assert_close(got[..., 0], oracle_full_kubo(p, want, want))
+    assert_close(got[:, 0, 1], np.diagonal(want, axis1=1, axis2=2) @ p)
 
     rel = mass_relevant(basis, model, h)
     if hermitian_extra is not None:
@@ -856,6 +871,59 @@ def test_row_restricted_blocks_match_full_stack_oracles(complex_h):
     zeta = np.linspace(-0.3, 0.3, model.L + 2)
     assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, None)
     assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, psi + psi.dag())
+
+
+# ---- kubo and cumulant_expect on Fock-space operands --------------------------
+
+
+def assert_kubo_and_cumulant_match_oracle(basis, ops, x):
+    """kubo and cumulant_expect on every pair of ops in the Gibbs state W of x,
+    against Tr(C W) and the pairwise oracle: W and x are passed dense (one
+    block) and as FieldOperators (blocked by particle number)."""
+    w = oracle_gibbs(x)
+    dense = [op.to_dense() for op in ops]
+    want = oracle_kubo_matrix(dense, dense, w)
+    means = np.array([np.trace(c @ w) for c in dense])
+    for state, exponent in ((w, x), (FieldOperator(basis, w), FieldOperator(basis, x))):
+        got = np.array([[kubo(c, b, state) for b in ops] for c in ops])
+        assert_close(got, want, 1e-10)
+        got = np.array([[cumulant_expect(c, exponent, b) for b in ops] for c in ops])
+        assert_close(got, (means[:, None] + want).real, 1e-10)
+
+
+@NO_COMPLEX_CASTS
+@SETTINGS
+@given(st.data())
+def test_kubo_and_cumulant_match_pairwise_oracle(data):
+    basis, model, h = data.draw(hermitian_models())
+    # a density, a field operator, psi + psi^dag and a complex momentum density
+    ops = operands(basis, model, data.draw) + [momentum_density_ops(basis, model)[0]]
+    x = random_state_exponent(basis, model, h, data.draw)
+    # both branches of the transform, as in the full-stack test above
+    row_restrict = data.draw(st.sampled_from([1, 4, propagate.ROW_RESTRICT]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "ROW_RESTRICT", row_restrict)
+        assert_kubo_and_cumulant_match_oracle(basis, ops, x)
+
+
+@NO_COMPLEX_CASTS
+@pytest.mark.parametrize("complex_h", [False, True])
+def test_kubo_and_cumulant_restrict_rows_at_the_library_threshold(complex_h):
+    # dim 56: a dense W is one block of 56 states, a blocked one 35 + 21
+    basis = build_basis(BOSE, L=3, g=1, n_max=5)
+    v, rv = pair_preset("contact", v0=0.6)
+    model = LatticeModel(L=3, V=v, range_V=rv)
+    h = build_hamiltonian(basis, model)
+    if complex_h:
+        h = h + 0.4 * momentum_density_ops(basis, model)[1]
+    psi = field_operator(basis, model, 1)
+    ops = [density_ops(basis, model)[0], psi, psi + psi.dag(),
+           momentum_density_ops(basis, model)[2]]
+    x = -0.3 * number_operator(basis).to_dense() - 0.2 * h.to_dense()
+    for m in (x, oracle_gibbs(x)):
+        assert [sl.stop - sl.start for sl in Spectrum(FieldOperator(basis, m)).slices] \
+            == [35, 21]
+    assert_kubo_and_cumulant_match_oracle(basis, ops, x)
 
 
 def test_number_changing_member_takes_the_one_block_path():
@@ -948,8 +1016,8 @@ def test_engine_records_into_a_geometrically_grown_buffer():
         assert len({id(b) for b in per_block}) <= int(np.log2(len(records))) + 2
     assert [b.shape for b in engine.stack] == block_shapes(engine, len(records))
     spectrum = engine.past.spectrum
-    ad_eig = eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
+    ad_eig = oracle_eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
     for k, (t, zeta, zdot) in enumerate(records):
-        node = spectrum.dress_eig(spont_combo(rel, ad_eig, zeta, zdot), t)
+        node = dress_in_eigenbasis(spectrum, spont_combo(rel, ad_eig, zeta, zdot), t)
         for nodes, sl in zip(engine.stack, spectrum.slices):
             assert_close(nodes[k], node[sl, sl])
