@@ -133,10 +133,21 @@ def _check_preset(block, presets, path, findings):
                                 f"choose from {sorted(presets)}"))
         return
     allowed = presets[preset] | {"preset"}
-    for key in block:
+    for key, val in block.items():
         if key not in allowed:
             findings.append(Finding(f"{path}.{key}",
                                     f"unknown key for preset {preset!r}"))
+        elif key != "preset" and not (_same_kind(val, 0.0) or _same_kind(val, [0.0])):
+            findings.append(Finding(f"{path}.{key}", "must be a number or a list of numbers"))
+
+
+def _same_kind(value, default):
+    """An integer for an integer default, any number for a float, a list whose
+    entries follow its first entry for a list; a bool is never a number."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_kind(v, default[0]) for v in value)
+    kind = {int: int, float: (int, float)}.get(type(default), type(default))
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def validate_model(model, path="model"):
@@ -358,9 +369,12 @@ def validate_config(config):
         if not isinstance(config["params"], dict):
             findings.append(Finding("params", "must be an object"))
         else:
-            for key in config["params"]:
+            for key, val in config["params"].items():
                 if key not in defaults["params"]:
                     findings.append(Finding(f"params.{key}", "unknown key"))
+                elif not _same_kind(val, defaults["params"][key]):
+                    findings.append(Finding(f"params.{key}", "must have the kind of its "
+                                            f"default {defaults['params'][key]!r}"))
     # a non-finite number is reported once, as such
     bad = _non_finite_paths(config)
     findings = [Finding(p, "must be a finite number") for p in bad] \

@@ -13,7 +13,6 @@ midpoint with a trapezoid memory term and an optional memory cutoff.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,8 +31,6 @@ from .maxent import (
 )
 from .propagate import Spectrum, diagonal_blocks
 
-HERM_WARN = 1e-10
-HERM_FAIL = 1e-6
 DECAY_THRESHOLD = 0.05
 ENTROPY_STEP_TOL = 1e-6
 
@@ -66,16 +63,21 @@ def cosine_test_function(omega):
 class HistoryTerm:
     """One test-function-weighted history integrand.
 
-    operators are Hermitian densities or bond currents; coeffs are the
-    corresponding classical weights with the cell measure already folded
-    in, so the term contributes  h(t') * sum_k coeffs[k] O_k(-(s - t'))
-    to the exponent of the operator prepared at time s.
+    operators are Hermitian densities or bond currents, checked when the term
+    is built; coeffs are their classical weights with the cell measure folded
+    in, so the term contributes  h(t') * sum_k coeffs[k] O_k(-(s - t'))  to
+    the exponent of the operator prepared at time s.
     """
 
     label: str
     operators: tuple
     coeffs: np.ndarray
     h: Callable
+
+    def __post_init__(self):
+        for k, op in enumerate(self.operators):
+            if not op.is_hermitian(tol=1e-10):
+                raise ValueError(f"history term {self.label!r}: operator {k} is non-Hermitian")
 
 
 @dataclass(frozen=True)
@@ -124,14 +126,19 @@ def _weighted(c, stack):
     return (c @ stack.reshape(len(stack), np.prod(stack.shape[1:]))).reshape(stack.shape[1:])
 
 
-def _checked_hermitian(x, what):
-    dev = float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
-    if dev > HERM_FAIL:
-        raise ValueError(f"{what} exponent non-Hermitian beyond tolerance ({dev:.3e})")
-    if dev > HERM_WARN:
-        warnings.warn(f"{what} exponent symmetrized (deviation {dev:.3e})")
-        return 0.5 * (x + x.conj().T)
-    return x
+def _phase_kernels(spectrum, s, nodes, coef):
+    """Per block of spectrum, K_m[a, b] = sum_k w_k coef[k, m] exp(i (w_a - w_b)(t_k - s)/hbar)
+    for each column m of coef, w_k the trapezoid weights over nodes, as one matrix
+    product: the history integral sum_m K_m * O_m of operators O_m in the eigenbasis
+    of H at s, with no (nodes, d_k, d_k) stack of dressed operators."""
+    coef = _trapezoid_weights(nodes)[:, None] * coef
+    phase = np.exp(1j * np.multiply.outer(nodes - s, spectrum.w) / spectrum.hbar)
+    out = []
+    for sl in spectrum.slices:
+        d = sl.stop - sl.start
+        weighted = (coef[:, :, None] * phase[:, None, sl]).reshape(len(nodes), coef.shape[1] * d)
+        out.append((weighted.T @ phase[:, sl].conj()).reshape(coef.shape[1], d, d))
+    return out
 
 
 def _masks(spectrum, t):
@@ -144,8 +151,9 @@ class _PreparedHistory:
     """The [T, t0] record and terminal term on each block of spectrum, H's (as one
     block when a member, current divergence or history operator couples two):
     there members holds the A_j, div_rates the i div J_j (real for the imaginary
-    divergences of a real model), stack the combined preparation nodes, each
-    dressed once by its t', and gamma the terminal term."""
+    divergences of a real model), combos each history term's sum_k coeffs[k] O_k
+    and gamma the terminal term, so its size does not depend on n_quad; h holds
+    h(t') of each term on the nodes, one row per node."""
 
     def __init__(self, relevant, history, H, hbar):
         self.history, terms = history, history.terms
@@ -160,15 +168,10 @@ class _PreparedHistory:
         self.div_rates = None if relevant.div_currents is None else [
             1j * b if np.any(b.real) else -b.imag for b in blocks[-1]]
         self.nodes = history.prep_grid() if terms else np.array([])
-        h = np.array([[term.h(tp) for term in terms] for tp in self.nodes])
-        # each node dressed once, by its t': mask(t' - s) = mask(-s) * mask(t')
-        phase = np.exp(1j * np.multiply.outer(self.nodes, spectrum.w) / hbar)
-        self.stack = []
-        for k, (sl, a) in enumerate(zip(spectrum.slices, self.members)):
-            combos = np.array([_weighted(term.coeffs, b[k]) for term, b in zip(terms, blocks[1:])],
-                              dtype=complex).reshape((len(terms),) + a.shape[1:])
-            self.stack.append(np.tensordot(h.reshape(len(self.nodes), len(terms)), combos, 1)
-                              * phase[:, sl, None] * phase[:, None, sl].conj())
+        self.h = np.array([[term.h(tp) for term in terms]
+                           for tp in self.nodes]).reshape(len(self.nodes), len(terms))
+        self.combos = [np.array([_weighted(t.coeffs, b[k]) for t, b in zip(terms, blocks[1:])])
+                       .reshape((len(terms),) + a.shape[1:]) for k, a in enumerate(self.members)]
         self.gamma = None if history.gamma_T is None else [
             _weighted(np.asarray(history.gamma_T, float) * relevant.weights, a)
             for a in self.members]
@@ -192,9 +195,8 @@ class _PreparedHistory:
         integrals over [T, t0] dressed by -(s - t') minus gamma_T dressed by
         -(s - T); nodes before cutoff drop out, gamma_T once T does."""
         first = np.searchsorted(self.nodes, cutoff)
-        weights = _trapezoid_weights(self.nodes[first:])
-        out = [mask * _weighted(weights, stack[first:])
-               for mask, stack in zip(_masks(self.spectrum, -s), self.stack)]
+        kernels = _phase_kernels(self.spectrum, s, self.nodes[first:], self.h[first:])
+        out = [np.einsum("lab,lab->ab", k, combos) for k, combos in zip(kernels, self.combos)]
         if self.gamma is not None and self.history.T >= cutoff:
             masks = _masks(self.spectrum, self.history.T - s)
             out = [acc - mask * gamma for acc, mask, gamma in zip(out, masks, self.gamma)]
@@ -215,8 +217,7 @@ def build_rho_t0(relevant, zeta_t0, history, H, hbar=1.0):
 def _prepared_state(relevant, zeta_t0, past):
     x = exponent_matrix(relevant, zeta_t0)
     x = x + past.spectrum.from_blocks(past.operand(past.history.t0))
-    return state_from_exponent(_checked_hermitian(x, "prepared"),
-                               relevant.basis.sector_slices())
+    return state_from_exponent(x, relevant.basis.sector_slices())
 
 
 # ---- evolve and rewrite ------------------------------------------------------
@@ -255,19 +256,21 @@ def evolve_and_rewrite(relevant, zeta_t0, history, H, t, zeta_of_t,
     rho_direct = u @ rho0 @ u.conj().T
     x_past = exponent_matrix(relevant, zeta_of_t(t))
     operand = past.operand(t)
+    w, n = relevant.weights, len(relevant)
 
     def rewritten(nq):
         blocks = operand
         if t != history.t0:
+            # sum_l w_l (zdot_l A_l - zeta_l div J_l)(-(t - t')), -zeta div J = i zeta (i div J)
             grid = np.linspace(history.t0, t, nq)
-            zetas = np.array([zeta_of_t(tp) for tp in grid])
-            zdots = np.gradient(zetas, grid, axis=0)
-            blocks = [a + b for a, b in zip(blocks, _spontaneous_integral(
-                relevant, past, t, grid, zetas, zdots))]
+            zs = np.array([zeta_of_t(tp) for tp in grid])
+            zdots = np.gradient(zs, grid, axis=0)
+            kernels = _phase_kernels(past.spectrum, t, grid, np.hstack([zdots * w, 1j * zs * w]))
+            blocks = [o + np.einsum("lab,lab->ab", k[:n], a)
+                      + np.einsum("lab,lab->ab", k[n:], j)
+                      for o, k, a, j in zip(operand, kernels, past.members, past.div_rates)]
         x = x_past + past.spectrum.from_blocks(blocks)
-        rho, _ = state_from_exponent(_checked_hermitian(x, "rewritten"),
-                                     relevant.basis.sector_slices())
-        return rho
+        return state_from_exponent(x, relevant.basis.sector_slices())[0]
 
     rho_fine = rewritten(n_quad)
     rho_coarse = rewritten(max(2, n_quad // 2))
@@ -277,23 +280,6 @@ def evolve_and_rewrite(relevant, zeta_t0, history, H, t, zeta_of_t,
     return RewriteReport(rho_direct=rho_direct, rho_rewritten=rho_fine,
                          distance=dist, coarse_distance=dist_c,
                          quadrature_suspect=bool(suspect))
-
-
-def _spontaneous_integral(relevant, past, s, nodes, zetas, zdots):
-    """Trapezoid over nodes of sum_l w_l (zdot_l A_l - zeta_l div J_l)(-(s - t')),
-    per block of past, contracted as one phase kernel sum_k c_kl mask(t_k - s) per
-    member against its A_l and i div J_l there: no (nodes, d, d) stack."""
-    w, n, spectrum = relevant.weights, len(relevant), past.spectrum
-    # -zeta div J = i zeta (i div J)
-    coef = _trapezoid_weights(nodes)[:, None] * np.hstack([zdots * w, 1j * zetas * w])
-    phase = np.exp(1j * np.multiply.outer(nodes - s, spectrum.w) / spectrum.hbar)
-    out = []
-    for sl, a, j in zip(spectrum.slices, past.members, past.div_rates):
-        weighted = (coef[:, :, None] * phase[:, None, sl]).reshape(len(nodes), -1)
-        kernels = (weighted.T @ phase[:, sl].conj()).reshape((2 * n,) + a.shape[1:])
-        out.append(np.einsum("lab,lab->ab", kernels[:n], a)
-                   + np.einsum("lab,lab->ab", kernels[n:], j))
-    return out
 
 
 def macrostate_of(rho, relevant, zeta_guess=None):
@@ -389,12 +375,12 @@ class _DynamicsEngine:
         # spontaneous branch over the recorded nodes in the window (a suffix:
         # times increase) and the endpoint t, where only -zeta div J enters:
         # the unknown zeta-dot stays on the left-hand side of the linear solve
-        first = np.searchsorted(self.times, cutoff)
+        first, last = np.searchsorted(self.times, cutoff), len(self.times)
         *wq, w_end = _trapezoid_weights(np.append(self.times[first:], t))
         wz = self.relevant.weights * zeta
         for acc, mask, nodes, j in zip(operand, _masks(self.past.spectrum, -t),
-                                       self.stack, self.past.div_rates):
-            acc += mask * _weighted(wq, nodes[first:]) + (1j * w_end) * _weighted(wz, j)
+                                       self._nodes, self.past.div_rates):
+            acc += mask * _weighted(wq, nodes[first:last]) + (1j * w_end) * _weighted(wz, j)
 
         us, p = self.past.state(self.relevant, zeta)
 

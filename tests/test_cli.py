@@ -278,6 +278,47 @@ def test_non_finite_number_is_reported_once_among_other_findings():
     ]
 
 
+WRONG_KIND = [
+    ("free_packet", {"params": {"samples": "ten"}}, "params.samples"),
+    ("free_packet", {"params": {"samples": 21.0}}, "params.samples"),
+    ("relaxation", {"model": {"pair_potential": {"preset": "contact", "v0": "big"}}},
+     "model.pair_potential.v0"),
+    ("event_channel", {"params": {"times": "soon"}}, "params.times"),
+]
+
+
+@pytest.mark.parametrize("name, override, where", WRONG_KIND,
+                         ids=[f"{n}-{w}" for n, _, w in WRONG_KIND])
+def test_value_of_the_wrong_kind_is_a_config_error(tmp_path, name, override, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": name, **override}), encoding="utf-8")
+    assert [f.path for f in validate_config(json.loads(path.read_text()))] == [where]
+    out = tmp_path / "out"
+    for args in (("validate", "--config", str(path)),
+                 ("run", "--config", str(path), "--out", str(out))):
+        r = cli(*args)
+        assert r.returncode == 2, r.stderr
+        assert f"invalid: {where}: must" in r.stderr
+    assert not out.exists()
+
+
+def test_values_take_the_kind_of_their_default():
+    def paths(**params):
+        return [f.path for f in validate_config({"scenario": "event_channel", "params": params})]
+
+    # a float default takes an integer, an integer default takes no bool
+    assert paths(lam=1, times=[1, 0.5], witness_momentum=-2) == []
+    assert validate_config({"scenario": "free_packet", "params": {"t_final": 1}}) == []
+    assert paths(source_site=True, source=[0, 1.0], times=[0.5, False]) == [
+        "params.source_site", "params.source", "params.times"]
+    # preset parameters are numbers or lists of numbers
+    assert validate_config({"scenario": "event_channel", "model": {"potential": {
+        "preset": "barrier", "height": 50, "sites": [2, 3]}}}) == []
+    assert [f.path for f in validate_model({"potential": {
+        "preset": "barrier", "height": True, "sites": ["2"]}})] == [
+        "model.potential.height", "model.potential.sites"]
+
+
 def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     def exhausted(config, out_dir):
         raise MemoryError

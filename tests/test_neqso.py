@@ -98,12 +98,10 @@ def test_prepared_state_positive_unit_trace():
 def test_non_hermitian_history_term_rejected():
     from fockbox.fock import annihilation
 
-    basis, model, h, rel = interacting_model()
-    bad = HistoryTerm(label="bad", operators=(annihilation(basis, 0),),
-                      coeffs=np.array([0.5]), h=lambda t: 1.0)
-    hist = HistorySpec(T=-1.0, t0=0.0, terms=(bad,), n_quad=8)
+    basis, *_ = interacting_model()
     with pytest.raises(ValueError, match="non-Hermitian"):
-        build_rho_t0(rel, np.array([0.2, -0.1, 0.3, 0.25]), hist, h)
+        HistoryTerm(label="bad", operators=(annihilation(basis, 0),),
+                    coeffs=np.array([0.5]), h=lambda t: 1.0)
 
 
 def test_commuting_history_collapses_to_zeta_shift():
