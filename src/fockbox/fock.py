@@ -193,8 +193,11 @@ class FieldOperator:
     A matrix handed to the constructor is copied and canonicalized there,
     once.  Algebra results skip that: sums, differences and scalar multiples
     of canonical operands come out of scipy canonical, and products are
-    made so in place.
+    made so in place.  A Hermitian operator keeps its eigendecomposition,
+    made by its first propagate.Spectrum, so it is freed with the operator.
     """
+
+    _eig = None  # (ROW_RESTRICT, (slices, w, blocks)), set by propagate.Spectrum
 
     def __init__(self, basis, matrix):
         import scipy.sparse as sp

@@ -140,9 +140,10 @@ def state_from_exponent(x, sectors=None):
 
 
 def _density(spectrum, p):
-    """sum_a p_a |a><a| over the eigenvectors of spectrum, exactly Hermitian."""
-    rho = spectrum.with_eigenvalues(p)
-    return (0.5 + 0j) * (rho + rho.conj().T)
+    """sum_a p_a |a><a| over the eigenvectors of spectrum, exactly Hermitian:
+    each block is symmetrized in its own dtype, then written into the state."""
+    return spectrum.dense([0.5 * (m + m.conj().T) for m in spectrum.eigenvalue_blocks(p)],
+                          complex)
 
 
 def _gibbs(relevant, zeta):

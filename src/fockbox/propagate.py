@@ -6,9 +6,12 @@ more than speed.  Two structures of the box model keep that exactness
 cheap.  Particle-number sectors are contiguous, so a generator that couples
 no two is diagonalized by blocks, runs of consecutive sectors, and every
 operand is transformed only on the block pairs it connects, one pair at a
-time, so no path builds the full (n, d, d) stack.  The model is
-real in the occupation basis, so a generator or operand with no imaginary
-part is diagonalized and transformed in real arithmetic.
+time, so no path builds the full (n, d, d) stack.  The model is real in the
+occupation basis, so a generator or operand with no imaginary part is
+diagonalized and transformed in real arithmetic.  An operator is
+diagonalized once: it keeps its blocks, read-only, from its first Spectrum
+on, so the propagators, dressings and Kubo sums of one Hamiltonian share
+one eigendecomposition, freed with it.
 """
 
 from __future__ import annotations
@@ -31,63 +34,63 @@ class Spectrum:
     consecutive particle-number sectors of its basis (or the given sectors),
     each closed once it holds ROW_RESTRICT states; op is diagonalized block by
     block when it couples no two of them, else as one block: blocks[i] holds
-    the eigenvectors of slices[i], real when op is.  Changes of basis act on
-    the block pairs an operand connects: sector_blocks yields an operator
-    stack's blocks there one pair at a time, diagonal_blocks gathers them per
-    block, and from_blocks and with_eigenvalues map back.
+    the eigenvectors of slices[i], real when op is.  A FieldOperator keeps its
+    decomposition from the first Spectrum of it on, so every later one, of any
+    hbar, shares its read-only w and blocks while ROW_RESTRICT is unchanged.
+    Changes of basis act on the block pairs an operand connects: sector_blocks
+    yields an operator stack's blocks there one pair at a time, diagonal_blocks
+    gathers them per block, and from_blocks, eigenvalue_blocks and dense map
+    back.
     """
 
     def __init__(self, op, hbar=1.0, sectors=None):
         if isinstance(op, FieldOperator):
-            sectors = op.basis.sector_slices()
-            op = op.to_dense()
-        m = np.asarray(op)
-        m = m.real if np.iscomplexobj(m) and not np.any(m.imag) else m
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev >= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(m)))):
-            raise ValueError(f"operator is not Hermitian: ||A - A^dag||_max = {dev:.3e}")
-        self.slices = []
-        for _, sl in sectors or ():
-            if self.slices and self.slices[-1].stop - self.slices[-1].start < ROW_RESTRICT:
-                sl = slice(self.slices.pop().start, sl.stop)
-            self.slices.append(sl)
-        if not self.slices or np.count_nonzero(m) != sum(
-                np.count_nonzero(m[sl, sl]) for sl in self.slices):
-            self.slices = [slice(0, len(m))]
-        self.hbar = hbar
+            if op._eig is None or op._eig[0] != ROW_RESTRICT:
+                op._eig = ROW_RESTRICT, _decompose(op.to_dense(), op.basis.sector_slices())
+            slices, self.w, blocks = op._eig[1]
+        else:
+            slices, self.w, blocks = _decompose(np.asarray(op), sectors)
+        self.slices, self.blocks, self.hbar = list(slices), list(blocks), hbar
         self.sector = np.repeat(np.arange(len(self.slices)),
                                 [sl.stop - sl.start for sl in self.slices])
-        eigs = [np.linalg.eigh(m[sl, sl]) for sl in self.slices]
-        self.w = np.concatenate([w for w, _ in eigs])
-        self.blocks = [v for _, v in eigs]
 
     def from_blocks(self, ms):
         """sum_k v_k m_k v_k^dag for one matrix m_k per block, in the eigenbasis."""
-        out = np.zeros((len(self.w),) * 2, dtype=np.result_type(*ms, *self.blocks))
-        for sl, v, m in zip(self.slices, self.blocks, ms):
-            out[sl, sl] = v @ m @ v.T.conj()
-        return out
+        return self.dense([v @ m @ v.T.conj() for v, m in zip(self.blocks, ms)])
 
-    def with_eigenvalues(self, f):
-        """sum_a f[a] |a><a|, block by block; on real blocks the real and
+    def eigenvalue_blocks(self, f):
+        """[sum_a f[a] |a><a| on each block]; on real blocks the real and
         imaginary parts of a complex f take one real product each."""
-        out = np.zeros((len(self.w),) * 2, dtype=np.result_type(f, *self.blocks))
         split = np.iscomplexobj(f) and np.isrealobj(self.blocks[0])
-        parts = [(out.real, f.real), (out.imag, f.imag)] if split else [(out, f)]
+        out = []
         for sl, b in zip(self.slices, self.blocks):
-            for part, g in parts:
-                part[sl, sl] = (b * g[sl]) @ b.T.conj()
+            if split:
+                m = np.empty(b.shape, dtype=complex)
+                m.real, m.imag = (b * f.real[sl]) @ b.T.conj(), (b * f.imag[sl]) @ b.T.conj()
+            else:
+                m = (b * f[sl]) @ b.T.conj()
+            out.append(m)
         return out
 
-    def unitary(self, t):
-        """exp(-i op t / hbar) as a dense matrix, its unitarity checked by block."""
-        u = self.with_eigenvalues(np.exp(-1j * self.w * t / self.hbar))
-        dev = max(float(np.max(np.abs(u[sl, sl] @ u[sl, sl].T.conj()
-                                      - np.eye(sl.stop - sl.start))))
-                  for sl in self.slices)
+    def dense(self, ms, dtype=None):
+        """The d x d matrix holding one matrix per block on its diagonal, of
+        dtype or else the type of the ms."""
+        out = np.zeros((len(self.w),) * 2, dtype=dtype or np.result_type(*ms))
+        for sl, m in zip(self.slices, ms):
+            out[sl, sl] = m
+        return out
+
+    def unitary_blocks(self, t):
+        """exp(-i op t / hbar) on each block, each checked unitary."""
+        us = self.eigenvalue_blocks(np.exp(-1j * self.w * t / self.hbar))
+        dev = max(float(np.max(np.abs(u @ u.T.conj() - np.eye(len(u))))) for u in us)
         if dev >= UNITARITY_TOL:
             raise AssertionError(f"propagator lost unitarity: {dev:.3e}")
-        return u
+        return us
+
+    def unitary(self, t):
+        """exp(-i op t / hbar) as a dense matrix: unitary_blocks assembled."""
+        return self.dense(self.unitary_blocks(t))
 
     def gibbs(self):
         """Weights of exp(op)/Z on the eigenvectors and log Z, via log-sum-exp."""
@@ -95,6 +98,33 @@ class Spectrum:
         boltz = np.exp(self.w - shift)
         z = boltz.sum()
         return boltz / z, float(shift + np.log(z))
+
+
+def _decompose(m, sectors):
+    """(slices, w, blocks) of the dense Hermitian matrix m.
+
+    The slices are runs of the sectors, as Spectrum describes, or one block
+    when m has a nonzero outside them.  Each block is checked Hermitian and
+    diagonalized, in real arithmetic when m has no imaginary part; w and the
+    blocks are read-only.
+    """
+    m = m.real if np.iscomplexobj(m) and not np.any(m.imag) else m
+    slices = []
+    for _, sl in sectors or ():
+        if slices and slices[-1].stop - slices[-1].start < ROW_RESTRICT:
+            sl = slice(slices.pop().start, sl.stop)
+        slices.append(sl)
+    parts = [m[sl, sl] for sl in slices]
+    if not slices or np.count_nonzero(m) != sum(map(np.count_nonzero, parts)):
+        slices, parts = [slice(0, len(m))], [m]
+    dev = max(float(np.max(np.abs(a - a.conj().T))) for a in parts)
+    if dev >= HERMITICITY_TOL * max(1.0, max(float(np.max(np.abs(a))) for a in parts)):
+        raise ValueError(f"operator is not Hermitian: ||A - A^dag||_max = {dev:.3e}")
+    eigs = [np.linalg.eigh(a) for a in parts]
+    w, blocks = np.concatenate([w for w, _ in eigs]), tuple(v for _, v in eigs)
+    for a in (w,) + blocks:
+        a.flags.writeable = False
+    return tuple(slices), w, blocks
 
 
 # bench/tracing.py traces Spectrum construction under this name until the
@@ -202,19 +232,20 @@ def _transformed(vr, vc, part, n):
 
 
 def hermitian_eig(op):
-    """Eigenvalues of a Hermitian FieldOperator, ascending within each block,
-    and its full complex eigenvector matrix, assembled from the Spectrum's blocks."""
+    """Eigenvalues of a Hermitian FieldOperator, ascending within each block and
+    read-only, and its full complex eigenvector matrix, assembled from the
+    Spectrum's blocks."""
     spectrum = Spectrum(op)
-    v = np.zeros((len(spectrum.w),) * 2, dtype=complex)
-    for sl, b in zip(spectrum.slices, spectrum.blocks):
-        v[sl, sl] = b
-    return spectrum.w, v
+    return spectrum.w, spectrum.dense(spectrum.blocks, complex)
 
 
 def propagator(H, dt, hbar=1.0):
-    """U = exp(-i H dt / hbar) for Hermitian H."""
-    u = Spectrum(H, hbar=hbar).unitary(dt)
-    return FieldOperator(H.basis, u)
+    """U = exp(-i H dt / hbar) for Hermitian H, its sparse matrix built from the
+    Spectrum's unitary blocks."""
+    import scipy.sparse as sp
+
+    blocks = Spectrum(H, hbar=hbar).unitary_blocks(dt)
+    return FieldOperator(H.basis, sp.block_diag(blocks, format="csr"))
 
 
 def _step_unitaries(H_of_t, t0, t1, n_steps, hbar):

@@ -1,10 +1,19 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+from strategies import SETTINGS, hermitian_models
 
+from fockbox import propagate, scenarios
+from fockbox.config import build_model
 from fockbox.fock import BOSE, build_basis, number_operator
 from fockbox.lattice import LatticeModel, build_hamiltonian, potential_preset
 from fockbox.maxent import entropy
-from fockbox.propagate import evolve_state, heisenberg, propagator
+from fockbox.propagate import Spectrum, evolve_state, heisenberg, propagator
 
 
 @pytest.fixture
@@ -123,3 +132,70 @@ def test_heisenberg_duality_time_dependent():
     lhs = np.trace(a @ evolve_state(rho, h_of, 0.0, 1.0, n_steps=4))
     rhs = np.trace(heisenberg(a, h_of, 0.0, 1.0, n_steps=4) @ rho)
     assert abs(lhs - rhs) < 1e-12
+
+
+# ---- the kept decomposition and the sparse propagator ---------------------------
+
+
+def test_operator_keeps_one_read_only_decomposition():
+    basis = build_basis(BOSE, L=3, g=1, n_max=2)
+    h = build_hamiltonian(basis, LatticeModel(L=3, dx=1.0))
+    one, two = Spectrum(h, hbar=1.0), Spectrum(h, hbar=2.0)
+    assert one.w is two.w
+    assert all(a is b for a, b in zip(one.blocks, two.blocks))
+    for spectrum, hbar in ((one, 1.0), (two, 2.0)):
+        want = scipy.linalg.expm(-1j * 0.8 * h.to_dense() / hbar)
+        assert np.max(np.abs(spectrum.unitary(0.8) - want)) < 1e-10
+    with pytest.raises(ValueError, match="read-only"):
+        one.w[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        one.blocks[0][0, 0] = 1.0
+    # the kept blocks follow ROW_RESTRICT as it is when a Spectrum is made
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "ROW_RESTRICT", 1)
+        dense = Spectrum(h.to_dense(), sectors=basis.sector_slices())
+        assert Spectrum(h).slices == dense.slices != one.slices
+    assert Spectrum(h).slices == one.slices
+    # an operator made by algebra keeps nothing until it is diagonalized
+    for op in (h.dag(), h + h, 2 * h):
+        assert op._eig is None
+        Spectrum(op)
+        assert op._eig is not None
+    block = weakref.ref(one.blocks[0])
+    del h, op, one, two, spectrum
+    gc.collect()
+    assert block() is None
+
+
+def test_relaxation_diagonalizes_its_hamiltonian_once(tmp_path, monkeypatch):
+    config = scenarios.scenario_defaults("relaxation")
+    model, basis = build_model(config["model"])
+    h = scenarios.mass_energy_relevant(basis, model)[1].to_dense()
+    decompose, of_h = propagate._decompose, []
+
+    def counted(m, sectors):
+        of_h.append(m.shape == h.shape and np.array_equal(m, h))
+        return decompose(m, sectors)
+
+    monkeypatch.setattr(propagate, "_decompose", counted)
+    scenarios.run_scenario(config, tmp_path)
+    assert sum(of_h) == 1
+
+
+@SETTINGS
+@given(st.data())
+def test_propagator_is_sparse_and_matches_per_block_expm(data):
+    basis, _, h = data.draw(hermitian_models())
+    t = data.draw(st.floats(-2.0, 2.0))
+    u = propagator(h, t).matrix
+    spectrum = Spectrum(h)
+    hd = h.to_dense()
+    for sl in spectrum.slices:
+        want = scipy.linalg.expm(-1j * t * hd[sl, sl])
+        assert np.max(np.abs(u[sl, sl].toarray() - want)) < 1e-10
+    rows = np.repeat(np.arange(basis.dim), np.diff(u.indptr))
+    assert np.array_equal(spectrum.sector[rows], spectrum.sector[u.indices])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "UNITARITY_TOL", 0.0)
+        with pytest.raises(AssertionError, match="lost unitarity"):
+            propagator(h, t)

@@ -236,7 +236,47 @@ def test_blocks_are_runs_of_whole_sectors(data):
         mp.setattr(propagate, "ROW_RESTRICT", row_restrict)
         for spectrum in (Spectrum(h), Spectrum(h.to_dense(), sectors=basis.sector_slices())):
             assert_runs_of_sectors(spectrum, basis)
-            assert_close(spectrum.with_eigenvalues(spectrum.w), h.to_dense())
+            assert_close(spectrum.dense(spectrum.eigenvalue_blocks(spectrum.w)),
+                         h.to_dense())
+
+
+def oracle_not_hermitian(dense):
+    """The message of the Hermiticity check on the whole d x d matrix, which
+    Spectrum made before it checked an operator block by block."""
+    dev = np.max(np.abs(dense - dense.conj().T))
+    return f"operator is not Hermitian: ||A - A^dag||_max = {dev:.3e}"
+
+
+@SETTINGS
+@given(st.data())
+def test_operator_blocks_match_the_dense_construction(data):
+    """Spectrum of a FieldOperator, which it keeps, against the dense
+    construction over the same sectors, at 1, 4 and the library's
+    ROW_RESTRICT states a block."""
+    basis, model, h = data.draw(hermitian_models())
+    psi = field_operator(basis, model, data.draw(st.integers(0, model.L - 1)))
+    row_restrict = data.draw(st.sampled_from([1, 4, propagate.ROW_RESTRICT]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "ROW_RESTRICT", row_restrict)
+        # h keeps the particle number; psi + psi^dag changes it: one block
+        for op in (h, psi + psi.dag()):
+            kept = Spectrum(op)
+            dense = Spectrum(op.to_dense(), sectors=basis.sector_slices())
+            assert kept.slices == dense.slices
+            assert np.array_equal(kept.w, dense.w)
+            v = eigenvectors(kept)
+            assert_close((v * kept.w) @ v.conj().T, op.to_dense())
+        assert Spectrum(psi + psi.dag()).slices == [slice(0, basis.dim)]
+        # an anti-Hermitian part on the vacuum block within the tolerance of the
+        # operator's largest entry, which lies in another block
+        tiny = FieldOperator(basis, sp.csr_matrix(([1e-9j], ([0], [0])),
+                                                  shape=(basis.dim,) * 2))
+        Spectrum(1e3 * number_operator(basis) + tiny)
+        # non-Hermitian: one that keeps the particle number, and one that does not
+        for op in (h + 0.5j * number_operator(basis), h + 0.3 * psi):
+            with pytest.raises(ValueError) as raised:
+                Spectrum(op)
+            assert str(raised.value) == oracle_not_hermitian(op.to_dense())
 
 
 # ---- kubo_matrix ---------------------------------------------------------------
