@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FieldOperator
-from .propagate import Spectrum, evolve_state
+from .propagate import evolve_state
 from .subdynamics import Region, _field_sums, _region_modes, _require_vacuum
 
 EVENT_VACUUM_TOL = 1e-8
@@ -185,8 +185,8 @@ def shielded_expectation(B, mixture, H, t_bar, t, basis, model, spec, hbar=1.0):
     """
     check_channel_support(B, basis, model, spec)
     bd = B.to_dense() if isinstance(B, FieldOperator) else np.asarray(B)
-    rho_n_t = evolve_state(mixture.rho_normal, H, t_bar, t, hbar=hbar)
-    rho_a_t = evolve_state(mixture.rho_anomalous, H, t_bar, t, hbar=hbar)
+    rho_n_t, rho_a_t = evolve_state(np.stack([mixture.rho_normal, mixture.rho_anomalous]),
+                                    H, t_bar, t, hbar=hbar)
     lam = mixture.lam
     lhs = float(np.trace(bd @ (lam * rho_n_t + (1.0 - lam) * rho_a_t)).real)
     rhs = float((1.0 - lam) * np.trace(bd @ rho_a_t).real)
@@ -202,20 +202,20 @@ def memory_witness(spec_one, spec_two, rho_normal, B, H, t_bar, t, basis,
     evolves both to t and returns |Tr(B rho^(1)) - Tr(B rho^(2))|; zero for
     identical kernels, strictly positive when the channel transmits the
     distinction.  t may be a sequence of times, for which a list is
-    returned: the mixtures are built, the detector checked and the
-    Hermitian H diagonalized once for the whole series.
+    returned: the mixtures are built and the detector checked once for the
+    whole series, and H, which keeps its eigendecomposition, is
+    diagonalized once.  Both mixtures evolve as one stack.
     """
     if spec_one.lam != spec_two.lam:
         raise ValueError("witness comparison needs equal mixture weights")
     for spec in {spec.channel: spec for spec in (spec_one, spec_two)}.values():
         check_channel_support(B, basis, model, spec)
     bd = B.to_dense() if isinstance(B, FieldOperator) else np.asarray(B)
-    mixtures = [np.asarray(build_event_mixture(rho_normal, spec, basis, model).rho,
-                           dtype=complex) for spec in (spec_one, spec_two)]
-    spectrum = Spectrum(H, hbar=hbar)
+    mixtures = np.stack([build_event_mixture(rho_normal, spec, basis, model).rho
+                         for spec in (spec_one, spec_two)])
     out = []
     for t_k in np.atleast_1d(t):
-        u = spectrum.unitary(t_k - t_bar)
-        vals = [float(np.trace(bd @ (u @ m @ u.conj().T)).real) for m in mixtures]
+        vals = [float(np.trace(bd @ m).real)
+                for m in evolve_state(mixtures, H, t_bar, t_k, hbar=hbar)]
         out.append(abs(vals[0] - vals[1]))
     return out if np.ndim(t) else out[0]

@@ -10,10 +10,11 @@ Enumeration is deterministic: states are sorted by total occupation first,
 then lexicographically with mode 0 as the least significant digit, so two
 builds of the same basis are bit-identical.  A basis also holds its states
 as one integer array ``occ`` and ranks occupation arrays back to ordinals
-combinatorially, so operators are assembled by vectorized passes over
-``occ`` (Zhang & Dong, Eur. J. Phys. 31, 591 (2010)).  Its ladder operators
-are built once, on first use, as one stack held by it, so they are freed
-with it.
+combinatorially (Zhang & Dong, Eur. J. Phys. 31, 591 (2010)).  Its ladder
+operators are built once, on first use, by one vectorized pass over ``occ``
+that ranks every lowered state, as one stack held by it, so they are freed
+with it.  Every one-body operator reads its hops off that stack and its
+number terms off ``occ``, with no further ranking.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ class FockBasis:
     ascending particle number.  ``occ`` holds the states as one integer
     array and ``ladder`` every a_m as one stack, both built on first use.
     The stack is the one held form of the a_m: a_m is its row block for mode
-    m, and a region's fields, whose modes are contiguous, a row slice of it.
+    m, a region's fields, whose modes are contiguous, are a row slice of it,
+    and one_body reads every hop a_i^dag a_j off it.  Among the operator
+    builders, only the stack ranks states.
     """
 
     statistics: str
@@ -127,11 +130,22 @@ class FockBasis:
     @cached_property
     def ladder(self):
         """Every a_m once, as one canonical complex CSR stack of shape
-        (modes * dim, dim) whose rows m * dim .. (m + 1) * dim - 1 hold a_m."""
+        (modes * dim, dim) whose rows m * dim .. (m + 1) * dim - 1 hold a_m:
+        one pass lowers every occupied (state, mode) pair, ranks the target
+        and takes the Bose sqrt(n) or the Jordan-Wigner sign (-1)**(number
+        of occupied modes with smaller canonical index)."""
         import scipy.sparse as sp
 
-        return _canonical(sp.vstack([_ladder_sum(self, [(1.0, None, m)])
-                                     for m in range(self.modes)], format="csr"))
+        occ, d = self.occ, self.dim
+        states, modes = np.nonzero(occ)
+        lowered = occ[states]
+        lowered[np.arange(len(states)), modes] -= 1
+        if self.statistics == FERMI:
+            amp = np.where((np.cumsum(occ, axis=1) - occ)[states, modes] % 2, -1.0, 1.0)
+        else:
+            amp = np.sqrt(occ[states, modes])
+        return _canonical(sp.csr_matrix((amp, (modes * d + self.rank(lowered), states)),
+                                        shape=(self.modes * d, d), dtype=complex))
 
     def to_json(self):
         """Documented dump: occupation vectors as integer arrays."""
@@ -303,57 +317,34 @@ def _max_abs(matrix):
     return float(np.max(np.abs(matrix.data))) if matrix.nnz else 0.0
 
 
-def _transitions(basis, coeff, create, destroy):
-    """(rows, cols, values) of coeff a_create^dag a_destroy on the basis states;
-    either mode may be None.
-
-    Bose amplitudes are square roots of the occupations; Fermi amplitudes
-    carry the Jordan-Wigner sign (-1)**(number of occupied modes with
-    smaller canonical index).  Targets are ranked, not looked up.
-    """
-    occ, cols, amp = basis.occ, np.arange(basis.dim), np.full(basis.dim, coeff)
-    per_mode = 1 if basis.statistics == FERMI else basis.n_max
-    for mode, step in ((destroy, -1), (create, 1)):
-        if mode is None:
-            continue
-        after = occ[:, mode] + step
-        keep = (after >= 0) & (after <= per_mode)
-        if step > 0:
-            keep &= occ.sum(axis=1) < basis.sectors[-1][0]
-        occ, cols, amp, after = occ[keep], cols[keep], amp[keep], after[keep]
-        if basis.statistics == FERMI:
-            amp = np.where(occ[:, :mode].sum(axis=1) % 2, -amp, amp)
-        else:
-            amp = amp * np.sqrt(np.maximum(occ[:, mode], after))
-        occ = occ.copy()
-        occ[:, mode] = after
-    return basis.rank(occ), cols, amp
-
-
-def _ladder_sum(basis, terms, diagonal=0.0):
-    """sum of c a_i^dag a_j over the terms (c, i, j), where i or j may be None,
-    plus a diagonal given per state, as a canonical complex CSR matrix.  Each
-    term is one vectorized pass over the occupation array; distinct terms
-    touch distinct entries."""
-    import scipy.sparse as sp
-
-    diagonal = np.broadcast_to(diagonal, basis.dim)
-    nz = np.flatnonzero(diagonal)
-    parts = [(nz, nz, diagonal[nz])] + [_transitions(basis, *term) for term in terms]
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return _canonical(sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim,) * 2,
-                                    dtype=complex))
-
-
 def one_body(basis, coeff, diagonal=0.0):
     """sum_ij coeff[i, j] a_i^dag a_j over the modes plus a diagonal given per
-    state, as a canonical complex CSR matrix: one pass per nonzero
-    off-diagonal coefficient, the number terms read off the occupations."""
-    coeff = np.asarray(coeff)
+    state, as a canonical complex CSR matrix.  The number terms are read off
+    the occupations, the hops off the ladder stack, built for hops only: row
+    y of a_m's block holds one entry alpha_m(y), from the source y + e_m, so
+    a_i^dag a_j sends the source of (j, y) to that of (i, y) with the value
+    coeff[i, j] alpha_j(y) alpha_i(y)."""
+    import scipy.sparse as sp
+
+    coeff, d = np.asarray(coeff), basis.dim
     number = [coeff[i, i] * basis.occ[:, i] for i in np.flatnonzero(np.diagonal(coeff))]
-    diag = sum(number, np.zeros(basis.dim)) + diagonal
-    return _ladder_sum(basis, [(coeff[i, j], i, j) for i, j in zip(*np.nonzero(coeff))
-                               if i != j], diag)
+    diag = sum(number, np.zeros(d)) + diagonal
+    nz = np.flatnonzero(diag)
+    parts = [(nz, nz, diag[nz])]
+    create, destroy = np.nonzero(coeff)
+    hop = create != destroy
+    if hop.any():
+        stack = basis.ladder.tocoo()
+        source, amp = np.full((basis.modes, d), -1), np.zeros((basis.modes, d))
+        source.flat[stack.row], amp.flat[stack.row] = stack.col, stack.data.real
+        term, y = np.nonzero((source[create[hop]] >= 0) & (source[destroy[hop]] >= 0))
+        i, j = create[hop][term], destroy[hop][term]
+        # a Jordan-Wigner sign negates: a complex product with -1.0 can flip a zero part's sign
+        value = (np.where(amp[i, y] == amp[j, y], coeff[i, j], -coeff[i, j])
+                 if basis.statistics == FERMI else coeff[i, j] * amp[j, y] * amp[i, y])
+        parts.append((source[i, y], source[j, y], value))
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return _canonical(sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=complex))
 
 
 def zero_operator(basis):
@@ -374,11 +365,8 @@ def _check_mode(basis, mode):
 
 
 def annihilation(basis, mode):
-    """Ladder-down operator for one mode: a copy of its rows of basis.ladder.
-
-    Bose amplitudes are sqrt(n); Fermi amplitudes carry the Jordan-Wigner
-    sign (-1)**(number of occupied modes with smaller canonical index).
-    """
+    """Ladder-down operator for one mode: a copy of its rows of basis.ladder,
+    whose docstring gives the Bose and Fermi amplitudes."""
     _check_mode(basis, mode)
     d = basis.dim
     return FieldOperator._held(basis, basis.ladder[mode * d:(mode + 1) * d])
@@ -390,12 +378,12 @@ def creation(basis, mode):
 
 
 def number_operator(basis, mode=None):
-    """n_m for one mode, or the total number operator when mode is None: a
-    diagonal read off the occupation array."""
+    """n_m for one mode, or the total number operator when mode is None: the
+    diagonal of one_body, read off the occupation array."""
     if mode is not None:
         _check_mode(basis, mode)
     n = basis.totals() if mode is None else basis.occ[:, mode]
-    return FieldOperator._held(basis, _ladder_sum(basis, [], n))
+    return FieldOperator._held(basis, one_body(basis, np.zeros((basis.modes,) * 2), n))
 
 
 def check_model(basis, model):

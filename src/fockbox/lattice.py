@@ -9,11 +9,13 @@ V(|x - y|).  Also builds the per-cell densities of the conserved families
 continuity identities.
 
 Every kinetic, external and density term is a one-body sum
-sum_ij c_ij a_i^dag a_j, built by ``fock.one_body`` from a first-quantized
-coefficient matrix over the (site, component) modes.  The normal-ordered
-interaction is diagonal in the occupation basis: cell x carries
-(1/2) sum_y V_xy (N_x N_y - delta_xy N_x) with N_x the site occupation,
-read off the basis's occupation array.
+sum_ij c_ij a_i^dag a_j with c a first-quantized coefficient matrix over the
+(site, component) modes; ``fock.one_body`` reads its hops off the basis's
+ladder stack and its number terms off the occupation array.  The
+normal-ordered interaction is diagonal in the occupation basis: cell x
+carries (1/2) sum_y V_xy (N_x N_y - delta_xy N_x) with N_x the site
+occupation, read off the occupation array too.  Each operator holds the
+canonical matrix one_body returns, uncopied.
 """
 
 from __future__ import annotations
@@ -156,8 +158,8 @@ def _cell_ops(basis, model, cells, diagonals=None):
     """One Hermitian, number-conserving operator per cell, from the cell's
     first-quantized site matrix plus, optionally, a diagonal per state."""
     check_model(basis, model)
-    return [FieldOperator(basis, one_body(basis, _modes(model, cell),
-                                          0.0 if diagonals is None else diagonals[:, x]))
+    return [FieldOperator._held(basis, one_body(basis, _modes(model, cell),
+                                                0.0 if diagonals is None else diagonals[:, x]))
             for x, cell in enumerate(cells)]
 
 
@@ -172,7 +174,7 @@ def build_hamiltonian(basis, model, t=0.0):
     check_model(basis, model)
     m = one_body(basis, _modes(model, model.single_particle_matrix(t)),
                  _interaction_cells(basis, model).sum(axis=1))
-    return FieldOperator(basis, m)
+    return FieldOperator._held(basis, m)
 
 
 def _interaction_cells(basis, model):

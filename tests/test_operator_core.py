@@ -8,7 +8,9 @@ interaction, the per-site loops of the density families, the dense field
 products of the vacuum residual and the quanton creator, and the d^2 Python
 loop of the channel-support check, the dense loops of the boundary term,
 the induced kernels, the two-quanton creator and the event operators, and
-the recursive basis enumeration.  Models are drawn at random: Bose and
+the recursive basis enumeration, and the pass over the occupation array
+per coefficient that built the ladder stack and the one-body sums before
+both were read off one ranking pass.  Models are drawn at random: Bose and
 Fermi statistics, one or two components, random potential tables and
 random pair tables of up to three ranges; the canonical-form check draws
 from the shared hermitian_models().
@@ -21,7 +23,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from strategies import SETTINGS, hermitian_models
 
@@ -111,6 +113,57 @@ def oracle_quadratic(basis, ops, coeff):
             if coeff[i, j] != 0.0:
                 acc = acc + coeff[i, j] * (ai.getH() @ aj)
     return acc
+
+
+def oracle_transitions(basis, coeff, create, destroy):
+    """(rows, cols, values) of coeff a_create^dag a_destroy, either mode None:
+    one pass over the occupation array that ranks every target."""
+    occ, cols, amp = basis.occ, np.arange(basis.dim), np.full(basis.dim, coeff)
+    per_mode = 1 if basis.statistics == FERMI else basis.n_max
+    for mode, step in ((destroy, -1), (create, 1)):
+        if mode is None:
+            continue
+        after = occ[:, mode] + step
+        keep = (after >= 0) & (after <= per_mode)
+        if step > 0:
+            keep &= occ.sum(axis=1) < basis.sectors[-1][0]
+        occ, cols, amp, after = occ[keep], cols[keep], amp[keep], after[keep]
+        if basis.statistics == FERMI:
+            amp = np.where(occ[:, :mode].sum(axis=1) % 2, -amp, amp)
+        else:
+            amp = amp * np.sqrt(np.maximum(occ[:, mode], after))
+        occ = occ.copy()
+        occ[:, mode] = after
+    return basis.rank(occ), cols, amp
+
+
+def oracle_ladder_sum(basis, terms, diagonal=0.0):
+    """sum of c a_i^dag a_j over the terms (c, i, j) plus a per-state diagonal,
+    one oracle_transitions pass per term, as a canonical complex CSR matrix."""
+    diagonal = np.broadcast_to(diagonal, basis.dim)
+    nz = np.flatnonzero(diagonal)
+    parts = [(nz, nz, diagonal[nz])] + [oracle_transitions(basis, *t) for t in terms]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    m = sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim,) * 2, dtype=complex)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m
+
+
+def oracle_one_body(basis, coeff, diagonal=0.0):
+    number = [coeff[i, i] * basis.occ[:, i] for i in np.flatnonzero(np.diagonal(coeff))]
+    diag = sum(number, np.zeros(basis.dim)) + diagonal
+    return oracle_ladder_sum(basis, [(coeff[i, j], i, j) for i, j in zip(*np.nonzero(coeff))
+                                     if i != j], diag)
+
+
+def oracle_ladder(basis):
+    """The per-mode stack: one oracle pass per a_m."""
+    m = sp.vstack([oracle_ladder_sum(basis, [(1.0, None, mode)])
+                   for mode in range(basis.modes)], format="csr")
+    m.sort_indices()
+    return m
 
 
 def oracle_interaction_cell_terms(model, ops):
@@ -393,6 +446,41 @@ def test_one_body_matches_sum_of_ladder_products(bm, data):
     assert_agrees(one_body(basis, coeff), oracle_quadratic(basis, ops, coeff))
 
 
+def same_bits(a, b):
+    """Identical canonical arrays, down to the signs of zero parts."""
+    return (a.shape == b.shape and a.indices.dtype == b.indices.dtype
+            and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes())
+
+
+@SETTINGS
+@given(st.sampled_from([BOSE, FERMI]), st.integers(1, 4), st.integers(1, 2), st.integers(0, 3),
+       st.sampled_from(["real", "complex", "diagonal", "zero"]), st.booleans(),
+       st.integers(0, 2**16))
+# Bose hops between two occupied modes, where the order of the amplitude products shows,
+# and Fermi hops of coefficients with a zero part, where a sign flip shows in its sign
+@example(BOSE, 3, 1, 3, "real", False, 2)
+@example(FERMI, 3, 1, 3, "complex", False, 2)
+def test_ladder_stack_and_one_body_match_the_per_coefficient_passes(statistics, L, g, n_max,
+                                                                    kind, per_state, seed):
+    basis = build_basis(statistics, L, g=g, n_max=n_max)
+    rng = np.random.default_rng(seed)
+    n = basis.modes
+    coeff = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
+    if kind == "complex":
+        coeff = coeff + 1j * rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
+    if kind == "diagonal":
+        coeff = np.diag(np.diagonal(coeff))
+    if kind == "zero":
+        coeff = np.zeros((n, n))
+    diagonal = rng.normal(size=basis.dim) * (rng.random(basis.dim) < 0.7) if per_state else 0.0
+    got = FieldOperator._held(basis, one_body(basis, coeff, diagonal))
+    want = FieldOperator._held(basis, oracle_one_body(basis, coeff, diagonal))
+    assert got.equal_bits(want) and same_bits(got.matrix, want.matrix)
+    assert same_bits(basis.ladder, oracle_ladder(basis))
+    assert np.diff(basis.ladder.indptr).max(initial=0) <= 1
+
+
 def ladder_rows(basis, mode):
     """a_mode as the basis's ladder stack holds it: rows mode * dim onward."""
     d = basis.dim
@@ -423,10 +511,11 @@ def test_region_fields_come_from_the_one_held_ladder_stack(monkeypatch):
     n_op = number_operator(basis, 2)
     spec = EventSpec(lam=0.5, source=region([0, 1]), channel=region([2, 3]),
                      kernel=np.ones((2, 2)))
+    # the stack is held now; no later build ranks an occupation array again
     calls = []
-    transitions = fock._transitions
-    monkeypatch.setattr(fock, "_transitions",
-                        lambda *args: calls.append(args) or transitions(*args))
+    rank = fock.FockBasis.rank
+    monkeypatch.setattr(fock.FockBasis, "rank",
+                        lambda *args: calls.append(args) or rank(*args))
     psi = OneQuantonState(reg, np.ones((2, 2)), model.dx).normalized()
     n = len(reg) * model.g
     psi2 = np.zeros((n, n))
