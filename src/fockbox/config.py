@@ -3,9 +3,9 @@
 A configuration is a single JSON document (key-value tree, explicit units:
 lengths in lattice spacings, energies in units of hbar^2/(m dx^2) family,
 times in hbar/energy).  Unknown keys anywhere in the tree are reported with
-their full path, and so is every number that is not finite; feasibility
-findings flag truncations whose Fock dimension exceeds the cap before
-anything is built.
+their full path, and so is every number that is not finite and every site or
+index param that leaves the lattice or its channel; feasibility findings flag
+truncations whose Fock dimension exceeds the cap before anything is built.
 
 The catalog (names, descriptions, defaults) and the checks are plain data
 and code: importing this module loads no numpy, so ``fockbox list`` and
@@ -148,6 +148,29 @@ def _same_kind(value, default):
         return isinstance(value, list) and all(_same_kind(v, default[0]) for v in value)
     kind = {int: int, float: (int, float)}.get(type(default), type(default))
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _site_run(sites, config):
+    """None for a non-empty run of distinct, contiguous lattice sites, in any
+    order, as a Region takes them; else what the value must be."""
+    L = config["model"]["L"]
+    s = sorted(sites)
+    if not s or s[0] < 0 or s[-1] >= L or s != list(range(s[0], s[0] + len(s))):
+        return f"must be a non-empty run of distinct, contiguous sites in [0, {L})"
+
+
+# index-valued params: key -> rule on (value, merged config), a message or None
+INDEX_PARAMS = {
+    "source_site": lambda v, c: (None if 0 <= v < c["model"]["L"]
+                                 else f"must be a site in [0, {c['model']['L']})"),
+    "region": _site_run,
+    "source": _site_run,
+    "channel": _site_run,
+    "witness_channel": _site_run,
+    "target_index": lambda v, c: (
+        None if 0 <= v < len(c["params"]["channel"])
+        else f"must index params.channel, in [0, {len(c['params']['channel'])})"),
+}
 
 
 def validate_model(model, path="model"):
@@ -381,6 +404,10 @@ def validate_config(config):
         + [f for f in findings if f.path not in bad]
     if not findings:
         merged = deep_merge(defaults, config)
+        for key, rule in INDEX_PARAMS.items():
+            message = key in merged["params"] and rule(merged["params"][key], merged)
+            if message:
+                findings.append(Finding(f"params.{key}", message))
         findings.extend(feasibility_findings(merged["model"]))
     return findings
 

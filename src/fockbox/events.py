@@ -17,7 +17,7 @@ import numpy as np
 
 from .fock import FieldOperator
 from .propagate import evolve_state
-from .subdynamics import Region, _field_sums, _region_modes, _require_vacuum
+from .subdynamics import Region, _field_sums, _region_modes, _require_vacuum, _traces
 
 EVENT_VACUUM_TOL = 1e-8
 SUPPORT_TOL = 1e-12
@@ -79,13 +79,13 @@ def _emitters(spec, basis, model):
     return _field_sums(basis, model, spec.source, np.kron(spec.kernel, np.eye(model.g)))
 
 
-def _emission_operator(spec, basis, model):
-    """S = sum_{y, sigma} dx psi^dag(y, sigma) A(y, sigma) as a dense matrix:
-    moves one quanton from the source region into the channel.  The channel
-    fields are real, so the stacked psi(y, sigma) transposed are the psi^dag."""
+def _emission_operator(spec, basis, model, emitters):
+    """S = sum_{y, sigma} dx psi^dag(y, sigma) A(y, sigma), dense, from the emitters
+    stack of the A(y, sigma): moves one quanton from the source region into the
+    channel.  The channel fields are real, so psi^dag is the stacked psi transposed."""
     d = basis.dim
     fields = _field_sums(basis, model, spec.channel, np.eye(len(spec.channel) * model.g))
-    return model.dx * (fields.reshape(-1, d).T @ _emitters(spec, basis, model).reshape(-1, d))
+    return model.dx * (fields.reshape(-1, d).T @ emitters.reshape(-1, d))
 
 
 def build_event_mixture(rho_normal, spec, basis, model):
@@ -101,7 +101,8 @@ def build_event_mixture(rho_normal, spec, basis, model):
     rho_n = np.asarray(rho_normal, dtype=complex)
     _require_vacuum(rho_n, basis, model, spec.channel, EVENT_VACUUM_TOL,
                     what="normal component")
-    s_op = _emission_operator(spec, basis, model)
+    emitters = _emitters(spec, basis, model)
+    s_op = _emission_operator(spec, basis, model, emitters)
     raw = s_op @ rho_n @ s_op.conj().T
     norm = np.trace(raw).real
     if norm <= 1e-14:
@@ -111,17 +112,17 @@ def build_event_mixture(rho_normal, spec, basis, model):
     rho_a = raw / norm
     rho_a = 0.5 * (rho_a + rho_a.conj().T)
 
-    kernel = _quanton_kernel(rho_n, spec, basis, model)
+    kernel = _quanton_kernel(rho_n, emitters, model.dx)
     mix = spec.lam * rho_n + (1.0 - spec.lam) * rho_a
     return EventMixture(rho=mix, rho_normal=rho_n, rho_anomalous=rho_a,
                         lam=spec.lam, quanton_kernel=kernel)
 
 
-def _quanton_kernel(rho_n, spec, basis, model):
-    """Normalized kernel Tr(A(y) rho_n A^dag(y')) over the channel grid."""
-    ops = _emitters(spec, basis, model)
-    kernel = np.einsum("iab,jab->ij", ops @ rho_n, ops.conj())
-    trace = model.dx * np.trace(kernel).real
+def _quanton_kernel(rho_n, emitters, dx):
+    """Normalized kernel Tr(A(y) rho_n A^dag(y')) over the channel grid, from an
+    _emitters stack of the A(y) and the lattice spacing dx."""
+    kernel = np.einsum("iab,jab->ij", emitters @ rho_n, emitters.conj())
+    trace = dx * np.trace(kernel).real
     if trace <= 1e-14:
         raise InactiveSourceError(
             "inactive source: the emission kernel annihilates the background"
@@ -185,13 +186,12 @@ def shielded_expectation(B, mixture, H, t_bar, t, basis, model, spec, hbar=1.0):
     """
     check_channel_support(B, basis, model, spec)
     bd = B.to_dense() if isinstance(B, FieldOperator) else np.asarray(B)
-    rho_n_t, rho_a_t = evolve_state(np.stack([mixture.rho_normal, mixture.rho_anomalous]),
-                                    H, t_bar, t, hbar=hbar)
+    normal, anomalous = _traces(bd[None], evolve_state(
+        np.stack([mixture.rho_normal, mixture.rho_anomalous]), H, t_bar, t, hbar=hbar))[0].real
     lam = mixture.lam
-    lhs = float(np.trace(bd @ (lam * rho_n_t + (1.0 - lam) * rho_a_t)).real)
-    rhs = float((1.0 - lam) * np.trace(bd @ rho_a_t).real)
-    residual = float(np.trace(bd @ rho_n_t).real)
-    return ShieldedReport(lhs=lhs, rhs=rhs, shielding_residual=residual)
+    return ShieldedReport(lhs=float(lam * normal + (1.0 - lam) * anomalous),
+                          rhs=float((1.0 - lam) * anomalous),
+                          shielding_residual=float(normal))
 
 
 def memory_witness(spec_one, spec_two, rho_normal, B, H, t_bar, t, basis,
@@ -215,7 +215,6 @@ def memory_witness(spec_one, spec_two, rho_normal, B, H, t_bar, t, basis,
                          for spec in (spec_one, spec_two)])
     out = []
     for t_k in np.atleast_1d(t):
-        vals = [float(np.trace(bd @ m).real)
-                for m in evolve_state(mixtures, H, t_bar, t_k, hbar=hbar)]
-        out.append(abs(vals[0] - vals[1]))
+        one, two = _traces(bd[None], evolve_state(mixtures, H, t_bar, t_k, hbar=hbar))[0].real
+        out.append(float(abs(one - two)))
     return out if np.ndim(t) else out[0]

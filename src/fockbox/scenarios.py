@@ -46,6 +46,7 @@ from .neqso import (
 )
 from .propagate import evolve_state
 from .subdynamics import (
+    _traces,
     embed,
     embedding_residual,
     gaussian_packet,
@@ -197,19 +198,18 @@ def run_free_packet(config, out_dir):
     psi = gaussian_packet(reg, center=p["center"], width=p["width"],
                           k=p["momentum"], dx=model.dx, g=model.g)
     rho0 = embed(psi, vacuum_state(basis), basis, model, reg)
-    dens = density_ops(basis, model)
-    hd = h.to_dense()
+    obs = np.stack([op.to_dense() for op in [h, *density_ops(basis, model)]])
     ts = np.linspace(0.0, p["t_final"], p["samples"])
     rows = []
     trace_drift = 0.0
     energy_drift = 0.0
-    e0 = float(np.trace(hd @ rho0).real)
+    e0 = _traces(obs[:1], rho0[None])[0, 0].real
     for t in ts:
         rho_t = evolve_state(rho0, h, 0.0, float(t), hbar=model.hbar)
         trace_drift = max(trace_drift, abs(np.trace(rho_t).real - 1.0))
-        energy_drift = max(energy_drift, abs(np.trace(hd @ rho_t).real - e0))
-        for x in range(model.L):
-            rows.append((float(t), x, float(np.trace(dens[x].to_dense() @ rho_t).real)))
+        energy, *density = _traces(obs, rho_t[None])[:, 0].real
+        energy_drift = max(energy_drift, abs(energy - e0))
+        rows += [(float(t), x, float(n)) for x, n in enumerate(density)]
     write_csv(Path(out_dir) / "density.csv", ["t", "site", "density"], rows)
     result = ScenarioResult(name="free_packet", artifacts=["density.csv"])
     result.invariants.append(check_le("trace_drift", trace_drift, 1e-10))
@@ -217,40 +217,41 @@ def run_free_packet(config, out_dir):
     return result
 
 
-def _residual_and_surface(center, width, dt, basis, model, reg):
-    vac = vacuum_state(basis)
+def _residual_and_surface(center, width, dt, h, model, reg):
+    vac = vacuum_state(h.basis)
     psi0 = gaussian_packet(reg, center=center, width=width, dx=model.dx,
                            g=model.g)
     psis = reduced_path(psi0, model, 0.0, dt, 4)
-    rep = embedding_residual(psis, [vac] * 5, basis, model, reg, dt=dt)
-    _, norm = surface_term(psis[2], vac, basis, model, reg)
+    rep = embedding_residual(psis, [vac] * 5, h, model, reg, dt=dt)
+    _, norm = surface_term(psis[2], vac, h.basis, model, reg)
     return rep.value, norm
 
 
 def run_embedding_check(config, out_dir):
     model, basis = build_model(config["model"])
     p = config["params"]
+    h = build_hamiltonian(basis, model)
     reg = region(p["region"])
     dt = float(p["dt"])
 
     r_int, _ = _residual_and_surface(p["interior_center"], p["width"], dt,
-                                     basis, model, reg)
+                                     h, model, reg)
     r_bdy, _ = _residual_and_surface(p["boundary_center"], p["width"], dt,
-                                     basis, model, reg)
+                                     h, model, reg)
 
     # truncation stability: one more particle of headroom must not move the
     # one-quanton diagnostics
     bigger = build_basis(model.statistics, model.L, g=model.g,
                          n_max=config["model"]["n_max"] + 1)
     r_int2, _ = _residual_and_surface(p["interior_center"], p["width"], dt,
-                                      bigger, model, reg)
+                                      build_hamiltonian(bigger, model), model, reg)
 
     centers = np.linspace(p["sweep_start"], p["sweep_stop"], p["sweep_points"])
     rows = []
     residuals, norms = [], []
     for c in centers:
         r, s = _residual_and_surface(float(c), p["sweep_width"], dt,
-                                     basis, model, reg)
+                                     h, model, reg)
         residuals.append(r)
         norms.append(s)
         rows.append((float(c), r, s))

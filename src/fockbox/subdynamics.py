@@ -286,23 +286,22 @@ class ResidualReport:
     grid_too_coarse: bool
 
 
-def embedding_residual(psi_path, rho_prime_path, basis, model, region_, dt):
+def embedding_residual(psi_path, rho_prime_path, H, model, region_, dt):
     """How far the embedded trajectory is from solving the full dynamics.
 
     Central-difference time derivative of the embedded state against
-    -(i/hbar)[H, rho], H built at t = 0, at the middle grid point m // 2;
-    also evaluated on the doubled stencil, and flagged when the two differ
-    by more than 10% (grid too coarse to trust the derivative).
+    -(i/hbar)[H, rho] at the middle grid point m // 2, where H is the field
+    Hamiltonian, a FieldOperator on the states' basis; also evaluated on the
+    doubled stencil, and flagged when the two differ by more than 10% (grid
+    too coarse to trust the derivative).
     """
-    from .lattice import build_hamiltonian
-
     m = len(psi_path)
     if len(rho_prime_path) != m:
         raise ValueError("paths differ in length")
     if m < 5:
         raise ValueError("need at least 5 grid points")
     k = m // 2
-    hd = build_hamiltonian(basis, model, 0.0).to_dense()
+    basis, hd = H.basis, H.to_dense()
 
     def embedded(i):
         return embed(psi_path[i], rho_prime_path[i], basis, model, region_)

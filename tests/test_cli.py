@@ -302,6 +302,39 @@ def test_value_of_the_wrong_kind_is_a_config_error(tmp_path, name, override, whe
     assert not out.exists()
 
 
+OFF_LATTICE = [
+    ("event_channel", {"source_site": 9}, "params.source_site"),
+    ("decoherence_sweep", {"witness_channel": [2, 3, 9]}, "params.witness_channel"),
+    ("event_channel", {"target_index": 5}, "params.target_index"),
+    ("event_channel", {"channel": [3, 9]}, "params.channel"),
+    ("embedding_check", {"region": [1, 2, 30]}, "params.region"),
+]
+
+
+@pytest.mark.parametrize("name, params, where", OFF_LATTICE,
+                         ids=[f"{n}-{w}" for n, _, w in OFF_LATTICE])
+def test_site_or_index_off_the_lattice_is_a_config_error(tmp_path, name, params, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": name, "params": params}), encoding="utf-8")
+    assert [f.path for f in validate_config(json.loads(path.read_text()))] == [where]
+    out = tmp_path / "out"
+    for args in (("validate", "--config", str(path)),
+                 ("run", "--config", str(path), "--out", str(out))):
+        r = cli(*args)
+        assert r.returncode == 2, r.stderr
+        assert f"invalid: {where}: must" in r.stderr
+    assert not out.exists()
+
+
+def test_a_site_on_the_lattice_still_runs_into_an_inactive_source(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "event_channel", "params": {"source_site": 2}}),
+                    encoding="utf-8")
+    r = cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert r.returncode == 3, r.stderr
+    assert "inactive source" in r.stderr
+
+
 def test_values_take_the_kind_of_their_default():
     def paths(**params):
         return [f.path for f in validate_config({"scenario": "event_channel", "params": params})]

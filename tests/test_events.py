@@ -95,6 +95,18 @@ def test_inactive_source_raises(channel_box):
         build_event_mixture(vac, delta_spec(), basis, model)
 
 
+def test_mixture_builds_its_emitter_stack_once(channel_box, monkeypatch):
+    from fockbox import events
+
+    basis, model, _ = channel_box
+    calls = []
+    emitters = events._emitters
+    monkeypatch.setattr(events, "_emitters",
+                        lambda *args: calls.append(args) or emitters(*args))
+    build_event_mixture(one_particle(basis, 0, 5), delta_spec(), basis, model)
+    assert len(calls) == 1
+
+
 def test_channel_vacuum_gate(channel_box):
     basis, model, _ = channel_box
     rho_bad = one_particle(basis, 3, 5)

@@ -32,6 +32,7 @@ from fockbox.events import (
     EventSpec,
     SupportViolationError,
     _emission_operator,
+    _emitters,
     _quanton_kernel,
     build_event_mixture,
     check_channel_support,
@@ -525,8 +526,9 @@ def test_region_fields_come_from_the_one_held_ladder_stack(monkeypatch):
     surface_term(psi, vac, basis, model, reg)
     embed_two_quanton(psi2, vac, basis, model, reg)
     induced_observable(n_op, vac, basis, model, reg, windows=[(0.5, 1.5)])
-    _quanton_kernel(np.outer(one, one), spec, basis, model)
-    _emission_operator(spec, basis, model)
+    emitters = _emitters(spec, basis, model)
+    _quanton_kernel(np.outer(one, one), emitters, model.dx)
+    _emission_operator(spec, basis, model, emitters)
     build_event_mixture(np.outer(one, one), spec, basis, model)
     assert calls == []
 
@@ -631,12 +633,13 @@ def test_event_operators_match_loop_oracles(bm, data):
                      channel=region(range(cut, model.L)),
                      kernel=rng.normal(size=shape) + 1j * rng.normal(size=shape))
     want = oracle_emission(spec, basis, model)
-    assert np.max(np.abs(_emission_operator(spec, basis, model) - want)) \
+    emitters = _emitters(spec, basis, model)
+    assert np.max(np.abs(_emission_operator(spec, basis, model, emitters) - want)) \
         <= 1e-14 * np.max(np.abs(want))
     x = rng.normal(size=(basis.dim, basis.dim))
     rho = x @ x.T / np.trace(x @ x.T)
     want = oracle_quanton_kernel(rho, spec, basis, model)
-    assert np.max(np.abs(_quanton_kernel(rho, spec, basis, model) - want)) \
+    assert np.max(np.abs(_quanton_kernel(rho, emitters, model.dx) - want)) \
         <= 1e-13 * np.max(np.abs(want))
 
 

@@ -76,3 +76,18 @@ def test_relaxation_oracle_reads_the_trajectory_at_its_own_times(tmp_path, monke
     times = trajectories[0].times
     assert len(oracle_times) == 5
     assert all(np.min(np.abs(times - t)) <= 1e-12 for t in oracle_times)
+
+
+def test_embedding_check_builds_one_hamiltonian_per_basis(tmp_path, monkeypatch):
+    """The default run has two bases, its own and one with a particle more of
+    headroom; each Hamiltonian is built once and handed to every residual."""
+    from fockbox import lattice
+
+    built = []
+    for module in (lattice, scenarios):
+        build = module.build_hamiltonian
+        monkeypatch.setattr(module, "build_hamiltonian",
+                            lambda *args, _build=build, **kwargs:
+                            built.append(args) or _build(*args, **kwargs))
+    assert run_scenario({"scenario": "embedding_check"}, tmp_path).passed
+    assert len(built) == 2

@@ -217,10 +217,11 @@ def test_embedding_residual_interior_vs_boundary():
     basis = build_basis(BOSE, L=11, g=1, n_max=1)
     reg = region([1, 2, 3, 4, 5, 6, 7, 8, 9])
     psis, rhops = make_residual_inputs(5.0, 0.5, model, basis, reg, dt=1e-4)
-    interior = embedding_residual(psis, rhops, basis, model, reg, dt=1e-4)
+    h = build_hamiltonian(basis, model)
+    interior = embedding_residual(psis, rhops, h, model, reg, dt=1e-4)
     assert interior.value < 1e-6
     psis_b, rhops_b = make_residual_inputs(1.0, 0.5, model, basis, reg, dt=1e-4)
-    boundary = embedding_residual(psis_b, rhops_b, basis, model, reg, dt=1e-4)
+    boundary = embedding_residual(psis_b, rhops_b, h, model, reg, dt=1e-4)
     assert boundary.value > 1e3 * interior.value
 
 
@@ -230,13 +231,14 @@ def test_embedding_residual_scales_with_potential_error():
     reg = region([1, 2, 3, 4, 5, 6, 7])
     vac = np.zeros((basis.dim, basis.dim))
     vac[0, 0] = 1.0
+    h = build_hamiltonian(basis, model)
     vals = []
     for du in (0.05, 0.1):
         wrong = LatticeModel(L=9, dx=1.0,
                              U=potential_preset("table", 9, values=[du * x for x in range(9)]))
         psi0 = gaussian_packet(reg, center=4.0, width=0.45, dx=model.dx)
         psis = reduced_path(psi0, wrong, 0.0, 2e-4, 4)
-        rep = embedding_residual(psis, [vac] * 5, basis, model, reg, dt=2e-4)
+        rep = embedding_residual(psis, [vac] * 5, h, model, reg, dt=2e-4)
         vals.append(rep.value)
     assert 1.7 < vals[1] / vals[0] < 2.3
 
@@ -247,7 +249,8 @@ def test_residual_coarse_grid_flag():
     reg = region([1, 2, 3, 4, 5, 6, 7])
     psis, rhops = make_residual_inputs(4.0, 0.45, model, basis, reg,
                                        n_grid=5, dt=0.3)
-    rep = embedding_residual(psis, rhops, basis, model, reg, dt=0.3)
+    rep = embedding_residual(psis, rhops, build_hamiltonian(basis, model), model, reg,
+                             dt=0.3)
     assert rep.grid_too_coarse
 
 
@@ -283,12 +286,13 @@ def test_surface_term_tracks_residual_across_positions():
     reg = region([1, 2, 3, 4, 5, 6, 7])
     vac = np.zeros((basis.dim, basis.dim))
     vac[0, 0] = 1.0
+    h = build_hamiltonian(basis, model)
     residuals, norms = [], []
     # sweep from deep interior to near (not onto) the boundary layer, where
     # the packet tail drives both diagnostics
     for center in np.linspace(4.0, 5.8, 9):
         psis, rhops = make_residual_inputs(center, 0.45, model, basis, reg)
-        residuals.append(embedding_residual(psis, rhops, basis, model, reg,
+        residuals.append(embedding_residual(psis, rhops, h, model, reg,
                                             dt=2e-4).value)
         _, n = surface_term(psis[2], vac, basis, model, reg)
         norms.append(n)
