@@ -3,8 +3,9 @@
 A configuration is a single JSON document (key-value tree, explicit units:
 lengths in lattice spacings, energies in units of hbar^2/(m dx^2) family,
 times in hbar/energy).  Unknown keys anywhere in the tree are reported with
-their full path, and so is every number that is not finite and every site or
-index param that leaves the lattice or its channel; feasibility findings flag
+their full path, and so is every number that is not finite, every site or
+index param that leaves the lattice or its channel and every list param whose
+length the lattice fixes; feasibility findings flag
 truncations whose Fock dimension exceeds the cap before anything is built.
 
 The catalog (names, descriptions, defaults) and the checks are plain data
@@ -159,8 +160,18 @@ def _site_run(sites, config):
         return f"must be a non-empty run of distinct, contiguous sites in [0, {L})"
 
 
-# index-valued params: key -> rule on (value, merged config), a message or None
-INDEX_PARAMS = {
+def _entries(extra):
+    """The rule that a list has L + extra entries, one per site and extra more."""
+    def rule(v, c):
+        n = c["model"]["L"] + extra
+        return None if len(v) == n else (
+            f"must have {n} entries (L{' + 1' if extra else ''}), got {len(v)}")
+    return rule
+
+
+# params the defaults cannot check, a site, an index or a length tied to the
+# model: key -> rule on (value, merged config), a message or None
+PARAM_RULES = {
     "source_site": lambda v, c: (None if 0 <= v < c["model"]["L"]
                                  else f"must be a site in [0, {c['model']['L']})"),
     "region": _site_run,
@@ -170,6 +181,10 @@ INDEX_PARAMS = {
     "target_index": lambda v, c: (
         None if 0 <= v < len(c["params"]["channel"])
         else f"must index params.channel, in [0, {len(c['params']['channel'])})"),
+    # one parameter per mass cell plus the energy, one preparation weight per cell
+    "zeta0": _entries(1),
+    "gamma_T": _entries(1),
+    "prep_weights": _entries(0),
 }
 
 
@@ -404,7 +419,7 @@ def validate_config(config):
         + [f for f in findings if f.path not in bad]
     if not findings:
         merged = deep_merge(defaults, config)
-        for key, rule in INDEX_PARAMS.items():
+        for key, rule in PARAM_RULES.items():
             message = key in merged["params"] and rule(merged["params"][key], merged)
             if message:
                 findings.append(Finding(f"params.{key}", message))
@@ -418,6 +433,15 @@ def validate_config(config):
 def build_model(model_cfg):
     """(LatticeModel, FockBasis) from a merged, validated model block."""
     from .fock import build_basis
+
+    basis = build_basis(model_cfg["statistics"], model_cfg["L"],
+                        g=model_cfg["g"], n_max=model_cfg["n_max"])
+    return lattice_model(model_cfg), basis
+
+
+def lattice_model(model_cfg):
+    """The LatticeModel of a merged, validated model block, without its basis:
+    models that differ in their potentials only share one basis."""
     from .lattice import LatticeModel, pair_preset, potential_preset
 
     pot_cfg = dict(model_cfg.get("potential", {"preset": "box"}))
@@ -426,7 +450,7 @@ def build_model(model_cfg):
     pair_cfg = dict(model_cfg.get("pair_potential", {"preset": "none"}))
     pair_name = pair_cfg.pop("preset")
     v, range_v = pair_preset(pair_name, dx=model_cfg["dx"], **pair_cfg)
-    model = LatticeModel(
+    return LatticeModel(
         L=model_cfg["L"],
         dx=float(model_cfg["dx"]),
         g=model_cfg["g"],
@@ -437,6 +461,3 @@ def build_model(model_cfg):
         V=v,
         range_V=range_v,
     )
-    basis = build_basis(model_cfg["statistics"], model_cfg["L"],
-                        g=model_cfg["g"], n_max=model_cfg["n_max"])
-    return model, basis

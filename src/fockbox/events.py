@@ -183,15 +183,21 @@ def shielded_expectation(B, mixture, H, t_bar, t, basis, model, spec, hbar=1.0):
     evolved anomalous expectation; shielding_residual = the evolved normal
     expectation.  lhs - rhs equals lam times the residual identically, so
     the identity holds to the degree the detector is actually shielded.
+    t may be a sequence of times, for which a list of reports is returned:
+    the detector is checked once for the whole series, and the normal and
+    anomalous components evolve as one stack to each time.
     """
     check_channel_support(B, basis, model, spec)
     bd = B.to_dense() if isinstance(B, FieldOperator) else np.asarray(B)
-    normal, anomalous = _traces(bd[None], evolve_state(
-        np.stack([mixture.rho_normal, mixture.rho_anomalous]), H, t_bar, t, hbar=hbar))[0].real
-    lam = mixture.lam
-    return ShieldedReport(lhs=float(lam * normal + (1.0 - lam) * anomalous),
-                          rhs=float((1.0 - lam) * anomalous),
-                          shielding_residual=float(normal))
+    pair = np.stack([mixture.rho_normal, mixture.rho_anomalous])
+    lam, out = mixture.lam, []
+    for t_k in np.atleast_1d(t):
+        normal, anomalous = _traces(bd[None], evolve_state(pair, H, t_bar, t_k,
+                                                           hbar=hbar))[0].real
+        out.append(ShieldedReport(lhs=float(lam * normal + (1.0 - lam) * anomalous),
+                                  rhs=float((1.0 - lam) * anomalous),
+                                  shielding_residual=float(normal)))
+    return out if np.ndim(t) else out[0]
 
 
 def memory_witness(spec_one, spec_two, rho_normal, B, H, t_bar, t, basis,

@@ -325,10 +325,13 @@ class _DynamicsEngine:
     """The parameter equation in the eigenbasis of H, one block at a time.
 
     To the members, i div J_j and preparation record that past holds per block
-    the engine adds the commutator rates R_j and the spontaneous history as
-    phased nodes, one buffer per block that doubles when full.  A derivative
-    diagonalizes the exponent of w[zeta] on each block, moves [A; R] and the
-    history operand into its eigenvectors and makes one Kubo pass.
+    the engine adds the spontaneous history as phased nodes, one buffer per
+    block that doubles when full.  A derivative diagonalizes the exponent of
+    w[zeta] on each block and moves the A_j into its eigenvectors for the Gram
+    matrix.  When H's blocks and the members are real, the commutator rows
+    R_j = Delta o A_j, Delta_ab = (w_a - w_b)/hbar, are traces against the
+    history operand dressed by the Kubo kernel, taken in the eigenbasis of H
+    with no R_j made; otherwise [A; R] and the operand make one Kubo pass.
     """
 
     def __init__(self, relevant, history, H, hbar, tau_cut, cond_max=1e12):
@@ -336,7 +339,6 @@ class _DynamicsEngine:
             raise ValueError("relevant set needs div_currents for the dynamics")
         self.relevant, self.tau_cut, self.cond_max = relevant, tau_cut, cond_max
         self.past = _PreparedHistory(relevant, history, H, hbar)
-        self.rates = self.past.rates()
         self.proj = relevant.gauge_projector
         self.times = []
         self._nodes = [np.zeros((0,) + a.shape[1:], dtype=complex) for a in self.past.members]
@@ -383,23 +385,10 @@ class _DynamicsEngine:
             acc += mask * _weighted(wq, nodes[first:last]) + (1j * w_end) * _weighted(wz, j)
 
         us, p = self.past.state(self.relevant, zeta)
-
-        # one Kubo contraction per block: the A_j and R_j against the conjugated A_l
-        # and operand.  Hermitian A_j give the conjugate of each correlation (the
-        # real part is kept); anti-Hermitian R_j give -conj(<R_j, .>) = conj(<C_j, .>) / i
-        n = len(self.relevant)
-
-        def pairs():
-            for sl, u, a, r, o in zip(self.past.spectrum.slices, us,
-                                      self.past.members, self.rates, operand):
-                block = u.conj().T @ np.concatenate([a, r]) @ u
-                b = np.concatenate([block[:n], (u.conj().T @ o @ u)[None]])
-                yield sl, sl, block, np.conjugate(b, out=b)
-
-        k, means = _kubo(p, pairs(), (2 * n, n + 1), _kubo_kernel(p))
-        gram = k[:n, :n].real
-        rhs = (1j * (means[n:] + k[n:, n])).real
-        kmat = (1j * k[n:, :n]).real
+        real = np.isrealobj(self.past.spectrum.blocks[0]) and all(
+            np.isrealobj(a) for a in self.past.members)
+        gram, rhs, kmat = (self._traced if real else self._full)(us, p, _kubo_kernel(p),
+                                                                 operand)
 
         # ---- linear solve:  -(G + w_end K) diag(w) zdot = rhs -------------
         mw = (gram + w_end * kmat) * self.relevant.weights[None, :]
@@ -409,6 +398,47 @@ class _DynamicsEngine:
         u, *_ = np.linalg.lstsq(mw, -rhs, rcond=1e-13)
         zdot = self.proj @ u
         return zdot, cond
+
+    def _traced(self, us, p, kappa, operand):
+        """(G, rhs, K) when H's blocks and the members are real, so that u, A_j
+        and R_j are.
+
+        G is one real (n, n) Kubo pass over the A_j.  K(R_j, A_l) is then real,
+        so K = -Im K(R_j, A_l) vanishes (the selection rule of time reversal).
+        rhs_j = -Im <R_j, O> reads only Q = Im O: its connected part is
+        sum_ab R_j[a,b] G_Q[a,b] with G_Q = u (kappa o u^T Q u) u^T, its
+        disconnected part Tr(R_j rho) Tr(Q rho) with rho = u diag(p) u^T, each an
+        elementwise sum of Delta o A_j in the eigenbasis of H.
+        """
+        n, spectrum = len(self.relevant), self.past.spectrum
+        gram = _kubo(p, ((sl, sl, u.T @ a @ u) for sl, u, a in zip(
+            spectrum.slices, us, self.past.members)), (n, n), kappa)[0]
+        traces, tr_r, tr_q = np.zeros(n), np.zeros(n), 0.0
+        for sl, u, a, o in zip(spectrum.slices, us, self.past.members, operand):
+            delta = np.subtract.outer(spectrum.w[sl], spectrum.w[sl]) / spectrum.hbar
+            g = u @ (kappa[sl, sl] * (u.T @ o.imag @ u)) @ u.T
+            rho_t = ((u * p[sl]) @ u.T).T
+            rows = a.reshape(n, -1)
+            traces += rows @ (delta * g).ravel()
+            tr_r += rows @ (delta * rho_t).ravel()
+            tr_q += float(np.sum(o.imag * rho_t))
+        return gram, traces - tr_r * tr_q, 0.0
+
+    def _full(self, us, p, kappa, operand):
+        """(G, rhs, K) from one Kubo pass of [A; R] against the conjugated A_l and
+        operand.  Hermitian A_j give the conjugate of each correlation (the real
+        part is kept); anti-Hermitian R_j give -conj(<R_j, .>) = conj(<C_j, .>) / i."""
+        n = len(self.relevant)
+
+        def pairs():
+            for sl, u, a, r, o in zip(self.past.spectrum.slices, us,
+                                      self.past.members, self.past.rates(), operand):
+                block = u.conj().T @ np.concatenate([a, r]) @ u
+                b = np.concatenate([block[:n], (u.conj().T @ o @ u)[None]])
+                yield sl, sl, block, np.conjugate(b, out=b)
+
+        k, means = _kubo(p, pairs(), (2 * n, n + 1), kappa)
+        return k[:n, :n].real, (1j * (means[n:] + k[n:, n])).real, (1j * k[n:, :n]).real
 
     def _deflated_condition(self, gram):
         d_sqrt = np.sqrt(self.relevant.weights)

@@ -11,7 +11,9 @@ occupation basis, so a generator or operand with no imaginary part is
 diagonalized and transformed in real arithmetic.  An operator is
 diagonalized once: it keeps its blocks, read-only, from its first Spectrum
 on, so the propagators, dressings and Kubo sums of one Hamiltonian share
-one eigendecomposition, freed with it.
+one eigendecomposition, freed with it.  A dense state assembled from a
+decomposition (maxent's Gibbs states) keeps it the same way, so the Kubo
+sums in that state diagonalize nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ class Spectrum:
     the eigenvectors of slices[i], real when op is.  A FieldOperator keeps its
     decomposition from the first Spectrum of it on, so every later one, of any
     hbar, shares its read-only w and blocks while ROW_RESTRICT is unchanged.
+    Any other op that carries a kept _eig made under the current ROW_RESTRICT,
+    as a Gibbs state does, is read from it, its sectors aside; a dense matrix
+    without one is diagonalized.
     Changes of basis act on the block pairs an operand connects: sector_blocks
     yields an operator stack's blocks there one pair at a time, diagonal_blocks
     gathers them per block, and from_blocks, eigenvalue_blocks and dense map
@@ -44,12 +49,14 @@ class Spectrum:
     """
 
     def __init__(self, op, hbar=1.0, sectors=None):
-        if isinstance(op, FieldOperator):
-            if op._eig is None or op._eig[0] != ROW_RESTRICT:
-                op._eig = ROW_RESTRICT, _decompose(op.to_dense(), op.basis.sector_slices())
-            slices, self.w, blocks = op._eig[1]
-        else:
-            slices, self.w, blocks = _decompose(np.asarray(op), sectors)
+        eig = getattr(op, "_eig", None)
+        if eig is None or eig[0] != ROW_RESTRICT:
+            if isinstance(op, FieldOperator):
+                eig = ROW_RESTRICT, _decompose(op.to_dense(), op.basis.sector_slices())
+                op._eig = eig
+            else:
+                eig = ROW_RESTRICT, _decompose(np.asarray(op), sectors)
+        slices, self.w, blocks = eig[1]
         self.slices, self.blocks, self.hbar = list(slices), list(blocks), hbar
         self.sector = np.repeat(np.arange(len(self.slices)),
                                 [sl.stop - sl.start for sl in self.slices])
@@ -81,9 +88,15 @@ class Spectrum:
         return out
 
     def unitary_blocks(self, t):
-        """exp(-i op t / hbar) on each block, each checked unitary."""
+        """exp(-i op t / hbar) on each block, each checked unitary: with u = a + ib,
+        u u^dag - 1 = (a a^T + b b^T - 1) + i (b a^T - a b^T), three real products."""
         us = self.eigenvalue_blocks(np.exp(-1j * self.w * t / self.hbar))
-        dev = max(float(np.max(np.abs(u @ u.T.conj() - np.eye(len(u))))) for u in us)
+        dev = 0.0
+        for u in us:
+            a, b = np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
+            ba = b @ a.T
+            re, im = a @ a.T + b @ b.T - np.eye(len(u)), ba - ba.T
+            dev = max(dev, float(np.max(np.hypot(re, im))))
         if dev >= UNITARITY_TOL:
             raise AssertionError(f"propagator lost unitarity: {dev:.3e}")
         return us
@@ -240,12 +253,22 @@ def hermitian_eig(op):
 
 
 def propagator(H, dt, hbar=1.0):
-    """U = exp(-i H dt / hbar) for Hermitian H, its sparse matrix built from the
-    Spectrum's unitary blocks."""
+    """U = exp(-i H dt / hbar) for Hermitian H, a canonical CSR matrix made
+    straight from the Spectrum's unitary blocks: row by row, the raveled blocks
+    with their explicit zeros dropped."""
     import scipy.sparse as sp
 
     blocks = Spectrum(H, hbar=hbar).unitary_blocks(dt)
-    return FieldOperator(H.basis, sp.block_diag(blocks, format="csr"))
+    sizes = [len(u) for u in blocks]
+    data = np.concatenate([u.ravel() for u in blocks])
+    cols = np.concatenate([np.tile(np.arange(end - n, end), n)
+                           for end, n in zip(np.cumsum(sizes), sizes)])
+    keep = data != 0
+    counts = np.concatenate([np.count_nonzero(u, axis=1) for u in blocks])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    d = H.basis.dim
+    return FieldOperator._held(H.basis, sp.csr_matrix((data[keep], cols[keep], indptr),
+                                                      shape=(d, d)))
 
 
 def _step_unitaries(H_of_t, t0, t1, n_steps, hbar):

@@ -131,10 +131,11 @@ def test_cli_run_malformed_json_exit_2(tmp_path):
 
 
 def test_cli_run_numerical_failure_exit_3(tmp_path):
-    # structurally valid config whose parameters cannot be run
+    # structurally valid config whose parameters cannot be run: the state is so
+    # sharp that its correlation Gram matrix is singular at t = 0
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "relaxation",
-                                "params": {"zeta0": [1.0, 2.0]}}),
+                                "params": {"zeta0": [30.0, -30.0, 30.0, -30.0, 0.5]}}),
                     encoding="utf-8")
     r = cli("run", "--config", str(path), "--out", str(tmp_path / "out"))
     assert r.returncode == 3
@@ -323,6 +324,30 @@ def test_site_or_index_off_the_lattice_is_a_config_error(tmp_path, name, params,
         r = cli(*args)
         assert r.returncode == 2, r.stderr
         assert f"invalid: {where}: must" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, params, where", [
+    ("relaxation", {"zeta0": [1.0, 2.0]}, "params.zeta0"),
+    ("zubarev_limit", {"zeta0": [0.1] * 6}, "params.zeta0"),
+    ("zubarev_limit", {"gamma_T": [0.1] * 4}, "params.gamma_T"),
+    ("zubarev_limit", {"prep_weights": [0.1] * 5}, "params.prep_weights"),
+    ("zubarev_limit", {"model": {"L": 3}}, "params.zeta0"),
+])
+def test_a_list_of_the_wrong_length_is_a_config_error(tmp_path, name, params, where):
+    """zeta0 and gamma_T have L + 1 entries and prep_weights L, L from the
+    merged model; the parent let each through to the run."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": name, **(
+        params if "model" in params else {"params": params})}), encoding="utf-8")
+    findings = validate_config(json.loads(path.read_text()))
+    assert where in [f.path for f in findings]
+    out = tmp_path / "out"
+    for args in (("validate", "--config", str(path)),
+                 ("run", "--config", str(path), "--out", str(out))):
+        r = cli(*args)
+        assert r.returncode == 2, r.stderr
+        assert f"invalid: {where}: must have" in r.stderr
     assert not out.exists()
 
 

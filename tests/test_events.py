@@ -181,6 +181,17 @@ def test_shielded_identity_with_barrier(channel_box):
         assert abs(rep.lhs - rep.rhs - lam * rep.shielding_residual) < 1e-12
 
 
+def test_shielded_series_matches_one_call_per_time(channel_box):
+    basis, model, h = channel_box
+    spec = delta_spec(lam=0.4)
+    mix = build_event_mixture(one_particle(basis, 0, 5), spec, basis, model)
+    b = number_operator(basis, 3) + number_operator(basis, 4)
+    times = [0.25, 0.5, 1.0]
+    series = shielded_expectation(b, mix, h, 0.0, times, basis, model, spec)
+    assert series == [shielded_expectation(b, mix, h, 0.0, t, basis, model, spec)
+                      for t in times]
+
+
 def test_shielding_degrades_without_barrier():
     model = LatticeModel(L=5, dx=1.0)  # no barrier
     basis = build_basis(BOSE, L=5, g=1, n_max=1)

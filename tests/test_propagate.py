@@ -1,16 +1,18 @@
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from strategies import SETTINGS, hermitian_models
 
 from fockbox import propagate, scenarios
 from fockbox.config import build_model
-from fockbox.fock import BOSE, build_basis, number_operator
+from fockbox.fock import BOSE, FieldOperator, build_basis, number_operator
 from fockbox.lattice import LatticeModel, build_hamiltonian, potential_preset
 from fockbox.maxent import entropy
 from fockbox.propagate import Spectrum, evolve_state, heisenberg, propagator
@@ -199,3 +201,36 @@ def test_propagator_is_sparse_and_matches_per_block_expm(data):
         mp.setattr(propagate, "UNITARITY_TOL", 0.0)
         with pytest.raises(AssertionError, match="lost unitarity"):
             propagator(h, t)
+
+
+def oracle_propagator(h, t):
+    """The CSR matrix of the unitary blocks through scipy's block_diag and a
+    canonicalizing copy, as propagator built it before."""
+    return FieldOperator(h.basis, sp.block_diag(Spectrum(h).unitary_blocks(t),
+                                                format="csr")).matrix
+
+
+@SETTINGS
+@given(st.data())
+def test_propagator_csr_equals_the_block_diag_oracle_bit_for_bit(data):
+    _, _, h = data.draw(hermitian_models())
+    # t = 0 gives identity blocks, whose explicit zeros are dropped
+    for t in (data.draw(st.floats(-2.0, 2.0)), 0.0):
+        got, want = propagator(h, t).matrix, oracle_propagator(h, t)
+        assert got.shape == want.shape and got.has_canonical_format
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_non_unitary_block_raises_with_the_complex_deviation(box, monkeypatch):
+    _, _, h = box
+    blocks = Spectrum(h).unitary_blocks(0.7)
+    rng = np.random.default_rng(5)
+    bent = [u + 0.05 * (rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape))
+            for u in blocks]
+    dev = max(float(np.max(np.abs(u @ u.conj().T - np.eye(len(u))))) for u in bent)
+    monkeypatch.setattr(Spectrum, "eigenvalue_blocks", lambda self, f: bent)
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"propagator lost unitarity: {dev:.3e}")):
+        propagator(h, 0.7)

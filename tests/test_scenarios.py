@@ -78,6 +78,35 @@ def test_relaxation_oracle_reads_the_trajectory_at_its_own_times(tmp_path, monke
     assert all(np.min(np.abs(times - t)) <= 1e-12 for t in oracle_times)
 
 
+@pytest.mark.parametrize("name", ["event_channel", "decoherence_sweep"])
+def test_witness_models_share_the_run_basis(name, tmp_path, monkeypatch):
+    """The witness models differ from each other and from the run's own model
+    in their potentials only, so a run enumerates one basis: the parent built
+    one per witness model besides the run's own, 2 and 5."""
+    from fockbox import fock
+
+    built = []
+    for module in (fock, scenarios):
+        build = module.build_basis
+        monkeypatch.setattr(module, "build_basis",
+                            lambda *args, _build=build, **kwargs:
+                            built.append(args) or _build(*args, **kwargs))
+    assert run_scenario({"scenario": name}, tmp_path).passed
+    assert len(built) == 1
+
+
+def test_event_channel_checks_each_detector_once(tmp_path, monkeypatch):
+    """One check for the shielded series and one for the witness series: the
+    parent checked once per shielded time, 4 + 1."""
+    from fockbox import events
+
+    checked, check = [], events.check_channel_support
+    monkeypatch.setattr(events, "check_channel_support",
+                        lambda *args: checked.append(args) or check(*args))
+    assert run_scenario({"scenario": "event_channel"}, tmp_path).passed
+    assert len(checked) == 2
+
+
 def test_embedding_check_builds_one_hamiltonian_per_basis(tmp_path, monkeypatch):
     """The default run has two bases, its own and one with a particle more of
     headroom; each Hamiltonian is built once and handed to every residual."""

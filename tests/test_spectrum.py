@@ -13,8 +13,10 @@ particle number.  The full (n, d, d) transform and the per-member Kubo pass
 over it, which the block-pair paths replaced, are kept as oracles too.
 """
 
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -51,6 +53,7 @@ from fockbox.maxent import (
     _gram,
     _kubo,
     cumulant_expect,
+    entropy,
     expectations,
     exponent_matrix,
     gauge_projector,
@@ -60,7 +63,7 @@ from fockbox.maxent import (
     relevant_set,
     state_from_exponent,
 )
-from fockbox import propagate
+from fockbox import neqso, propagate
 from fockbox.neqso import (
     HistorySpec,
     HistoryTerm,
@@ -1011,10 +1014,10 @@ def test_number_changing_member_takes_the_one_block_path():
 
 
 def test_engine_holds_less_than_one_full_complex_stack():
-    """At dim 165 (blocks of 45 and 120 states) the engine holds its members,
-    commutator rates and current divergences per block and real, so all it
-    keeps stays under 0.6 of the complex (2n, d, d) stack of the members and
-    divergences alone; one history term on the coarsest preparation grid."""
+    """At dim 165 (blocks of 45 and 120 states) the engine holds its members
+    and current divergences per block and real, so all it keeps stays under
+    0.6 of the complex (2n, d, d) stack of the members and divergences alone;
+    one history term on the coarsest preparation grid."""
     basis = build_basis(BOSE, L=8, g=1, n_max=3)
     v, rv = pair_preset("contact", v0=0.6)
     model = LatticeModel(L=8, V=v, range_V=rv)
@@ -1115,3 +1118,120 @@ def test_engine_records_into_a_geometrically_grown_buffer():
         node = dress_in_eigenbasis(spectrum, spont_combo(rel, ad_eig, zeta, zdot), t)
         for nodes, sl in zip(engine.stack, spectrum.slices):
             assert_close(nodes[k], node[sl, sl])
+
+
+# ---- kept Gibbs decompositions and the dynamics rows as traces ----------------------
+
+
+def counting_decompositions(mp):
+    """A list that grows by one per propagate._decompose call from now on."""
+    calls, decompose = [], propagate._decompose
+    mp.setattr(propagate, "_decompose",
+               lambda m, sectors: calls.append(m.shape) or decompose(m, sectors))
+    return calls
+
+
+@SETTINGS
+@given(st.data())
+def test_gibbs_state_keeps_its_decomposition_for_kubo_gram_and_entropy(data):
+    """kubo_gram and entropy of a gibbs_state output read its kept blocks and
+    weights, with no _decompose call, and agree with the dense path that a
+    plain copy of the state takes."""
+    basis, model, h = data.draw(hermitian_models())
+    rel = mass_relevant(basis, model, h)
+    zeta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0]),
+                                       min_size=len(rel), max_size=len(rel))))
+    rho, _ = gibbs_state(rel, zeta)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_decompositions(mp)
+        got_g, got_s = kubo_gram(rel, rho), entropy(rho)
+        assert calls == []
+        dense = np.array(rho)
+        want_g, want_s = kubo_gram(rel, dense), entropy(dense)
+        assert len(calls) == 1
+    assert_close(got_g, want_g)
+    assert abs(got_s - want_s) <= 1e-12 * max(1.0, abs(want_s))
+
+
+def test_a_gibbs_state_is_read_only_and_derived_arrays_keep_nothing():
+    # blocks of 35 and 49 states
+    basis = build_basis(BOSE, L=3, g=1, n_max=6)
+    v, rv = pair_preset("contact", v0=0.6)
+    model = LatticeModel(L=3, V=v, range_V=rv)
+    h = build_hamiltonian(basis, model)
+    rel = mass_relevant(basis, model, h)
+    rho, _ = gibbs_state(rel, np.linspace(-0.3, 0.3, len(rel)))
+    row_restrict, (slices, p, blocks) = rho._eig
+    assert row_restrict == propagate.ROW_RESTRICT and len(slices) == len(blocks) > 1
+    for a in (rho, p) + blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    for derived in (rho.copy(), rho[:2], rho[1:, 1:], rho * 1.0, rho + rho, rho.T,
+                    np.asarray(rho)):
+        assert getattr(derived, "_eig", None) is None
+    # a Spectrum made under another ROW_RESTRICT diagonalizes the state afresh
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_decompositions(mp)
+        Spectrum(rho)
+        mp.setattr(propagate, "ROW_RESTRICT", 1)
+        Spectrum(rho)
+        assert calls == [rho.shape]
+    # nothing is cached at module level: the blocks are freed with the state
+    block = weakref.ref(blocks[0])
+    del rho, p, blocks
+    gc.collect()
+    assert block() is None
+
+
+def today_pass(engine, us, p, kappa, operand):
+    """(G, rhs, K) from the (2n, n + 1) Kubo pass of [A; R] against the
+    conjugated A_l and operand, the rates R_j = Delta o A_j made for the
+    call: the derivative's pass for every model before real ones read the R_j
+    as traces."""
+    past, n = engine.past, len(engine.relevant)
+    w, hbar = past.spectrum.w, past.spectrum.hbar
+
+    def pairs():
+        for sl, u, a, o in zip(past.spectrum.slices, us, past.members, operand):
+            r = np.subtract.outer(w[sl], w[sl]) / hbar * a
+            block = u.conj().T @ np.concatenate([a, r]) @ u
+            b = np.concatenate([block[:n], (u.conj().T @ o @ u)[None]])
+            yield sl, sl, block, np.conjugate(b, out=b)
+
+    k, means = _kubo(p, pairs(), (2 * n, n + 1), kappa)
+    return k[:n, :n].real, (1j * (means[n:] + k[n:, n])).real, (1j * k[n:, :n]).real
+
+
+@SETTINGS
+@given(st.data())
+def test_traced_derivative_matches_todays_pass(data):
+    """The derivative against the same engine with today's pass, with a
+    preparation record, spontaneous nodes and a cutoff or none; a real model
+    takes the traced rows with one real (n, n) Kubo pass, a complex one the
+    (2n, n + 1) pass."""
+    basis, model, h = data.draw(hermitian_models())
+    rel = mass_relevant(basis, model, h)
+    zeta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0]),
+                                       min_size=len(rel), max_size=len(rel))))
+    history = HistorySpec(
+        T=-0.4, t0=0.0, n_quad=5, gamma_T=np.full(len(rel), 0.1),
+        terms=(HistoryTerm("drive", (rel.operators[0],), np.array([0.3]),
+                           cosine_test_function(2.0)),))
+    tau_cut = data.draw(st.sampled_from([None, 0.1, 0.5]))
+    engine = _DynamicsEngine(rel, history, h, 1.0, tau_cut)
+    rng = np.random.default_rng(3)
+    for k in range(3):
+        engine.record(0.05 * k, zeta + 0.01 * k, rng.normal(size=len(rel)))
+    n, shapes, kubo_ = len(rel), [], neqso._kubo
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neqso, "_kubo", lambda p, pairs, shape, kappa=None:
+                   shapes.append(shape) or kubo_(p, pairs, shape, kappa))
+        got, got_cond = engine.derivative(0.15, zeta)
+    real = not np.any(h.to_dense().imag)
+    assert shapes == [(n, n) if real else (2 * n, n + 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_DynamicsEngine, "_traced", today_pass)
+        mp.setattr(_DynamicsEngine, "_full", today_pass)
+        want, want_cond = engine.derivative(0.15, zeta)
+    assert_close(got, want)
+    assert np.isclose(got_cond, want_cond, rtol=1e-9)
