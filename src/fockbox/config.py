@@ -169,8 +169,8 @@ def _entries(extra):
     return rule
 
 
-# params the defaults cannot check, a site, an index or a length tied to the
-# model: key -> rule on (value, merged config), a message or None
+# params the defaults cannot check, a site, an index, a length tied to the model
+# or a bound: key -> rule on (value, merged config), a message or None
 PARAM_RULES = {
     "source_site": lambda v, c: (None if 0 <= v < c["model"]["L"]
                                  else f"must be a site in [0, {c['model']['L']})"),
@@ -185,6 +185,14 @@ PARAM_RULES = {
     "zeta0": _entries(1),
     "gamma_T": _entries(1),
     "prep_weights": _entries(0),
+    # the time grids of the parameter dynamics and the decay table; round(t_end /
+    # step) >= 1 is t_end > step / 2, and a step <= 0 is reported at step alone
+    "step": lambda v, c: None if v > 0 else "must be > 0",
+    "decay_horizon": lambda v, c: None if v > 0 else "must be > 0",
+    "decay_samples": lambda v, c: None if v >= 2 else "must be >= 2",
+    "prep_quad": lambda v, c: None if v >= 2 else "must be >= 2",
+    "t_end": lambda v, c: (None if c["params"]["step"] <= 0 or v > 0.5 * c["params"]["step"]
+                           else "must span at least one step: round(t_end / step) >= 1"),
 }
 
 

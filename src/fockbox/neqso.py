@@ -6,9 +6,10 @@ history terms accumulated during a preparation interval [T, t0], minus a
 terminal term at T.  Unitary evolution of that operator admits an exact
 rewrite in which the terminal parameters are the current ones and the
 history extends through the spontaneous interval [t0, t]; the parameters
-themselves then obey an integrodifferential equation driven by two-point
-correlation functions of the current macrostate, integrated by explicit
-midpoint with a trapezoid memory term and an optional memory cutoff.
+then obey an integrodifferential equation, integrated by explicit midpoint
+with a trapezoid memory term and an optional memory cutoff.  It and the
+decay table are canonical correlations of the commutator rows in the current
+macrostate, traces against operands dressed once by the Kubo kernel.
 """
 
 from __future__ import annotations
@@ -147,13 +148,20 @@ def _masks(spectrum, t):
     return [np.outer(phase[sl], phase[sl].conj()) for sl in spectrum.slices]
 
 
+def _dressed(u, kappa, x):
+    """G_x = u (kappa o u^dag x u) u^dag: x, one matrix or a stack, dressed by the
+    Kubo kernel kappa of the state with eigenvectors u, in the basis x is given in;
+    the connected part of _kubo's <C, B> is Tr(C G_B) = Tr(G_C B) there."""
+    return u @ (kappa * (u.conj().T @ x @ u)) @ u.conj().T
+
+
 class _PreparedHistory:
     """The [T, t0] record and terminal term on each block of spectrum, H's (as one
     block when a member, current divergence or history operator couples two):
-    there members holds the A_j, div_rates the i div J_j (real for the imaginary
-    divergences of a real model), combos each history term's sum_k coeffs[k] O_k
-    and gamma the terminal term, so its size does not depend on n_quad; h holds
-    h(t') of each term on the nodes, one row per node."""
+    there members holds the A_j, delta the (w_a - w_b)/hbar, so that (i/hbar)[H, A_j]
+    = i delta o A_j, div_rates the i div J_j (real for the imaginary divergences of
+    a real model), combos each history term's sum_k coeffs[k] O_k and gamma the
+    terminal term, so its size does not depend on n_quad; h the h(t'), a row per node."""
 
     def __init__(self, relevant, history, H, hbar):
         self.history, terms = history, history.terms
@@ -165,6 +173,8 @@ class _PreparedHistory:
             spectrum = Spectrum(H.to_dense(), hbar=hbar)
             blocks = [diagonal_blocks(spectrum, ops) for ops in groups]
         self.spectrum, self.members = spectrum, blocks[0]
+        self.delta = [np.subtract.outer(spectrum.w[sl], spectrum.w[sl]) / hbar
+                      for sl in spectrum.slices]
         self.div_rates = None if relevant.div_currents is None else [
             1j * b if np.any(b.real) else -b.imag for b in blocks[-1]]
         self.nodes = history.prep_grid() if terms else np.array([])
@@ -175,12 +185,6 @@ class _PreparedHistory:
         self.gamma = None if history.gamma_T is None else [
             _weighted(np.asarray(history.gamma_T, float) * relevant.weights, a)
             for a in self.members]
-
-    def rates(self):
-        """R_j = (w_a - w_b)/hbar * A_j per block, so that (i/hbar)[H, A_j] = i R_j."""
-        w, hbar = self.spectrum.w, self.spectrum.hbar
-        return [np.subtract.outer(w[sl], w[sl]) / hbar * a
-                for sl, a in zip(self.spectrum.slices, self.members)]
 
     def state(self, relevant, zeta):
         """Per block, the eigenvectors u of the exponent of w[zeta], which w[zeta]
@@ -328,10 +332,9 @@ class _DynamicsEngine:
     the engine adds the spontaneous history as phased nodes, one buffer per
     block that doubles when full.  A derivative diagonalizes the exponent of
     w[zeta] on each block and moves the A_j into its eigenvectors for the Gram
-    matrix.  When H's blocks and the members are real, the commutator rows
-    R_j = Delta o A_j, Delta_ab = (w_a - w_b)/hbar, are traces against the
-    history operand dressed by the Kubo kernel, taken in the eigenbasis of H
-    with no R_j made; otherwise [A; R] and the operand make one Kubo pass.
+    matrix.  The commutator rows R_j = Delta o A_j are traces against operands
+    dressed by the Kubo kernel (_dressed), taken in the eigenbasis of H with no
+    R_j made: the history operand, and on complex blocks each A_l too.
     """
 
     def __init__(self, relevant, history, H, hbar, tau_cut, cond_max=1e12):
@@ -385,10 +388,7 @@ class _DynamicsEngine:
             acc += mask * _weighted(wq, nodes[first:last]) + (1j * w_end) * _weighted(wz, j)
 
         us, p = self.past.state(self.relevant, zeta)
-        real = np.isrealobj(self.past.spectrum.blocks[0]) and all(
-            np.isrealobj(a) for a in self.past.members)
-        gram, rhs, kmat = (self._traced if real else self._full)(us, p, _kubo_kernel(p),
-                                                                 operand)
+        gram, rhs, kmat = self._correlations(us, p, _kubo_kernel(p), operand)
 
         # ---- linear solve:  -(G + w_end K) diag(w) zdot = rhs -------------
         mw = (gram + w_end * kmat) * self.relevant.weights[None, :]
@@ -399,46 +399,34 @@ class _DynamicsEngine:
         zdot = self.proj @ u
         return zdot, cond
 
-    def _traced(self, us, p, kappa, operand):
-        """(G, rhs, K) when H's blocks and the members are real, so that u, A_j
-        and R_j are.
+    def _correlations(self, us, p, kappa, operand):
+        """(G, rhs, K) in the state with weights p on the eigenvectors us.
 
-        G is one real (n, n) Kubo pass over the A_j.  K(R_j, A_l) is then real,
-        so K = -Im K(R_j, A_l) vanishes (the selection rule of time reversal).
-        rhs_j = -Im <R_j, O> reads only Q = Im O: its connected part is
-        sum_ab R_j[a,b] G_Q[a,b] with G_Q = u (kappa o u^T Q u) u^T, its
-        disconnected part Tr(R_j rho) Tr(Q rho) with rho = u diag(p) u^T, each an
-        elementwise sum of Delta o A_j in the eigenbasis of H.
+        G is one (n, n) Kubo pass over the A_j.  The rows R_j = Delta o A_j meet
+        any X as <R_j, X> = sum_ab A_j[a,b] Delta_ab conj(G_X)[a,b] - Tr(R_j rho)
+        conj(Tr(X rho)), G_X = _dressed(u, kappa, X), rho = u diag(p) u^dag, with
+        no R_j made: rhs_j = Re i (Tr(R_j rho) + <R_j, O>), K = Re i <R_j, A_l>.
+        On a real block (u, A_j real) time reversal zeroes Tr(R_j rho) and its part
+        of K: only Im O is dressed, in real arithmetic.  Complex blocks dress each A_l.
         """
-        n, spectrum = len(self.relevant), self.past.spectrum
-        gram = _kubo(p, ((sl, sl, u.T @ a @ u) for sl, u, a in zip(
-            spectrum.slices, us, self.past.members)), (n, n), kappa)[0]
-        traces, tr_r, tr_q = np.zeros(n), np.zeros(n), 0.0
-        for sl, u, a, o in zip(spectrum.slices, us, self.past.members, operand):
-            delta = np.subtract.outer(spectrum.w[sl], spectrum.w[sl]) / spectrum.hbar
-            g = u @ (kappa[sl, sl] * (u.T @ o.imag @ u)) @ u.T
-            rho_t = ((u * p[sl]) @ u.T).T
-            rows = a.reshape(n, -1)
-            traces += rows @ (delta * g).ravel()
+        n, past, slices = len(self.relevant), self.past, self.past.spectrum.slices
+        gram, tr_a = _kubo(p, ((sl, sl, u.conj().T @ a @ u) for sl, u, a in zip(
+            slices, us, past.members)), (n, n), kappa)
+        conn_o, tr_r, tr_o = np.zeros(n, complex), np.zeros(n, complex), 0.0
+        conn_a = np.zeros((n, n), complex)
+        for sl, u, a, delta, o in zip(slices, us, past.members, past.delta, operand):
+            rows, k = a.reshape(n, -1), kappa[sl, sl]
+            if np.isrealobj(u) and np.isrealobj(a):
+                # G_Re O and G_Im O are real here: Re i conj(G_O) = G_Im O
+                conn_o -= 1j * (rows @ (delta * _dressed(u, k, o.imag)).ravel())
+                continue
+            rho_t = ((u * p[sl]) @ u.conj().T).T
+            conn_o += rows @ (delta * _dressed(u, k, o).conj()).ravel()
+            conn_a += rows @ (delta * _dressed(u, k, a).conj()).reshape(n, -1).T
             tr_r += rows @ (delta * rho_t).ravel()
-            tr_q += float(np.sum(o.imag * rho_t))
-        return gram, traces - tr_r * tr_q, 0.0
-
-    def _full(self, us, p, kappa, operand):
-        """(G, rhs, K) from one Kubo pass of [A; R] against the conjugated A_l and
-        operand.  Hermitian A_j give the conjugate of each correlation (the real
-        part is kept); anti-Hermitian R_j give -conj(<R_j, .>) = conj(<C_j, .>) / i."""
-        n = len(self.relevant)
-
-        def pairs():
-            for sl, u, a, r, o in zip(self.past.spectrum.slices, us,
-                                      self.past.members, self.past.rates(), operand):
-                block = u.conj().T @ np.concatenate([a, r]) @ u
-                b = np.concatenate([block[:n], (u.conj().T @ o @ u)[None]])
-                yield sl, sl, block, np.conjugate(b, out=b)
-
-        k, means = _kubo(p, pairs(), (2 * n, n + 1), kappa)
-        return k[:n, :n].real, (1j * (means[n:] + k[n:, n])).real, (1j * k[n:, :n]).real
+            tr_o += np.sum(o * rho_t)
+        rhs = (1j * (tr_r + conn_o - tr_r * np.conj(tr_o))).real
+        return gram.real, rhs, (1j * (conn_a - np.outer(tr_r, np.conj(tr_a)))).real
 
     def _deflated_condition(self, gram):
         d_sqrt = np.sqrt(self.relevant.weights)
@@ -515,19 +503,28 @@ def decay_time(relevant, zeta, H, horizon, n_samples=61, hbar=1.0):
     C_jl(s) = <(i/hbar)[H, A_j], A_l(-s)> in the state w[zeta]; the scalar
     aggregate contracts l with the current parameters (uniformly when zeta
     vanishes) and takes the 2-norm over j.  The horizon tau is read at
-    DECAY_THRESHOLD of the aggregate's peak.
+    DECAY_THRESHOLD of the aggregate's peak.  The table is a Lehmann sum: per block of
+    H's eigenbasis each R_j = Delta o A_j is dressed once, and a sample is the A_l under
+    the phase mask of -s in one product with those and rho^T, with no d^3 work.
     """
     past = _PreparedHistory(relevant, HistorySpec.empty(), H, hbar)
     us, p = past.state(relevant, zeta)
     n, kappa = len(relevant), _kubo_kernel(p)
-    # per block of the eigenbasis of H: C_j = i R_j, transposed into the state's
-    # eigenvectors once, and A_l(-s) moved there per sample
-    cts = [np.swapaxes(u.conj().T @ r @ u, 1, 2) for u, r in zip(us, past.rates())]
+    # rows G_j^T, Tr(G_j B) = sum_ab G_j^T[a,b] B[a,b], then rho^T for Tr(B rho); the
+    # mask's real and imaginary parts take one product each, real for a real model
+    rows, tr_r = [], 0.0
+    for sl, u, a, delta in zip(past.spectrum.slices, us, past.members, past.delta):
+        r, rho_t = delta * a, ((u * p[sl]) @ u.conj().T).T
+        g = np.swapaxes(_dressed(u, kappa[sl, sl], r), 1, 2)
+        rows.append(np.concatenate([g, rho_t[None]]).reshape(n + 1, -1))
+        tr_r = tr_r + r.reshape(n, -1) @ rho_t.ravel()
     times = np.linspace(0.0, horizon, n_samples)
-    table = np.array([(1j * _kubo(p, [
-        (sl, sl, ct, u.conj().T @ (mask * a) @ u) for sl, u, ct, mask, a in zip(
-            past.spectrum.slices, us, cts, _masks(past.spectrum, -s), past.members)],
-        (n, n), kappa)[0]).real for s in times])
+    table = []
+    for s in times:
+        k = sum(g @ (m.real * a).reshape(n, -1).T + 1j * (g @ (m.imag * a).reshape(n, -1).T)
+                for g, m, a in zip(rows, _masks(past.spectrum, -s), past.members))
+        table.append((1j * (k[:n] - np.outer(tr_r, k[n]))).real)  # C_j = i R_j
+    table = np.array(table)
 
     zeta = np.asarray(zeta, float)
     v = relevant.weights * (zeta if np.max(np.abs(zeta)) > 0 else 1.0)
@@ -569,22 +566,15 @@ def entropy_monitor(trajectory, relevant, conserved=None):
     with the same conserved totals is reported alongside.
     """
     times = trajectory.times
-    n_t = len(times)
-    s_vals = np.empty(n_t)
-    dist = np.full(n_t, np.nan)
-    relevant_states = []
-    for i in range(n_t):
-        rho, _ = gibbs_state(relevant, trajectory.zetas[i])
-        relevant_states.append(rho)
+    s_vals, dist, guess = np.empty(len(times)), np.full(len(times), np.nan), None
+    for i, zeta in enumerate(trajectory.zetas):
+        rho, _ = gibbs_state(relevant, zeta)
         s_vals[i] = entropy(rho)
-    if conserved is not None:
-        guess = None
-        for i, rho in enumerate(relevant_states):
-            targets = expectations(conserved, rho)
-            zf = match_expectations(conserved, targets, zeta_init=guess)
-            guess = zf.values
-            rho_eq, _ = gibbs_state(conserved, zf.values)
-            dist[i] = float(np.linalg.norm(rho - rho_eq))
+        if conserved is not None:
+            guess = macrostate_of(rho, conserved, zeta_guess=guess).values
+            dist[i] = float(np.linalg.norm(rho - gibbs_state(conserved, guess)[0]))
+        # read before the next state is built, so one is alive at a time
+        del rho
     steps = np.diff(s_vals)
     bad = tuple(int(i) for i in np.flatnonzero(steps < -ENTROPY_STEP_TOL))
     return EntropySeries(times=times.copy(), entropy=s_vals,

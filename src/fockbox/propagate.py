@@ -96,7 +96,7 @@ class Spectrum:
             a, b = np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
             ba = b @ a.T
             re, im = a @ a.T + b @ b.T - np.eye(len(u)), ba - ba.T
-            dev = max(dev, float(np.max(np.hypot(re, im))))
+            dev = max(dev, float(np.sqrt(np.max(re * re + im * im))))
         if dev >= UNITARITY_TOL:
             raise AssertionError(f"propagator lost unitarity: {dev:.3e}")
         return us

@@ -351,6 +351,42 @@ def test_a_list_of_the_wrong_length_is_a_config_error(tmp_path, name, params, wh
     assert not out.exists()
 
 
+OUT_OF_BOUNDS = [
+    ("relaxation", {"step": 0.0}, "params.step"),
+    ("zubarev_limit", {"step": 0.0}, "params.step"),
+    ("zubarev_limit", {"step": -0.1, "t_end": 0.0}, "params.step"),
+    ("relaxation", {"decay_horizon": 0.0}, "params.decay_horizon"),
+    ("relaxation", {"decay_samples": 0}, "params.decay_samples"),
+    ("zubarev_limit", {"decay_samples": 1}, "params.decay_samples"),
+    ("zubarev_limit", {"prep_quad": 1}, "params.prep_quad"),
+    ("zubarev_limit", {"t_end": 0.0}, "params.t_end"),
+    ("zubarev_limit", {"t_end": 0.0125}, "params.t_end"),
+]
+
+
+@pytest.mark.parametrize("name, params, where", OUT_OF_BOUNDS,
+                         ids=[f"{n}-{w}-{list(p.values())[-1]}" for n, p, w in OUT_OF_BOUNDS])
+def test_a_time_grid_out_of_bounds_is_a_config_error(tmp_path, name, params, where):
+    """step and decay_horizon > 0, decay_samples and prep_quad >= 2, and at least
+    one step to t_end; the parent let each through to a traceback or exit 3."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": name, "params": params}), encoding="utf-8")
+    assert [f.path for f in validate_config(json.loads(path.read_text()))] == [where]
+    out = tmp_path / "out"
+    for args in (("validate", "--config", str(path)),
+                 ("run", "--config", str(path), "--out", str(out))):
+        r = cli(*args)
+        assert r.returncode == 2, r.stderr
+        assert f"invalid: {where}: must" in r.stderr
+    assert not out.exists()
+
+
+def test_a_time_grid_on_its_bounds_is_valid():
+    for name, params in (("relaxation", {"decay_samples": 2, "step": 1e-3}),
+                         ("zubarev_limit", {"prep_quad": 2, "t_end": 0.0126})):
+        assert validate_config({"scenario": name, "params": params}) == []
+
+
 def test_a_site_on_the_lattice_still_runs_into_an_inactive_source(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "event_channel", "params": {"source_site": 2}}),

@@ -52,6 +52,7 @@ from fockbox.maxent import (
     _gibbs,
     _gram,
     _kubo,
+    _kubo_kernel,
     cumulant_expect,
     entropy,
     expectations,
@@ -65,9 +66,11 @@ from fockbox.maxent import (
 )
 from fockbox import neqso, propagate
 from fockbox.neqso import (
+    DECAY_THRESHOLD,
     HistorySpec,
     HistoryTerm,
     _DynamicsEngine,
+    _masks,
     _PreparedHistory,
     cosine_test_function,
     decay_time,
@@ -765,6 +768,60 @@ def test_decay_table_matches_dense_oracle(data):
     assert_close(rep.aggregate, np.linalg.norm(table @ v, axis=1))
 
 
+def oracle_decay_table(relevant, zeta, H, horizon, n_samples, hbar=1.0):
+    """(table, aggregate, tau, no_decay) of decay_time by its per-sample pass: the
+    C_j = i R_j moved into the state's eigenvectors once, the phased A_l moved
+    there at every sample, and one Kubo pass per sample."""
+    past = _PreparedHistory(relevant, HistorySpec.empty(), H, hbar)
+    us, p = past.state(relevant, zeta)
+    n, kappa, w = len(relevant), _kubo_kernel(p), past.spectrum.w
+    cts = [np.swapaxes(u.conj().T @ (np.subtract.outer(w[sl], w[sl]) / hbar * a) @ u, 1, 2)
+           for sl, u, a in zip(past.spectrum.slices, us, past.members)]
+    times = np.linspace(0.0, horizon, n_samples)
+    table = np.array([(1j * _kubo(p, [
+        (sl, sl, ct, u.conj().T @ (mask * a) @ u) for sl, u, ct, mask, a in zip(
+            past.spectrum.slices, us, cts, _masks(past.spectrum, -s), past.members)],
+        (n, n), kappa)[0]).real for s in times])
+    zeta = np.asarray(zeta, float)
+    v = relevant.weights * (zeta if np.max(np.abs(zeta)) > 0 else 1.0)
+    aggregate = np.linalg.norm(table @ v, axis=1)
+    scale = max(aggregate[0], float(aggregate.max()))
+    tau = 0.0 if scale <= 1e-14 * max(1.0, float(np.max(np.abs(table)))) else None
+    for s_star in times[1:] if tau is None else ():
+        if 3.0 * s_star > horizon:
+            break
+        window = (times >= s_star) & (times <= 3.0 * s_star)
+        if np.all(aggregate[window] <= DECAY_THRESHOLD * scale):
+            tau = float(s_star)
+            break
+    return table, aggregate, float(horizon) if tau is None else tau, tau is None
+
+
+@SETTINGS
+@given(st.data())
+def test_decay_table_matches_its_per_sample_pass(data):
+    """decay_time's Lehmann table, with no Kubo pass, against the per-sample
+    pass it replaced, over real and complex models and horizons short enough
+    for a decay horizon to be found."""
+    basis, model, h = data.draw(hermitian_models())
+    rel = mass_relevant(basis, model, h)
+    zeta = np.array(data.draw(st.one_of(
+        st.just([0.0] * len(rel)),
+        st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0]), min_size=len(rel),
+                 max_size=len(rel)))))
+    horizon = data.draw(st.sampled_from([0.5, 1.5, 6.0]))
+    n_samples = data.draw(st.sampled_from([2, 7, 31]))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neqso, "_kubo", lambda *args, **kw: calls.append(args))
+        rep = decay_time(rel, zeta, h, horizon=horizon, n_samples=n_samples)
+    assert calls == []
+    table, aggregate, tau, no_decay = oracle_decay_table(rel, zeta, h, horizon, n_samples)
+    assert_close(rep.table, table)
+    assert_close(rep.aggregate, aggregate)
+    assert (rep.tau, rep.no_decay) == (tau, no_decay)
+
+
 def test_real_blocks_stay_in_their_sectors_and_public_dtypes_hold():
     basis = build_basis(BOSE, L=3, g=1, n_max=2)
     v, rv = pair_preset("contact", v0=0.6)
@@ -1186,8 +1243,8 @@ def test_a_gibbs_state_is_read_only_and_derived_arrays_keep_nothing():
 def today_pass(engine, us, p, kappa, operand):
     """(G, rhs, K) from the (2n, n + 1) Kubo pass of [A; R] against the
     conjugated A_l and operand, the rates R_j = Delta o A_j made for the
-    call: the derivative's pass for every model before real ones read the R_j
-    as traces."""
+    call: the derivative's pass for every model before its rows became traces
+    against dressed operands."""
     past, n = engine.past, len(engine.relevant)
     w, hbar = past.spectrum.w, past.spectrum.hbar
 
@@ -1206,9 +1263,9 @@ def today_pass(engine, us, p, kappa, operand):
 @given(st.data())
 def test_traced_derivative_matches_todays_pass(data):
     """The derivative against the same engine with today's pass, with a
-    preparation record, spontaneous nodes and a cutoff or none; a real model
-    takes the traced rows with one real (n, n) Kubo pass, a complex one the
-    (2n, n + 1) pass."""
+    preparation record, spontaneous nodes and a cutoff or none.  Every model
+    makes one (n, n) Kubo pass; a real model dresses one operand per block
+    (Im O), a complex one 1 + n (O and each A_l)."""
     basis, model, h = data.draw(hermitian_models())
     rel = mass_relevant(basis, model, h)
     zeta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0]),
@@ -1222,16 +1279,18 @@ def test_traced_derivative_matches_todays_pass(data):
     rng = np.random.default_rng(3)
     for k in range(3):
         engine.record(0.05 * k, zeta + 0.01 * k, rng.normal(size=len(rel)))
-    n, shapes, kubo_ = len(rel), [], neqso._kubo
+    n, shapes, dressed, kubo_, dressed_ = len(rel), [], [], neqso._kubo, neqso._dressed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(neqso, "_kubo", lambda p, pairs, shape, kappa=None:
                    shapes.append(shape) or kubo_(p, pairs, shape, kappa))
+        mp.setattr(neqso, "_dressed", lambda u, kappa, x:
+                   dressed.append(1 if x.ndim == 2 else len(x)) or dressed_(u, kappa, x))
         got, got_cond = engine.derivative(0.15, zeta)
     real = not np.any(h.to_dense().imag)
-    assert shapes == [(n, n) if real else (2 * n, n + 1)]
+    assert shapes == [(n, n)]
+    assert sum(dressed) == (1 if real else 1 + n) * len(engine.past.spectrum.slices)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_DynamicsEngine, "_traced", today_pass)
-        mp.setattr(_DynamicsEngine, "_full", today_pass)
+        mp.setattr(_DynamicsEngine, "_correlations", today_pass)
         want, want_cond = engine.derivative(0.15, zeta)
     assert_close(got, want)
     assert np.isclose(got_cond, want_cond, rtol=1e-9)
