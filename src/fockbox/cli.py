@@ -7,10 +7,12 @@ Subcommands:
 
 Exit codes: 0 success; 2 configuration/schema problem (the offending key
 path is printed), including a number that is not finite anywhere in the
-config and a FOCKBOX_DIM_CAP that is not a positive integer; 3 numerical
+config, a FOCKBOX_DIM_CAP that is not a positive integer and a problem a run
+measures, such as a step longer than twice the decay horizon; 3 numerical
 failure (the failing operation's diagnostic is printed), including running
-out of memory.  The Fock dimension cap honors the FOCKBOX_DIM_CAP
-environment variable.
+out of memory and a NaN or unmet invariant.  A run that fails writes
+nothing.  The Fock dimension cap honors the FOCKBOX_DIM_CAP environment
+variable.
 
 ``list`` and ``validate`` import only the numpy-free ``config`` module; the
 linear algebra loads for ``run`` alone.
@@ -79,6 +81,12 @@ def cmd_list(args):
     return EXIT_OK
 
 
+def _invalid(findings):
+    for f in findings:
+        print(f"invalid: {f}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_validate(args):
     from .config import validate_config
 
@@ -87,9 +95,7 @@ def cmd_validate(args):
         return EXIT_CONFIG
     findings = validate_config(config)
     if findings:
-        for f in findings:
-            print(f"invalid: {f}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _invalid(findings)
     print("ok: configuration is valid")
     return EXIT_OK
 
@@ -102,24 +108,21 @@ def cmd_run(args):
     from .lattice import UnsupportedFamilyError
     from .maxent import MatchFailure
     from .neqso import GramConditionError
-    from .scenarios import run_scenario, validate_config
+    from .scenarios import ConfigError, run_scenario
 
     config = _load_config(args.config)
     if config is None:
         return EXIT_CONFIG
     if args.seed is not None and isinstance(config, dict):
         config["seed"] = args.seed
-    findings = validate_config(config)
-    if findings:
-        for f in findings:
-            print(f"invalid: {f}", file=sys.stderr)
-        return EXIT_CONFIG
     numerical_errors = (MatchFailure, GramConditionError, DimensionCapError,
                         UnsupportedFamilyError, InactiveSourceError,
                         SupportViolationError, FloatingPointError,
                         np.linalg.LinAlgError, ValueError)
     try:
         result = run_scenario(config, args.out)
+    except ConfigError as exc:  # before numerical_errors, whose ValueError it is
+        return _invalid(exc.findings)
     except MemoryError:
         print("numerical failure: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -4,9 +4,10 @@ A configuration is a single JSON document (key-value tree, explicit units:
 lengths in lattice spacings, energies in units of hbar^2/(m dx^2) family,
 times in hbar/energy).  Unknown keys anywhere in the tree are reported with
 their full path, and so is every number that is not finite, every site or
-index param that leaves the lattice or its channel and every list param whose
-length the lattice fixes; feasibility findings flag
-truncations whose Fock dimension exceeds the cap before anything is built.
+index param that leaves the lattice or its channel, every list param whose
+length the lattice fixes and every scenario value out of its bounds;
+feasibility findings flag truncations whose Fock dimension exceeds the cap
+before anything is built.  ``ConfigError`` carries such findings out of a run.
 
 The catalog (names, descriptions, defaults) and the checks are plain data
 and code: importing this module loads no numpy, so ``fockbox list`` and
@@ -37,12 +38,13 @@ class Finding:
         return f"{self.path}: {self.message}"
 
 
-class DimCapEnvError(ValueError):
-    """FOCKBOX_DIM_CAP holds something other than a positive integer."""
+class ConfigError(ValueError):
+    """A configuration that cannot run, with one finding per problem: those
+    ``validate_config`` reports and those a run measures."""
 
-    def __init__(self, raw):
-        self.finding = Finding(DIM_CAP_ENV, f"must be a positive integer, got {raw!r}")
-        super().__init__(str(self.finding))
+    def __init__(self, findings):
+        self.findings = list(findings)
+        super().__init__("; ".join(map(str, self.findings)))
 
 
 def dim_cap_from_env(default=DEFAULT_DIM_CAP):
@@ -55,7 +57,7 @@ def dim_cap_from_env(default=DEFAULT_DIM_CAP):
     except ValueError:
         cap = 0
     if cap < 1:
-        raise DimCapEnvError(raw)
+        raise ConfigError([Finding(DIM_CAP_ENV, f"must be a positive integer, got {raw!r}")])
     return cap
 
 
@@ -79,22 +81,24 @@ MODEL_KEYS = {
     "statistics": (str, lambda v: v in (BOSE, FERMI), "must be 'bose' or 'fermi'"),
     "mass": ((int, float), lambda v: v > 0, "must be positive"),
     "hbar": ((int, float), lambda v: v > 0, "must be positive"),
-    "n_max": (int, lambda v: v >= 0, "must be an integer >= 0"),
+    # every bundled scenario holds a particle
+    "n_max": (int, lambda v: v >= 1, "must be an integer >= 1"),
     "potential": (dict, lambda v: True, ""),
     "pair_potential": (dict, lambda v: True, ""),
 }
 
+# preset -> its parameters, each with a value of its kind
 POTENTIAL_PRESETS = {
-    "box": set(),
-    "barrier": {"height", "sites"},
-    "harmonic": {"k", "center"},
-    "table": {"values"},
+    "box": {},
+    "barrier": {"height": 0.0, "sites": [0]},
+    "harmonic": {"k": 0.0, "center": 0.0},
+    "table": {"values": [0.0]},
 }
 
 PAIR_PRESETS = {
-    "none": set(),
-    "contact": {"v0"},
-    "table": {"values"},
+    "none": {},
+    "contact": {"v0": 0.0},
+    "table": {"values": [0.0]},
 }
 
 
@@ -124,22 +128,22 @@ def deep_merge(base, override):
 
 
 def _check_preset(block, presets, path, findings):
-    preset = block.get("preset")
-    if preset is None:
+    if "preset" not in block:
         findings.append(Finding(path, "missing required key 'preset'"))
         return
-    if preset not in presets:
+    preset = block["preset"]
+    if not isinstance(preset, str) or preset not in presets:
         findings.append(Finding(f"{path}.preset",
                                 f"unknown preset {preset!r}; "
                                 f"choose from {sorted(presets)}"))
         return
-    allowed = presets[preset] | {"preset"}
+    kinds = {**presets[preset], "preset": preset}
     for key, val in block.items():
-        if key not in allowed:
+        if key not in kinds:
             findings.append(Finding(f"{path}.{key}",
                                     f"unknown key for preset {preset!r}"))
-        elif key != "preset" and not (_same_kind(val, 0.0) or _same_kind(val, [0.0])):
-            findings.append(Finding(f"{path}.{key}", "must be a number or a list of numbers"))
+        elif not _same_kind(val, kinds[key]):
+            findings.append(Finding(f"{path}.{key}", f"must have the kind of {kinds[key]!r}"))
 
 
 def _same_kind(value, default):
@@ -158,6 +162,11 @@ def _site_run(sites, config):
     s = sorted(sites)
     if not s or s[0] < 0 or s[-1] >= L or s != list(range(s[0], s[0] + len(s))):
         return f"must be a non-empty run of distinct, contiguous sites in [0, {L})"
+
+
+def _bound(ok, message):
+    """The rule that ok(value) holds, else the message."""
+    return lambda v, c: None if ok(v) else message
 
 
 def _entries(extra):
@@ -185,12 +194,15 @@ PARAM_RULES = {
     "zeta0": _entries(1),
     "gamma_T": _entries(1),
     "prep_weights": _entries(0),
-    # the time grids of the parameter dynamics and the decay table; round(t_end /
-    # step) >= 1 is t_end > step / 2, and a step <= 0 is reported at step alone
-    "step": lambda v, c: None if v > 0 else "must be > 0",
-    "decay_horizon": lambda v, c: None if v > 0 else "must be > 0",
-    "decay_samples": lambda v, c: None if v >= 2 else "must be >= 2",
-    "prep_quad": lambda v, c: None if v >= 2 else "must be >= 2",
+    # steps, horizons and widths divide; grids have two points, series one entry
+    **dict.fromkeys(("step", "decay_horizon", "dt", "width", "sweep_width"),
+                    _bound(lambda v: v > 0, "must be > 0")),
+    **dict.fromkeys(("decay_samples", "prep_quad", "samples", "sweep_points",
+                     "exact_samples"), _bound(lambda v: v >= 2, "must be >= 2")),
+    **dict.fromkeys(("times", "witness_times", "strengths"),
+                    _bound(len, "must not be empty")),
+    "lam": _bound(lambda v: 0 < v < 1, "must lie strictly inside (0, 1)"),
+    # round(t_end / step) >= 1 is t_end > step / 2; a step <= 0 is step's finding
     "t_end": lambda v, c: (None if c["params"]["step"] <= 0 or v > 0.5 * c["params"]["step"]
                            else "must span at least one step: round(t_end / step) >= 1"),
 }
@@ -234,8 +246,8 @@ def feasibility_findings(model, path="model"):
     """Dimension-cap precheck, run on a fully merged model block."""
     try:
         cap = dim_cap_from_env()
-    except DimCapEnvError as exc:
-        return [exc.finding]
+    except ConfigError as exc:
+        return exc.findings
     try:
         dim = fock_dimension(model["statistics"], model["L"] * model["g"],
                              model["n_max"])
@@ -387,18 +399,14 @@ def merged_config(config):
 
 def validate_config(config):
     """Schema findings for a user config (before merging) plus feasibility."""
-    findings = []
     if not isinstance(config, dict):
         return [Finding("$", "configuration must be a JSON object")]
     name = config.get("scenario")
     if name is None:
-        findings.append(Finding("scenario", "missing required key"))
-        return findings
-    if name not in CATALOG:
-        findings.append(Finding("scenario",
-                                f"unknown scenario {name!r}; "
-                                f"pick from {sorted(CATALOG)}"))
-        return findings
+        return [Finding("scenario", "missing required key")]
+    if not isinstance(name, str) or name not in CATALOG:
+        return [Finding("scenario", f"unknown scenario {name!r}; pick from {sorted(CATALOG)}")]
+    findings = []
     defaults = scenario_defaults(name)
     for key in config:
         if key not in ("scenario", "seed", "model", "params", "comment"):

@@ -1,10 +1,11 @@
 """Bundled scenarios: declarative experiments with invariant reports.
 
-Every scenario maps a merged configuration to a set of CSV artifacts plus a
-JSON summary listing each invariant with its tolerance, measured value and
-outcome.  All numbers are written in scientific notation with 17 significant
-digits and all randomness flows from the single config seed, so reruns of
-the same configuration are byte-identical.
+Each runner maps a merged configuration to its CSV tables and invariant
+checks; ``run_scenario`` validates, runs, and only then writes the tables
+plus a JSON summary listing each invariant with its tolerance, measured value
+and outcome, so a failed run writes nothing.  All numbers are written in
+scientific notation with 17 significant digits and all randomness flows from
+the single config seed, so reruns of the same configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import (  # the catalog functions, re-exported
+    ConfigError,
+    Finding,
     build_model,
     lattice_model,
     list_scenarios,
@@ -65,12 +68,24 @@ class InvariantCheck:
     passed: bool
     comparison: str = "<="  # value vs tolerance
 
+    def __post_init__(self):
+        # a NaN compares false both ways, so it would neither pass nor fail
+        if np.isnan(self.value) or np.isnan(self.tolerance):
+            raise FloatingPointError(f"invariant {self.name} is not a number")
+
 
 @dataclass
 class ScenarioResult:
+    """A run's invariant checks and CSV tables, file name -> (header, rows);
+    ``artifacts`` names the files ``run_scenario`` writes from them."""
+
     name: str
     invariants: list = field(default_factory=list)
-    artifacts: list = field(default_factory=list)
+    tables: dict = field(default_factory=dict)
+
+    @property
+    def artifacts(self):
+        return sorted(self.tables) + ["summary.json"]
 
     @property
     def passed(self):
@@ -78,15 +93,11 @@ class ScenarioResult:
 
 
 def check_le(name, value, tolerance):
-    return InvariantCheck(name=name, tolerance=float(tolerance),
-                          value=float(value), passed=bool(value <= tolerance),
-                          comparison="<=")
+    return InvariantCheck(name, float(tolerance), float(value), bool(value <= tolerance), "<=")
 
 
 def check_ge(name, value, threshold):
-    return InvariantCheck(name=name, tolerance=float(threshold),
-                          value=float(value), passed=bool(value >= threshold),
-                          comparison=">=")
+    return InvariantCheck(name, float(threshold), float(value), bool(value >= threshold), ">=")
 
 
 def spearman(a, b):
@@ -132,17 +143,8 @@ def write_summary(path, config, result):
     doc = {
         "scenario": result.name,
         "passed": result.passed,
-        "invariants": [
-            {
-                "name": c.name,
-                "comparison": c.comparison,
-                "tolerance": c.tolerance,
-                "value": c.value,
-                "passed": c.passed,
-            }
-            for c in result.invariants
-        ],
-        "artifacts": sorted(result.artifacts),
+        "invariants": [asdict(c) for c in result.invariants],
+        "artifacts": sorted(result.tables),
         "provenance": {
             "config_sha256": config_hash(config),
             "seed": config.get("seed", 0),
@@ -191,7 +193,7 @@ def mass_energy_relevant(basis, model):
 # ---- scenarios -------------------------------------------------------------------
 
 
-def run_free_packet(config, out_dir):
+def run_free_packet(config):
     model, basis = build_model(config["model"])
     p = config["params"]
     h = build_hamiltonian(basis, model)
@@ -207,15 +209,16 @@ def run_free_packet(config, out_dir):
     e0 = _traces(obs[:1], rho0[None])[0, 0].real
     for t in ts:
         rho_t = evolve_state(rho0, h, 0.0, float(t), hbar=model.hbar)
-        trace_drift = max(trace_drift, abs(np.trace(rho_t).real - 1.0))
+        # np.maximum, not max: a NaN drift must reach its check
+        trace_drift = np.maximum(trace_drift, abs(np.trace(rho_t).real - 1.0))
         energy, *density = _traces(obs, rho_t[None])[:, 0].real
-        energy_drift = max(energy_drift, abs(energy - e0))
+        energy_drift = np.maximum(energy_drift, abs(energy - e0))
         rows += [(float(t), x, float(n)) for x, n in enumerate(density)]
-    write_csv(Path(out_dir) / "density.csv", ["t", "site", "density"], rows)
-    result = ScenarioResult(name="free_packet", artifacts=["density.csv"])
-    result.invariants.append(check_le("trace_drift", trace_drift, 1e-10))
-    result.invariants.append(check_le("energy_drift", energy_drift, 1e-10))
-    return result
+    return ScenarioResult(
+        name="free_packet",
+        invariants=[check_le("trace_drift", trace_drift, 1e-10),
+                    check_le("energy_drift", energy_drift, 1e-10)],
+        tables={"density.csv": (["t", "site", "density"], rows)})
 
 
 def _residual_and_surface(center, width, dt, h, model, reg):
@@ -228,7 +231,7 @@ def _residual_and_surface(center, width, dt, h, model, reg):
     return rep.value, norm
 
 
-def run_embedding_check(config, out_dir):
+def run_embedding_check(config):
     model, basis = build_model(config["model"])
     p = config["params"]
     h = build_hamiltonian(basis, model)
@@ -257,20 +260,16 @@ def run_embedding_check(config, out_dir):
         norms.append(s)
         rows.append((float(c), r, s))
     rank_corr = spearman(residuals, norms)
-    write_csv(Path(out_dir) / "sweep.csv",
-              ["center", "residual", "surface_norm"], rows)
-
-    result = ScenarioResult(name="embedding_check", artifacts=["sweep.csv"])
-    result.invariants.append(check_le("interior_residual", r_int, 1e-6))
-    result.invariants.append(check_ge("boundary_ratio", r_bdy / r_int, 1e3))
-    result.invariants.append(check_ge("surface_rank_correlation",
-                                      float(rank_corr), 0.9))
-    result.invariants.append(check_le("truncation_stability",
-                                      abs(r_int2 - r_int), 1e-9))
-    return result
+    return ScenarioResult(
+        name="embedding_check",
+        invariants=[check_le("interior_residual", r_int, 1e-6),
+                    check_ge("boundary_ratio", r_bdy / r_int, 1e3),
+                    check_ge("surface_rank_correlation", float(rank_corr), 0.9),
+                    check_le("truncation_stability", abs(r_int2 - r_int), 1e-9)],
+        tables={"sweep.csv": (["center", "residual", "surface_norm"], rows)})
 
 
-def run_relaxation(config, out_dir):
+def run_relaxation(config):
     model, basis = build_model(config["model"])
     p = config["params"]
     rel, h = mass_energy_relevant(basis, model)
@@ -279,21 +278,21 @@ def run_relaxation(config, out_dir):
     decay = decay_time(rel, zeta0, h, horizon=p["decay_horizon"],
                        n_samples=p["decay_samples"], hbar=model.hbar)
     tau = decay.tau
-    write_csv(Path(out_dir) / "correlation.csv", ["t", "label", "value"],
-              [(float(s), f"C[{rel.labels[j]},{rel.labels[l]}]",
-                float(decay.table[k, j, l]))
-               for k, s in enumerate(decay.times)
-               for j in range(len(rel)) for l in range(len(rel))])
+    step = float(p["step"])
+    if round(tau / step) < 1:  # zeta_dynamics' test for at least one step
+        raise ConfigError([Finding("params.step", "must be at most twice the "
+                                   f"measured decay horizon tau = {tau:g}")])
+    correlation_rows = [(float(s), f"C[{rel.labels[j]},{rel.labels[l]}]",
+                         float(decay.table[k, j, l]))
+                        for k, s in enumerate(decay.times)
+                        for j in range(len(rel)) for l in range(len(rel))]
 
     hist = HistorySpec.empty(0.0)
-    step = float(p["step"])
     traj = zeta_dynamics(rel, zeta0, hist, h, 0.0, tau, step=step,
                          hbar=model.hbar)
     fine = zeta_dynamics(rel, zeta0, hist, h, 0.0, tau, step=step / 2.0,
                          hbar=model.hbar)
     halving = float(np.max(np.abs(fine.zetas[::2] - traj.zetas)))
-    write_csv(Path(out_dir) / "zeta.csv", ["t", "label", "value"],
-              traj.as_rows())
 
     # exact-evolution oracle at evenly spread trajectory times
     rho0, _ = gibbs_state(rel, zeta0)
@@ -305,7 +304,7 @@ def run_relaxation(config, out_dir):
         rho_t = evolve_state(rho0, h, 0.0, float(i * step), hbar=model.hbar)
         zx = macrostate_of(rho_t, rel, zeta_guess=guess).values
         guess = zx
-        worst = max(worst, float(np.max(np.abs(traj.zetas[i] - zx))))
+        worst = np.maximum(worst, float(np.max(np.abs(traj.zetas[i] - zx))))
 
     conserved = relevant_set(["H", "N"], [h, number_operator(basis)],
                              [1.0, 1.0])
@@ -314,31 +313,25 @@ def run_relaxation(config, out_dir):
     s_micro = entropy(rho0)
     for t in (0.5 * tau, tau):
         s_t = entropy(evolve_state(rho0, h, 0.0, float(t), hbar=model.hbar))
-        micro_drift = max(micro_drift, abs(s_t - s_micro))
+        micro_drift = np.maximum(micro_drift, abs(s_t - s_micro))
     entropy_rows = []
     for t, s, d in zip(series.times, series.entropy, series.dist_equilibrium):
         entropy_rows.append((float(t), "entropy_macro", float(s)))
         entropy_rows.append((float(t), "distance_equilibrium", float(d)))
-    write_csv(Path(out_dir) / "entropy.csv", ["t", "label", "value"],
-              entropy_rows)
 
-    result = ScenarioResult(
+    return ScenarioResult(
         name="relaxation",
-        artifacts=["correlation.csv", "entropy.csv", "zeta.csv"],
-    )
-    result.invariants.append(check_le("trajectory_vs_exact", worst,
-                                      0.05 * scale))
-    result.invariants.append(check_le("step_halving", halving, 1e-3))
-    result.invariants.append(check_le("entropy_min_step", -series.min_step,
-                                      1e-6))
-    result.invariants.append(check_le("micro_entropy_drift", micro_drift,
-                                      1e-10))
-    result.invariants.append(check_le("gram_condition", traj.gram_cond_max,
-                                      1e12))
-    return result
+        invariants=[check_le("trajectory_vs_exact", worst, 0.05 * scale),
+                    check_le("step_halving", halving, 1e-3),
+                    check_le("entropy_min_step", -series.min_step, 1e-6),
+                    check_le("micro_entropy_drift", micro_drift, 1e-10),
+                    check_le("gram_condition", traj.gram_cond_max, 1e12)],
+        tables={"correlation.csv": (["t", "label", "value"], correlation_rows),
+                "zeta.csv": (["t", "label", "value"], traj.as_rows()),
+                "entropy.csv": (["t", "label", "value"], entropy_rows)})
 
 
-def run_zubarev_limit(config, out_dir):
+def run_zubarev_limit(config):
     model, basis = build_model(config["model"])
     p = config["params"]
     rel, h = mass_energy_relevant(basis, model)
@@ -379,15 +372,12 @@ def run_zubarev_limit(config, out_dir):
             rows.append((float(t), str(lab), float(base.zetas[i, l]),
                          float(doubled.zetas[i, l]),
                          float(doubled.zetas[i, l] - base.zetas[i, l])))
-    write_csv(Path(out_dir) / "zubarev.csv",
-              ["t", "label", "zeta", "zeta_doubled_gamma", "difference"], rows)
-
-    result = ScenarioResult(name="zubarev_limit", artifacts=["zubarev.csv"])
-    result.invariants.append(check_le("truncated_insensitivity",
-                                      truncated_change, 1e-3))
-    result.invariants.append(check_ge("terminal_term_active_without_cutoff",
-                                      full_change, 1e-6))
-    return result
+    return ScenarioResult(
+        name="zubarev_limit",
+        invariants=[check_le("truncated_insensitivity", truncated_change, 1e-3),
+                    check_ge("terminal_term_active_without_cutoff", full_change, 1e-6)],
+        tables={"zubarev.csv": (["t", "label", "zeta", "zeta_doubled_gamma",
+                                 "difference"], rows)})
 
 
 def _phase_specs(p, lam):
@@ -421,7 +411,7 @@ def _witnesses(config, basis, potentials, lam):
     return out
 
 
-def run_event_channel(config, out_dir):
+def run_event_channel(config):
     model, basis = build_model(config["model"])
     p = config["params"]
     lam = float(p["lam"])
@@ -444,31 +434,26 @@ def run_event_channel(config, out_dir):
     reports = shielded_expectation(b, mix, h, 0.0, [float(t) for t in p["times"]], basis,
                                    model, spec, hbar=model.hbar)
     for t, rep in zip(p["times"], reports):
-        worst_resid = max(worst_resid, abs(rep.shielding_residual))
-        worst_identity = max(worst_identity,
-                             abs(rep.lhs - rep.rhs
-                                 - lam * rep.shielding_residual))
+        worst_resid = np.maximum(worst_resid, abs(rep.shielding_residual))
+        worst_identity = np.maximum(worst_identity,
+                                    abs(rep.lhs - rep.rhs
+                                        - lam * rep.shielding_residual))
         rows.append((float(t), rep.lhs, rep.rhs, rep.shielding_residual))
-    write_csv(Path(out_dir) / "shielded.csv",
-              ["t", "lhs", "rhs", "shielding_residual"], rows)
 
     # witness part: barrier-free channel carrying left- vs right-movers
     (wit,) = _witnesses(config, basis, [{"preset": "box"}], lam)
-    witness_peak = max(wit, default=0.0)
     wit_rows = [(float(t), w) for t, w in zip(p["witness_times"], wit)]
-    write_csv(Path(out_dir) / "witness.csv", ["t", "witness"], wit_rows)
-
-    result = ScenarioResult(name="event_channel",
-                            artifacts=["shielded.csv", "witness.csv"])
-    result.invariants.append(check_le("shielding_residual", worst_resid, 1e-3))
-    result.invariants.append(check_le("mixture_identity", worst_identity,
-                                      1e-12 + lam * worst_resid))
-    result.invariants.append(check_ge("memory_witness_transit", witness_peak,
-                                      0.1))
-    return result
+    return ScenarioResult(
+        name="event_channel",
+        invariants=[check_le("shielding_residual", worst_resid, 1e-3),
+                    check_le("mixture_identity", worst_identity,
+                             1e-12 + lam * worst_resid),
+                    check_ge("memory_witness_transit", np.max(wit), 0.1)],
+        tables={"shielded.csv": (["t", "lhs", "rhs", "shielding_residual"], rows),
+                "witness.csv": (["t", "witness"], wit_rows)})
 
 
-def run_decoherence_sweep(config, out_dir):
+def run_decoherence_sweep(config):
     p = config["params"]
     lam = float(p["lam"])
     rng = np.random.default_rng(config.get("seed", 0))
@@ -482,17 +467,13 @@ def run_decoherence_sweep(config, out_dir):
             u[site] += float(strength) * noise[i]
         potentials.append({"preset": "table", "values": list(u)})
     _, basis = build_model(config["model"])
-    witnesses = [max(wit) for wit in _witnesses(config, basis, potentials, lam)]
+    witnesses = [np.max(wit) for wit in _witnesses(config, basis, potentials, lam)]
     rows = [(float(s), w) for s, w in zip(p["strengths"], witnesses)]
-    write_csv(Path(out_dir) / "witness_sweep.csv", ["strength", "witness"],
-              rows)
-
-    result = ScenarioResult(name="decoherence_sweep",
-                            artifacts=["witness_sweep.csv"])
-    result.invariants.append(check_ge("clean_witness", witnesses[0], 0.1))
-    result.invariants.append(check_le("disordered_witness", witnesses[-1],
-                                      0.2 * witnesses[0]))
-    return result
+    return ScenarioResult(
+        name="decoherence_sweep",
+        invariants=[check_ge("clean_witness", witnesses[0], 0.1),
+                    check_le("disordered_witness", witnesses[-1], 0.2 * witnesses[0])],
+        tables={"witness_sweep.csv": (["strength", "witness"], rows)})
 
 
 # ---- runners --------------------------------------------------------------------
@@ -509,11 +490,17 @@ RUNNERS = {
 
 
 def run_scenario(config, out_dir):
-    """Execute a merged configuration, write artifacts, return the result."""
+    """Validate a configuration (``ConfigError`` with every finding), run it,
+    and only then create ``out_dir`` and write its artifacts: a run that raises
+    writes nothing, and one whose invariants fail writes all of them."""
+    findings = validate_config(config)
+    if findings:
+        raise ConfigError(findings)
     merged = merged_config(config)
+    result = RUNNERS[merged["scenario"]](merged)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = RUNNERS[merged["scenario"]](merged, out)
+    for name, (header, rows) in result.tables.items():
+        write_csv(out / name, header, rows)
     write_summary(out / "summary.json", merged, result)
-    result.artifacts.append("summary.json")
     return result

@@ -401,7 +401,7 @@ def test_values_take_the_kind_of_their_default():
         return [f.path for f in validate_config({"scenario": "event_channel", "params": params})]
 
     # a float default takes an integer, an integer default takes no bool
-    assert paths(lam=1, times=[1, 0.5], witness_momentum=-2) == []
+    assert paths(witness_times=[1, 2], times=[1, 0.5], witness_momentum=-2) == []
     assert validate_config({"scenario": "free_packet", "params": {"t_final": 1}}) == []
     assert paths(source_site=True, source=[0, 1.0], times=[0.5, False]) == [
         "params.source_site", "params.source", "params.times"]
