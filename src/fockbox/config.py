@@ -2,12 +2,12 @@
 
 A configuration is a single JSON document (key-value tree, explicit units:
 lengths in lattice spacings, energies in units of hbar^2/(m dx^2) family,
-times in hbar/energy).  Unknown keys anywhere in the tree are reported with
-their full path, and so is every number that is not finite, every site or
-index param that leaves the lattice or its channel, every list param whose
-length the lattice fixes and every scenario value out of its bounds;
-feasibility findings flag truncations whose Fock dimension exceeds the cap
-before anything is built.  ``ConfigError`` carries such findings out of a run.
+times in hbar/energy).  A walker checks each object against an example (the
+scenario's defaults, ``default_model()`` or the chosen preset's entry) for
+unknown keys and values of the wrong kind, and every number for finiteness;
+then ``RULES``, one table keyed by full path, checks the merged config for
+bounds, sites, indices and lengths, and feasibility findings flag a Fock
+dimension over the cap.  ``ConfigError`` carries findings out of a run.
 
 The catalog (names, descriptions, defaults) and the checks are plain data
 and code: importing this module loads no numpy, so ``fockbox list`` and
@@ -17,6 +17,7 @@ imports the operator modules when it is called.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -47,11 +48,11 @@ class ConfigError(ValueError):
         super().__init__("; ".join(map(str, self.findings)))
 
 
-def dim_cap_from_env(default=DEFAULT_DIM_CAP):
-    """The Fock dimension cap: FOCKBOX_DIM_CAP when set, else default."""
+def dim_cap_from_env():
+    """The Fock dimension cap: FOCKBOX_DIM_CAP when set, else DEFAULT_DIM_CAP."""
     raw = os.environ.get(DIM_CAP_ENV)
     if raw is None:
-        return default
+        return DEFAULT_DIM_CAP
     try:
         cap = int(raw)
     except ValueError:
@@ -74,20 +75,8 @@ def fock_dimension(statistics, modes, n_max):
 # ---- schema ----------------------------------------------------------------------
 
 
-MODEL_KEYS = {
-    "L": (int, lambda v: v >= 1, "must be an integer >= 1"),
-    "dx": ((int, float), lambda v: v > 0, "must be positive"),
-    "g": (int, lambda v: v >= 1, "must be an integer >= 1"),
-    "statistics": (str, lambda v: v in (BOSE, FERMI), "must be 'bose' or 'fermi'"),
-    "mass": ((int, float), lambda v: v > 0, "must be positive"),
-    "hbar": ((int, float), lambda v: v > 0, "must be positive"),
-    # every bundled scenario holds a particle
-    "n_max": (int, lambda v: v >= 1, "must be an integer >= 1"),
-    "potential": (dict, lambda v: True, ""),
-    "pair_potential": (dict, lambda v: True, ""),
-}
-
-# preset -> its parameters, each with a value of its kind
+# preset -> its parameters, each with a value of its kind; a block at a path
+# of PRESETS takes the chosen preset's entry as its example object
 POTENTIAL_PRESETS = {
     "box": {},
     "barrier": {"height": 0.0, "sites": [0]},
@@ -100,6 +89,8 @@ PAIR_PRESETS = {
     "contact": {"v0": 0.0},
     "table": {"values": [0.0]},
 }
+
+PRESETS = {"model.potential": POTENTIAL_PRESETS, "model.pair_potential": PAIR_PRESETS}
 
 
 def default_model():
@@ -127,25 +118,6 @@ def deep_merge(base, override):
     return out
 
 
-def _check_preset(block, presets, path, findings):
-    if "preset" not in block:
-        findings.append(Finding(path, "missing required key 'preset'"))
-        return
-    preset = block["preset"]
-    if not isinstance(preset, str) or preset not in presets:
-        findings.append(Finding(f"{path}.preset",
-                                f"unknown preset {preset!r}; "
-                                f"choose from {sorted(presets)}"))
-        return
-    kinds = {**presets[preset], "preset": preset}
-    for key, val in block.items():
-        if key not in kinds:
-            findings.append(Finding(f"{path}.{key}",
-                                    f"unknown key for preset {preset!r}"))
-        elif not _same_kind(val, kinds[key]):
-            findings.append(Finding(f"{path}.{key}", f"must have the kind of {kinds[key]!r}"))
-
-
 def _same_kind(value, default):
     """An integer for an integer default, any number for a float, a list whose
     entries follow its first entry for a list; a bool is never a number."""
@@ -155,6 +127,35 @@ def _same_kind(value, default):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _kind_findings(obj, example, path=""):
+    """Unknown keys and values of the wrong kind in a config object, against
+    an example object of the same keys; an example value None takes any value."""
+    findings = []
+    for key, val in obj.items():
+        where = f"{path}.{key}" if path else key
+        if key not in example:
+            findings.append(Finding(where, "unknown key"))
+        elif where in PRESETS and isinstance(val, dict):
+            findings.extend(_preset_findings(val, PRESETS[where], where))
+        elif isinstance(example[key], dict):
+            findings.extend(_kind_findings(val, example[key], where) if isinstance(val, dict)
+                            else [Finding(where, "must be an object")])
+        elif example[key] is not None and not _same_kind(val, example[key]):
+            findings.append(Finding(where, f"must have the kind of {example[key]!r}"))
+    return findings
+
+
+def _preset_findings(block, presets, path):
+    """A preset block's findings, against the chosen preset's entry."""
+    if "preset" not in block:
+        return [Finding(path, "missing required key 'preset'")]
+    preset = block["preset"]
+    if not isinstance(preset, str) or preset not in presets:
+        return [Finding(f"{path}.preset",
+                        f"unknown preset {preset!r}; choose from {sorted(presets)}")]
+    return _kind_findings(block, {**presets[preset], "preset": preset}, path)
+
+
 def _site_run(sites, config):
     """None for a non-empty run of distinct, contiguous lattice sites, in any
     order, as a Region takes them; else what the value must be."""
@@ -162,6 +163,14 @@ def _site_run(sites, config):
     s = sorted(sites)
     if not s or s[0] < 0 or s[-1] >= L or s != list(range(s[0], s[0] + len(s))):
         return f"must be a non-empty run of distinct, contiguous sites in [0, {L})"
+
+
+def _source(sites, config):
+    """A site run that shares no site with a channel the source emits into."""
+    p = config["params"]
+    return _site_run(sites, config) or (
+        "must share no site with params.channel or params.witness_channel"
+        if set(sites) & {*p.get("channel", []), *p.get("witness_channel", [])} else None)
 
 
 def _bound(ok, message):
@@ -178,55 +187,71 @@ def _entries(extra):
     return rule
 
 
-# params the defaults cannot check, a site, an index, a length tied to the model
-# or a bound: key -> rule on (value, merged config), a message or None
-PARAM_RULES = {
-    "source_site": lambda v, c: (None if 0 <= v < c["model"]["L"]
-                                 else f"must be a site in [0, {c['model']['L']})"),
-    "region": _site_run,
-    "source": _site_run,
-    "channel": _site_run,
-    "witness_channel": _site_run,
-    "target_index": lambda v, c: (
+def _potential(preset, rule):
+    """A rule read when the merged potential takes that preset: a replaced
+    preset's parameters stay in the merge, and no run reads them."""
+    return lambda v, c: rule(v, c) if c["model"]["potential"]["preset"] == preset else None
+
+
+# what the example objects cannot say, a bound, a site, an index or a length
+# tied to the model: full key path -> rule on (value, merged config), a message or None
+RULES = {
+    "seed": _bound(lambda v: v >= 0, "must be a non-negative integer"),
+    **dict.fromkeys(("model.L", "model.g", "model.n_max"),
+                    _bound(lambda v: v >= 1, "must be an integer >= 1")),
+    **dict.fromkeys(("model.dx", "model.mass", "model.hbar"),
+                    _bound(lambda v: v > 0, "must be positive")),
+    "model.statistics": _bound(lambda v: v in (BOSE, FERMI), "must be 'bose' or 'fermi'"),
+    "model.potential.sites": _potential("barrier", lambda v, c: (
+        None if all(0 <= s < c["model"]["L"] for s in v)
+        else f"must be sites in [0, {c['model']['L']})")),
+    "model.potential.values": _potential("table", _entries(0)),
+    "params.source_site": lambda v, c: (None if 0 <= v < c["model"]["L"]
+                                        else f"must be a site in [0, {c['model']['L']})"),
+    "params.region": _site_run,
+    "params.source": _source,
+    "params.channel": _site_run,
+    "params.witness_channel": _site_run,
+    "params.target_index": lambda v, c: (
         None if 0 <= v < len(c["params"]["channel"])
         else f"must index params.channel, in [0, {len(c['params']['channel'])})"),
     # one parameter per mass cell plus the energy, one preparation weight per cell
-    "zeta0": _entries(1),
-    "gamma_T": _entries(1),
-    "prep_weights": _entries(0),
+    "params.zeta0": _entries(1),
+    "params.gamma_T": _entries(1),
+    "params.prep_weights": _entries(0),
     # steps, horizons and widths divide; grids have two points, series one entry
-    **dict.fromkeys(("step", "decay_horizon", "dt", "width", "sweep_width"),
-                    _bound(lambda v: v > 0, "must be > 0")),
-    **dict.fromkeys(("decay_samples", "prep_quad", "samples", "sweep_points",
-                     "exact_samples"), _bound(lambda v: v >= 2, "must be >= 2")),
-    **dict.fromkeys(("times", "witness_times", "strengths"),
+    **dict.fromkeys(("params.step", "params.decay_horizon", "params.dt", "params.width",
+                     "params.sweep_width"), _bound(lambda v: v > 0, "must be > 0")),
+    **dict.fromkeys(("params.decay_samples", "params.prep_quad", "params.samples",
+                     "params.sweep_points", "params.exact_samples"),
+                    _bound(lambda v: v >= 2, "must be >= 2")),
+    **dict.fromkeys(("params.times", "params.witness_times", "params.strengths"),
                     _bound(len, "must not be empty")),
-    "lam": _bound(lambda v: 0 < v < 1, "must lie strictly inside (0, 1)"),
+    "params.lam": _bound(lambda v: 0 < v < 1, "must lie strictly inside (0, 1)"),
     # round(t_end / step) >= 1 is t_end > step / 2; a step <= 0 is step's finding
-    "t_end": lambda v, c: (None if c["params"]["step"] <= 0 or v > 0.5 * c["params"]["step"]
-                           else "must span at least one step: round(t_end / step) >= 1"),
+    "params.t_end": lambda v, c: (
+        None if c["params"]["step"] <= 0 or v > 0.5 * c["params"]["step"]
+        else "must span at least one step: round(t_end / step) >= 1"),
 }
 
 
-def validate_model(model, path="model"):
+def _rule_findings(config):
+    """The RULES findings of a merged config whose kinds are clean; a path the
+    config does not hold is skipped."""
     findings = []
-    for key, val in model.items():
-        if key not in MODEL_KEYS:
-            findings.append(Finding(f"{path}.{key}", "unknown key"))
-            continue
-        typ, ok, msg = MODEL_KEYS[key]
-        if not isinstance(val, typ) or isinstance(val, bool):
-            findings.append(Finding(f"{path}.{key}",
-                                    f"expected {typ}, got {type(val).__name__}"))
-        elif not ok(val):
-            findings.append(Finding(f"{path}.{key}", msg))
-    if "potential" in model and isinstance(model["potential"], dict):
-        _check_preset(model["potential"], POTENTIAL_PRESETS,
-                      f"{path}.potential", findings)
-    if "pair_potential" in model and isinstance(model["pair_potential"], dict):
-        _check_preset(model["pair_potential"], PAIR_PRESETS,
-                      f"{path}.pair_potential", findings)
+    for path, rule in RULES.items():
+        *parents, key = path.split(".")
+        node = functools.reduce(lambda n, k: n.get(k, {}), parents, config)
+        message = key in node and rule(node[key], config)
+        if message:
+            findings.append(Finding(path, message))
     return findings
+
+
+def validate_model(model):
+    """Findings for a model block, merged over ``default_model()``."""
+    return _kind_findings(model, default_model(), "model") or \
+        _rule_findings({"model": deep_merge(default_model(), model)})
 
 
 def _non_finite_paths(value, path="$"):
@@ -242,7 +267,7 @@ def _non_finite_paths(value, path="$"):
     return []
 
 
-def feasibility_findings(model, path="model"):
+def feasibility_findings(model):
     """Dimension-cap precheck, run on a fully merged model block."""
     try:
         cap = dim_cap_from_env()
@@ -254,7 +279,7 @@ def feasibility_findings(model, path="model"):
     except (KeyError, ValueError):
         return []
     if dim > cap:
-        return [Finding(f"{path}.n_max",
+        return [Finding("model.n_max",
                         f"Fock dimension {dim} exceeds the cap {cap} "
                         f"(override via FOCKBOX_DIM_CAP if intended)")]
     return []
@@ -391,10 +416,7 @@ def scenario_defaults(name):
 
 
 def merged_config(config):
-    name = config.get("scenario")
-    if name not in CATALOG:
-        raise KeyError(f"unknown scenario {name!r}; pick from {sorted(CATALOG)}")
-    return deep_merge(scenario_defaults(name), config)
+    return deep_merge(scenario_defaults(config.get("scenario")), config)
 
 
 def validate_config(config):
@@ -406,40 +428,15 @@ def validate_config(config):
         return [Finding("scenario", "missing required key")]
     if not isinstance(name, str) or name not in CATALOG:
         return [Finding("scenario", f"unknown scenario {name!r}; pick from {sorted(CATALOG)}")]
-    findings = []
     defaults = scenario_defaults(name)
-    for key in config:
-        if key not in ("scenario", "seed", "model", "params", "comment"):
-            findings.append(Finding(key, "unknown key"))
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        findings.append(Finding("seed", "must be a non-negative integer"))
-    if "model" in config:
-        if not isinstance(config["model"], dict):
-            findings.append(Finding("model", "must be an object"))
-        else:
-            findings.extend(validate_model(config["model"]))
-    if "params" in config:
-        if not isinstance(config["params"], dict):
-            findings.append(Finding("params", "must be an object"))
-        else:
-            for key, val in config["params"].items():
-                if key not in defaults["params"]:
-                    findings.append(Finding(f"params.{key}", "unknown key"))
-                elif not _same_kind(val, defaults["params"][key]):
-                    findings.append(Finding(f"params.{key}", "must have the kind of its "
-                                            f"default {defaults['params'][key]!r}"))
+    findings = _kind_findings(config, {**defaults, "model": default_model(), "comment": None})
     # a non-finite number is reported once, as such
     bad = _non_finite_paths(config)
     findings = [Finding(p, "must be a finite number") for p in bad] \
         + [f for f in findings if f.path not in bad]
     if not findings:
         merged = deep_merge(defaults, config)
-        for key, rule in PARAM_RULES.items():
-            message = key in merged["params"] and rule(merged["params"][key], merged)
-            if message:
-                findings.append(Finding(f"params.{key}", message))
-        findings.extend(feasibility_findings(merged["model"]))
+        findings = _rule_findings(merged) + feasibility_findings(merged["model"])
     return findings
 
 

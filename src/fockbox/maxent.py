@@ -286,7 +286,7 @@ def kubo(C, B, W, eig_floor=EIG_FLOOR):
     return _correlation(spectrum, floored, C, B)[0]
 
 
-def cumulant_expect(C, A_exponent, B_perturbation, eig_floor=EIG_FLOOR):
+def cumulant_expect(C, A_exponent, B_perturbation):
     """First-order estimate of Tr C exp(A+B)/Tr exp(A+B).
 
     Tr(C W) + <C, B>_W with W = exp(A)/Tr exp(A); exact at B = 0 and with
@@ -295,8 +295,7 @@ def cumulant_expect(C, A_exponent, B_perturbation, eig_floor=EIG_FLOOR):
     """
     spectrum = Spectrum(A_exponent)
     p, _ = spectrum.gibbs()
-    floored = p if eig_floor is None else np.clip(p, eig_floor, None)
-    corr, mean = _correlation(spectrum, floored, C, B_perturbation)
+    corr, mean = _correlation(spectrum, np.clip(p, EIG_FLOOR, None), C, B_perturbation)
     return float((mean + corr).real)
 
 
@@ -342,17 +341,16 @@ def gauge_projector(relevant):
     return basis_vectors @ basis_vectors.T
 
 
-def kubo_gram(relevant, rho, eig_floor=EIG_FLOOR):
+def kubo_gram(relevant, rho):
     """Symmetric matrix of pairwise correlations <A_j, A_l>_rho.
 
-    rho's eigenvalues are lifted to eig_floor (None for none).  A state that
+    rho's eigenvalues are lifted to EIG_FLOOR.  A state that
     keeps its decomposition, as gibbs_state's does, is read from its blocks and
     weights, so no eigendecomposition is made; any other rho is diagonalized by
     particle-number sector.
     """
     spectrum = Spectrum(rho, sectors=relevant.basis.sector_slices())
-    floored = spectrum.w if eig_floor is None else np.clip(spectrum.w, eig_floor, None)
-    return _gram(relevant, spectrum, floored)
+    return _gram(relevant, spectrum, np.clip(spectrum.w, EIG_FLOOR, None))
 
 
 def _gram(relevant, spectrum, p):

@@ -198,8 +198,12 @@ def run_free_packet(config):
     p = config["params"]
     h = build_hamiltonian(basis, model)
     reg = region(range(model.L))
-    psi = gaussian_packet(reg, center=p["center"], width=p["width"],
-                          k=p["momentum"], dx=model.dx, g=model.g)
+    try:
+        psi = gaussian_packet(reg, center=p["center"], width=p["width"],
+                              k=p["momentum"], dx=model.dx, g=model.g)
+    except ValueError:  # the packet's amplitude underflows on every site
+        raise ConfigError([Finding("params.center", "must leave the packet some "
+                                   f"amplitude on the sites [0, {model.L})")]) from None
     rho0 = embed(psi, vacuum_state(basis), basis, model, reg)
     obs = np.stack([op.to_dense() for op in [h, *density_ops(basis, model)]])
     ts = np.linspace(0.0, p["t_final"], p["samples"])

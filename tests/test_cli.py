@@ -7,7 +7,15 @@ import pytest
 
 from fockbox import scenarios
 from fockbox.cli import main
-from fockbox.config import DIM_CAP_ENV, Finding, deep_merge, validate_model
+from fockbox.config import (
+    DIM_CAP_ENV,
+    PRESETS,
+    RULES,
+    Finding,
+    deep_merge,
+    default_model,
+    validate_model,
+)
 from fockbox.fock import BOSE, DimensionCapError, build_basis
 from fockbox.scenarios import (
     list_scenarios,
@@ -76,6 +84,22 @@ def test_validate_model_types():
     assert any(f.path == "model.statistics" for f in findings)
     findings = validate_model({"potential": {"preset": "vortex"}})
     assert any("unknown preset" in f.message for f in findings)
+
+
+def test_every_rule_path_names_a_key():
+    """A misspelt RULES path never fires, so each names a key of a bundled
+    default, of default_model() or of a preset table."""
+    def key_paths(node, prefix=""):
+        for key, value in node.items():
+            yield f"{prefix}{key}"
+            if isinstance(value, dict):
+                yield from key_paths(value, f"{prefix}{key}.")
+
+    keys = {p for name in list_scenarios() for p in key_paths(scenario_defaults(name))}
+    keys |= set(key_paths({"model": default_model()}))
+    keys |= {f"{path}.{key}" for path, presets in PRESETS.items()
+             for entry in presets.values() for key in entry}
+    assert sorted(set(RULES) - keys) == []
 
 
 def test_merged_config_overrides_defaults():
@@ -270,12 +294,12 @@ def test_non_finite_number_is_a_config_error(tmp_path, name, entry, where):
 
 def test_non_finite_number_is_reported_once_among_other_findings():
     cfg = json.loads('{"scenario": "free_packet", "seed": NaN, "comment": [Infinity],'
-                     ' "model": {"mass": NaN, "L": 0}}')
+                     ' "model": {"mass": NaN, "L": "four"}}')
     assert [str(f) for f in validate_config(cfg)] == [
         "seed: must be a finite number",
         "comment[0]: must be a finite number",
         "model.mass: must be a finite number",
-        "model.L: must be an integer >= 1",
+        "model.L: must have the kind of 4",
     ]
 
 
@@ -309,6 +333,11 @@ OFF_LATTICE = [
     ("event_channel", {"target_index": 5}, "params.target_index"),
     ("event_channel", {"channel": [3, 9]}, "params.channel"),
     ("embedding_check", {"region": [1, 2, 30]}, "params.region"),
+    ("event_channel", {"model": {"potential": {"preset": "barrier", "height": 50.0,
+                                               "sites": [99]}}}, "model.potential.sites"),
+    # a source shares no site with a channel it emits into
+    ("event_channel", {"source": [1, 2], "channel": [2, 3]}, "params.source"),
+    ("decoherence_sweep", {"source": [0, 1, 2]}, "params.source"),
 ]
 
 
@@ -316,7 +345,8 @@ OFF_LATTICE = [
                          ids=[f"{n}-{w}" for n, _, w in OFF_LATTICE])
 def test_site_or_index_off_the_lattice_is_a_config_error(tmp_path, name, params, where):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"scenario": name, "params": params}), encoding="utf-8")
+    path.write_text(json.dumps({"scenario": name, **(
+        params if "model" in params else {"params": params})}), encoding="utf-8")
     assert [f.path for f in validate_config(json.loads(path.read_text()))] == [where]
     out = tmp_path / "out"
     for args in (("validate", "--config", str(path)),
@@ -327,12 +357,24 @@ def test_site_or_index_off_the_lattice_is_a_config_error(tmp_path, name, params,
     assert not out.exists()
 
 
+def test_a_replaced_preset_leaves_its_parameters_unchecked():
+    """The merge keeps event_channel's default barrier sites [2] when the potential
+    becomes a table; no run reads them, so off a 2-site lattice they are no finding."""
+    assert validate_config({
+        "scenario": "event_channel",
+        "model": {"L": 2, "potential": {"preset": "table", "values": [0.0, 0.0]}},
+        "params": {"source": [0], "channel": [1], "witness_channel": [1]},
+    }) == []
+
+
 @pytest.mark.parametrize("name, params, where", [
     ("relaxation", {"zeta0": [1.0, 2.0]}, "params.zeta0"),
     ("zubarev_limit", {"zeta0": [0.1] * 6}, "params.zeta0"),
     ("zubarev_limit", {"gamma_T": [0.1] * 4}, "params.gamma_T"),
     ("zubarev_limit", {"prep_weights": [0.1] * 5}, "params.prep_weights"),
     ("zubarev_limit", {"model": {"L": 3}}, "params.zeta0"),
+    ("free_packet", {"model": {"potential": {"preset": "table", "values": [1.0]}}},
+     "model.potential.values"),
 ])
 def test_a_list_of_the_wrong_length_is_a_config_error(tmp_path, name, params, where):
     """zeta0 and gamma_T have L + 1 entries and prep_weights L, L from the

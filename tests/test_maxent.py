@@ -10,6 +10,7 @@ from strategies import SETTINGS, hermitian_models
 
 import fockbox.maxent as maxent
 
+from fockbox.config import build_model, scenario_defaults
 from fockbox.fock import BOSE, build_basis, number_operator
 from fockbox.lattice import LatticeModel, build_hamiltonian, density_ops, momentum_density_ops
 from fockbox.maxent import (
@@ -24,6 +25,7 @@ from fockbox.maxent import (
     match_expectations,
     relevant_set,
 )
+from fockbox.scenarios import mass_energy_relevant
 
 
 def random_density(dim, seed):
@@ -404,3 +406,24 @@ def test_expectations_copy_no_state_at_dim_1001():
         tracemalloc.stop()
     # one copy of rho is 16 MB
     assert peak < 1 << 20
+
+
+def test_match_halves_its_step_and_still_recovers_zeta(monkeypatch):
+    """On the relaxation default the full Newton step from zeta = 0 overshoots
+    the targets of a Gibbs state at |zeta| up to 2; the line search halves it
+    and the match still lands on zeta.  Each trial step is one _gibbs call and
+    each iteration one _gram call, so any _gibbs call beyond the first and one
+    per iteration is a halving."""
+    model, basis = build_model(scenario_defaults("relaxation")["model"])
+    rel, _ = mass_energy_relevant(basis, model)
+    zeta_star = np.random.default_rng(1).uniform(-2, 2, len(rel))
+    rho, _ = gibbs_state(rel, zeta_star)
+    calls = {"_gibbs": 0, "_gram": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(maxent, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(maxent, name, counted)
+    zf = match_expectations(rel, expectations(rel, rho))
+    assert np.max(np.abs(zf.values - zeta_star)) < 1e-12
+    assert calls["_gibbs"] - 1 - calls["_gram"] >= 1

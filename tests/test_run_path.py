@@ -69,6 +69,23 @@ def test_a_decay_horizon_below_half_a_step_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
+def test_a_packet_off_the_lattice_is_a_config_error(tmp_path):
+    """validate cannot see whether the packet has amplitude on a site; the run
+    reports it at params.center, before anything is written, not as a zero
+    state that cannot be normalized, exit 3."""
+    path = write(tmp_path / "cfg.json", {"scenario": "free_packet", "params": {"center": 100}})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", path)[0] == 0
+    code, err = run_cli("run", "--config", path, "--out", str(out))
+    assert code == 2, err
+    assert "invalid: params.center: must leave the packet some amplitude on the sites " \
+        "[0, 5)" in err
+    assert not out.exists()
+    # on the lattice, or near enough to reach it, the packet runs
+    config = {"scenario": "free_packet", "params": {"center": -3.0, "samples": 2}}
+    assert run_scenario(config, tmp_path / "near").passed
+
+
 def test_a_stage_failing_after_tables_were_built_writes_nothing(tmp_path, monkeypatch):
     """The exact oracle runs after the correlation and parameter tables exist."""
     def failing(*args, **kwargs):
