@@ -108,11 +108,15 @@ def default_model():
 
 
 def deep_merge(base, override):
-    """New dict with override's entries replacing base's, recursing on dicts."""
+    """New dict with override's entries replacing base's, recursing on dicts; a
+    dict that names another preset replaces base's whole, so no parameter of the
+    replaced preset stays."""
     out = dict(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = deep_merge(out[key], val)
+        old = out.get(key)
+        if isinstance(val, dict) and isinstance(old, dict) and \
+                val.get("preset", old.get("preset")) == old.get("preset"):
+            out[key] = deep_merge(old, val)
         else:
             out[key] = val
     return out
@@ -187,12 +191,6 @@ def _entries(extra):
     return rule
 
 
-def _potential(preset, rule):
-    """A rule read when the merged potential takes that preset: a replaced
-    preset's parameters stay in the merge, and no run reads them."""
-    return lambda v, c: rule(v, c) if c["model"]["potential"]["preset"] == preset else None
-
-
 # what the example objects cannot say, a bound, a site, an index or a length
 # tied to the model: full key path -> rule on (value, merged config), a message or None
 RULES = {
@@ -202,10 +200,9 @@ RULES = {
     **dict.fromkeys(("model.dx", "model.mass", "model.hbar"),
                     _bound(lambda v: v > 0, "must be positive")),
     "model.statistics": _bound(lambda v: v in (BOSE, FERMI), "must be 'bose' or 'fermi'"),
-    "model.potential.sites": _potential("barrier", lambda v, c: (
-        None if all(0 <= s < c["model"]["L"] for s in v)
-        else f"must be sites in [0, {c['model']['L']})")),
-    "model.potential.values": _potential("table", _entries(0)),
+    "model.potential.sites": lambda v, c: (None if all(0 <= s < c["model"]["L"] for s in v)
+                                           else f"must be sites in [0, {c['model']['L']})"),
+    "model.potential.values": _entries(0),
     "params.source_site": lambda v, c: (None if 0 <= v < c["model"]["L"]
                                         else f"must be a site in [0, {c['model']['L']})"),
     "params.region": _site_run,

@@ -6,14 +6,16 @@ history terms accumulated during a preparation interval [T, t0], minus a
 terminal term at T.  Unitary evolution of that operator admits an exact
 rewrite in which the terminal parameters are the current ones and the
 history extends through the spontaneous interval [t0, t]; the parameters
-then obey an integrodifferential equation, integrated by explicit midpoint
-with a trapezoid memory term and an optional memory cutoff.  It and the
-decay table are canonical correlations of the commutator rows in the current
-macrostate, traces against operands dressed once by the Kubo kernel.
+then obey an integrodifferential equation, integrated by explicit midpoint;
+its memory term is one windowed trapezoid sum over both history branches,
+the window set by an optional memory cutoff.  It and the decay table are
+canonical correlations of the commutator rows in the current macrostate,
+traces against operands dressed once by the Kubo kernel.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -114,38 +116,60 @@ class HistorySpec:
         return np.linspace(self.T, self.t0, self.n_quad)
 
 
-def _trapezoid_weights(nodes):
-    w = np.zeros(len(nodes))
-    d = 0.5 * np.diff(nodes)
-    w[:-1] += d
-    w[1:] += d
-    return w
-
-
 def _weighted(c, stack):
     """sum_k c[k] stack[k] over an (m, d, d) stack, as one matrix product."""
-    return (c @ stack.reshape(len(stack), np.prod(stack.shape[1:]))).reshape(stack.shape[1:])
-
-
-def _phase_kernels(spectrum, s, nodes, coef):
-    """Per block of spectrum, K_m[a, b] = sum_k w_k coef[k, m] exp(i (w_a - w_b)(t_k - s)/hbar)
-    for each column m of coef, w_k the trapezoid weights over nodes, as one matrix
-    product: the history integral sum_m K_m * O_m of operators O_m in the eigenbasis
-    of H at s, with no (nodes, d_k, d_k) stack of dressed operators."""
-    coef = _trapezoid_weights(nodes)[:, None] * coef
-    phase = np.exp(1j * np.multiply.outer(nodes - s, spectrum.w) / spectrum.hbar)
-    out = []
-    for sl in spectrum.slices:
-        d = sl.stop - sl.start
-        weighted = (coef[:, :, None] * phase[:, None, sl]).reshape(len(nodes), coef.shape[1] * d)
-        out.append((weighted.T @ phase[:, sl].conj()).reshape(coef.shape[1], d, d))
-    return out
+    return (c @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
 def _masks(spectrum, t):
     """exp(i (w_a - w_b) t / hbar) on each block of spectrum: dressing by t there."""
     phase = np.exp(1j * spectrum.w * t / spectrum.hbar)
     return [np.outer(phase[sl], phase[sl].conj()) for sl in spectrum.slices]
+
+
+class _WindowedSum:
+    """Trapezoid sum, on each block of spectrum, over the nodes that a window
+    [start, inf) keeps.  Node k is a time t_k and a coefficient row c_k, with the
+    value mask(t_k) o combine(c_k), built again only when it is needed: held are
+    the sum over the closed intervals inside the window and the last node, O(d_k^2)
+    per block whatever the number of nodes, and the scalar record."""
+
+    def __init__(self, spectrum, combine):
+        self.spectrum, self.combine = spectrum, combine
+        self.times, self.coefs, self.first = [], [], 0
+        self.sum = self.last = [np.zeros((sl.stop - sl.start,) * 2, complex)
+                                for sl in spectrum.slices]
+
+    def node(self, k):
+        return [m * x for m, x in zip(_masks(self.spectrum, self.times[k]),
+                                      self.combine(self.coefs[k]))]
+
+    def _interval(self, k, lo, sign=1.0):
+        """Add sign times the interval [t_k, t_k+1] to the sum, lo the node at
+        t_k, and return the node at t_k+1."""
+        hi, h = self.node(k + 1), 0.5 * sign * (self.times[k + 1] - self.times[k])
+        self.sum = [s + h * (a + b) for s, a, b in zip(self.sum, lo, hi)]
+        return hi
+
+    def append(self, t, c):
+        """Record the node (t, c), t at or after every recorded time."""
+        self.times.append(t)
+        self.coefs.append(c)
+        k = len(self.times) - 1
+        self.last = self._interval(k - 1, self.last) if k > self.first else self.node(k)
+
+    def window(self, start):
+        """Keep the nodes at or after start: the intervals that leave are
+        subtracted, and a start that moves back sums again from the record."""
+        first, n = bisect_left(self.times, start), len(self.times)
+        back = first < self.first
+        if back:
+            self.sum = [np.zeros_like(s) for s in self.sum]
+        ks = range(first, n - 1) if back else range(self.first, min(first, n - 1))
+        lo = self.node(ks[0]) if ks else None
+        for k in ks:
+            lo = self._interval(k, lo, 1.0 if back else -1.0)
+        self.first = first
 
 
 def _dressed(u, kappa, x):
@@ -160,8 +184,8 @@ class _PreparedHistory:
     block when a member, current divergence or history operator couples two):
     there members holds the A_j, delta the (w_a - w_b)/hbar, so that (i/hbar)[H, A_j]
     = i delta o A_j, div_rates the i div J_j (real for the imaginary divergences of
-    a real model), combos each history term's sum_k coeffs[k] O_k and gamma the
-    terminal term, so its size does not depend on n_quad; h the h(t'), a row per node."""
+    a real model), record the sum over the [T, t0] nodes, rows h(t') on each term's
+    sum_k coeffs[k] O_k, and fixed that over every node minus the terminal term."""
 
     def __init__(self, relevant, history, H, hbar):
         self.history, terms = history, history.terms
@@ -178,13 +202,17 @@ class _PreparedHistory:
         self.div_rates = None if relevant.div_currents is None else [
             1j * b if np.any(b.real) else -b.imag for b in blocks[-1]]
         self.nodes = history.prep_grid() if terms else np.array([])
-        self.h = np.array([[term.h(tp) for term in terms]
-                           for tp in self.nodes]).reshape(len(self.nodes), len(terms))
-        self.combos = [np.array([_weighted(t.coeffs, b[k]) for t, b in zip(terms, blocks[1:])])
-                       .reshape((len(terms),) + a.shape[1:]) for k, a in enumerate(self.members)]
-        self.gamma = None if history.gamma_T is None else [
-            _weighted(np.asarray(history.gamma_T, float) * relevant.weights, a)
-            for a in self.members]
+        # the sums' closures hold no reference to self, so no cycle outlives a call
+        combos = [np.array([_weighted(t.coeffs, b[k]) for t, b in zip(terms, blocks[1:])])
+                  .reshape((len(terms),) + a.shape[1:]) for k, a in enumerate(self.members)]
+        self.record = _WindowedSum(spectrum, lambda c: [_weighted(c, x) for x in combos])
+        for tp in self.nodes:
+            self.record.append(tp, np.array([term.h(tp) for term in terms]))
+        self.fixed = self.record.sum
+        if history.gamma_T is not None:
+            gamma = np.asarray(history.gamma_T, float) * relevant.weights
+            self.fixed = [acc - mask * _weighted(gamma, a) for acc, mask, a in zip(
+                self.fixed, _masks(spectrum, history.T), self.members)]
 
     def state(self, relevant, zeta):
         """Per block, the eigenvectors u of the exponent of w[zeta], which w[zeta]
@@ -194,17 +222,26 @@ class _PreparedHistory:
         p = np.exp(x - x.max())
         return [u for _, u in eigs], np.clip(p / p.sum(), EIG_FLOOR, None)
 
+    def spontaneous(self):
+        """An empty sum over the nodes sum_l w_l (zdot_l A_l - zeta_l div J_l) of
+        [t0, t], each a row [w zdot, w zeta]: -zeta div J = i zeta (i div J)."""
+        pairs, n = list(zip(self.members, self.div_rates)), len(self.members[0])
+        return _WindowedSum(self.spectrum, lambda c: [
+            _weighted(c[:n], a) + 1j * _weighted(c[n:], j) for a, j in pairs])
+
+    def phased(self, cutoff=-np.inf):
+        """The history exponent of the operator prepared at s, dressed by s, per
+        block: nodes before cutoff drop out, the terminal term once T does."""
+        if cutoff <= self.history.T:
+            return self.fixed
+        self.record.window(cutoff)
+        return self.record.sum
+
     def operand(self, s, cutoff=-np.inf):
         """History exponent of the operator prepared at s, per block: test-function
         integrals over [T, t0] dressed by -(s - t') minus gamma_T dressed by
         -(s - T); nodes before cutoff drop out, gamma_T once T does."""
-        first = np.searchsorted(self.nodes, cutoff)
-        kernels = _phase_kernels(self.spectrum, s, self.nodes[first:], self.h[first:])
-        out = [np.einsum("lab,lab->ab", k, combos) for k, combos in zip(kernels, self.combos)]
-        if self.gamma is not None and self.history.T >= cutoff:
-            masks = _masks(self.spectrum, self.history.T - s)
-            out = [acc - mask * gamma for acc, mask, gamma in zip(out, masks, self.gamma)]
-        return out
+        return [mask * x for mask, x in zip(_masks(self.spectrum, -s), self.phased(cutoff))]
 
 
 def build_rho_t0(relevant, zeta_t0, history, H, hbar=1.0):
@@ -259,21 +296,18 @@ def evolve_and_rewrite(relevant, zeta_t0, history, H, t, zeta_of_t,
     u = past.spectrum.unitary(t - history.t0)
     rho_direct = u @ rho0 @ u.conj().T
     x_past = exponent_matrix(relevant, zeta_of_t(t))
-    operand = past.operand(t)
-    w, n = relevant.weights, len(relevant)
+    masks, w = _masks(past.spectrum, -t), relevant.weights
 
     def rewritten(nq):
-        blocks = operand
+        blocks = past.phased()
         if t != history.t0:
-            # sum_l w_l (zdot_l A_l - zeta_l div J_l)(-(t - t')), -zeta div J = i zeta (i div J)
             grid = np.linspace(history.t0, t, nq)
             zs = np.array([zeta_of_t(tp) for tp in grid])
-            zdots = np.gradient(zs, grid, axis=0)
-            kernels = _phase_kernels(past.spectrum, t, grid, np.hstack([zdots * w, 1j * zs * w]))
-            blocks = [o + np.einsum("lab,lab->ab", k[:n], a)
-                      + np.einsum("lab,lab->ab", k[n:], j)
-                      for o, k, a, j in zip(operand, kernels, past.members, past.div_rates)]
-        x = x_past + past.spectrum.from_blocks(blocks)
+            spont = past.spontaneous()
+            for tp, row in zip(grid, np.hstack([np.gradient(zs, grid, axis=0) * w, zs * w])):
+                spont.append(tp, row)
+            blocks = [o + x for o, x in zip(blocks, spont.sum)]
+        x = x_past + past.spectrum.from_blocks([m * b for m, b in zip(masks, blocks)])
         return state_from_exponent(x, relevant.basis.sector_slices())[0]
 
     rho_fine = rewritten(n_quad)
@@ -329,12 +363,13 @@ class _DynamicsEngine:
     """The parameter equation in the eigenbasis of H, one block at a time.
 
     To the members, i div J_j and preparation record that past holds per block
-    the engine adds the spontaneous history as phased nodes, one buffer per
-    block that doubles when full.  A derivative diagonalizes the exponent of
-    w[zeta] on each block and moves the A_j into its eigenvectors for the Gram
-    matrix.  The commutator rows R_j = Delta o A_j are traces against operands
-    dressed by the Kubo kernel (_dressed), taken in the eigenbasis of H with no
-    R_j made: the history operand, and on complex blocks each A_l too.
+    the engine adds the spontaneous history as one windowed sum: O(d_k^2) arrays
+    and O(N n) scalars after N records, at a derivative cost that does not grow
+    with N.  A derivative diagonalizes the exponent of w[zeta] on each block and
+    moves the A_j into its eigenvectors for the Gram matrix.  The rows R_j =
+    Delta o A_j are traces against operands dressed by the Kubo kernel
+    (_dressed), taken in the eigenbasis of H with no R_j made: the history
+    operand, and on complex blocks each A_l too.
     """
 
     def __init__(self, relevant, history, H, hbar, tau_cut, cond_max=1e12):
@@ -342,27 +377,14 @@ class _DynamicsEngine:
             raise ValueError("relevant set needs div_currents for the dynamics")
         self.relevant, self.tau_cut, self.cond_max = relevant, tau_cut, cond_max
         self.past = _PreparedHistory(relevant, history, H, hbar)
+        self.spont = self.past.spontaneous()
         self.proj = relevant.gauge_projector
-        self.times = []
-        self._nodes = [np.zeros((0,) + a.shape[1:], dtype=complex) for a in self.past.members]
-
-    @property
-    def stack(self):
-        """The phased nodes recorded so far, in order: per block, the filled
-        prefix of its buffer."""
-        return [nodes[:len(self.times)] for nodes in self._nodes]
+        self.rank = int(round(np.trace(self.proj)))  # the gauge rank, fixed by the set
 
     def record(self, t, zeta, zdot):
-        """Store the node sum_l w_l (zdot_l A_l - zeta_l div J_l) at t, dressed by t,
-        after every node stored so far."""
-        k, w = len(self.times), self.relevant.weights
-        if k == len(self._nodes[0]):
-            self._nodes = [np.concatenate([b, np.empty_like(b, shape=(max(1, k),) + b.shape[1:])])
-                           for b in self._nodes]
-        for nodes, mask, a, j in zip(self._nodes, _masks(self.past.spectrum, t),
-                                     self.past.members, self.past.div_rates):
-            nodes[k] = mask * (_weighted(w * zdot, a) + 1j * _weighted(w * zeta, j))
-        self.times.append(t)
+        """Store the node sum_l w_l (zdot_l A_l - zeta_l div J_l) at t, after
+        every node stored so far."""
+        self.spont.append(t, np.concatenate([zdot, zeta]) * np.tile(self.relevant.weights, 2))
 
     def derivative(self, t, zeta):
         """zeta-dot at (t, zeta) given the recorded spontaneous history.
@@ -375,17 +397,18 @@ class _DynamicsEngine:
         # once T falls behind the window, which is what makes the truncated
         # dynamics depend on the state parameters alone
         cutoff = -np.inf if self.tau_cut is None else t - self.tau_cut
-        operand = self.past.operand(t, cutoff)
+        prep = self.past.phased(cutoff)
 
-        # spontaneous branch over the recorded nodes in the window (a suffix:
-        # times increase) and the endpoint t, where only -zeta div J enters:
-        # the unknown zeta-dot stays on the left-hand side of the linear solve
-        first, last = np.searchsorted(self.times, cutoff), len(self.times)
-        *wq, w_end = _trapezoid_weights(np.append(self.times[first:], t))
-        wz = self.relevant.weights * zeta
-        for acc, mask, nodes, j in zip(operand, _masks(self.past.spectrum, -t),
-                                       self._nodes, self.past.div_rates):
-            acc += mask * _weighted(wq, nodes[first:last]) + (1j * w_end) * _weighted(wz, j)
+        # spontaneous branch over the recorded nodes in the window, closed by
+        # the endpoint t, where only -zeta div J enters: the unknown zeta-dot
+        # stays on the left-hand side of the linear solve
+        spont, wz = self.spont, self.relevant.weights * zeta
+        spont.window(cutoff)
+        w_end = 0.5 * (t - spont.times[-1]) if spont.first < len(spont.times) else 0.0
+        operand = [mask * (q + s + w_end * last) + (1j * w_end) * _weighted(wz, j)
+                   for mask, q, s, last, j in zip(
+                       _masks(self.past.spectrum, -t), prep, spont.sum, spont.last,
+                       self.past.div_rates)]
 
         us, p = self.past.state(self.relevant, zeta)
         gram, rhs, kmat = self._correlations(us, p, _kubo_kernel(p), operand)
@@ -431,12 +454,8 @@ class _DynamicsEngine:
     def _deflated_condition(self, gram):
         d_sqrt = np.sqrt(self.relevant.weights)
         s = gram * d_sqrt[None, :] * d_sqrt[:, None]
-        evals = np.linalg.eigvalsh(self.proj @ s @ self.proj)
-        rank = int(round(np.trace(self.proj)))
-        if rank == 0:
-            return np.inf
-        live = np.sort(evals)[-rank:]
-        if live[0] <= 0.0:
+        live = np.linalg.eigvalsh(self.proj @ s @ self.proj)[-self.rank:]  # ascending
+        if self.rank == 0 or live[0] <= 0.0:
             return np.inf
         return float(live[-1] / live[0])
 

@@ -198,12 +198,9 @@ def run_free_packet(config):
     p = config["params"]
     h = build_hamiltonian(basis, model)
     reg = region(range(model.L))
-    try:
-        psi = gaussian_packet(reg, center=p["center"], width=p["width"],
-                              k=p["momentum"], dx=model.dx, g=model.g)
-    except ValueError:  # the packet's amplitude underflows on every site
-        raise ConfigError([Finding("params.center", "must leave the packet some "
-                                   f"amplitude on the sites [0, {model.L})")]) from None
+    _check_packets(reg, p, {"center": "width"})
+    psi = gaussian_packet(reg, center=p["center"], width=p["width"],
+                          k=p["momentum"], dx=model.dx, g=model.g)
     rho0 = embed(psi, vacuum_state(basis), basis, model, reg)
     obs = np.stack([op.to_dense() for op in [h, *density_ops(basis, model)]])
     ts = np.linspace(0.0, p["t_final"], p["samples"])
@@ -225,6 +222,21 @@ def run_free_packet(config):
         tables={"density.csv": (["t", "site", "density"], rows)})
 
 
+def _check_packets(reg, p, widths):
+    """A ConfigError naming each params key whose Gaussian packet, of the width
+    under widths[key], underflows on every site of reg: a zero state, which no
+    run can normalize."""
+    findings = []
+    for key, width in widths.items():
+        try:
+            gaussian_packet(reg, center=p[key], width=p[width])
+        except ValueError:
+            findings.append(Finding(f"params.{key}", "must leave the packet some amplitude "
+                                    f"on the sites [{min(reg.sites)}, {max(reg.sites) + 1})"))
+    if findings:
+        raise ConfigError(findings)
+
+
 def _residual_and_surface(center, width, dt, h, model, reg):
     vac = vacuum_state(h.basis)
     psi0 = gaussian_packet(reg, center=center, width=width, dx=model.dx,
@@ -241,6 +253,10 @@ def run_embedding_check(config):
     h = build_hamiltonian(basis, model)
     reg = region(p["region"])
     dt = float(p["dt"])
+    # the sweep's centers lie between its ends, so they reach the region when
+    # both ends do, unless the width is far below the site spacing
+    _check_packets(reg, p, {"interior_center": "width", "boundary_center": "width",
+                            "sweep_start": "sweep_width", "sweep_stop": "sweep_width"})
 
     r_int, _ = _residual_and_surface(p["interior_center"], p["width"], dt,
                                      h, model, reg)

@@ -358,13 +358,25 @@ def test_site_or_index_off_the_lattice_is_a_config_error(tmp_path, name, params,
 
 
 def test_a_replaced_preset_leaves_its_parameters_unchecked():
-    """The merge keeps event_channel's default barrier sites [2] when the potential
-    becomes a table; no run reads them, so off a 2-site lattice they are no finding."""
-    assert validate_config({
+    """A potential naming another preset replaces event_channel's barrier whole:
+    its default sites [2] are gone from the merge, so off a 2-site lattice they
+    are no finding, and no run or summary reads a parameter of the barrier."""
+    config = {
         "scenario": "event_channel",
         "model": {"L": 2, "potential": {"preset": "table", "values": [0.0, 0.0]}},
         "params": {"source": [0], "channel": [1], "witness_channel": [1]},
-    }) == []
+    }
+    assert validate_config(config) == []
+    assert merged_config(config)["model"]["potential"] == {"preset": "table",
+                                                           "values": [0.0, 0.0]}
+    harmonic = {"scenario": "event_channel",
+                "model": {"potential": {"preset": "harmonic", "k": 1.0}}}
+    assert merged_config(harmonic)["model"]["potential"] == {"preset": "harmonic", "k": 1.0}
+    # the same preset merges into the default's parameters
+    barrier = {"scenario": "event_channel",
+               "model": {"potential": {"preset": "barrier", "height": 5.0}}}
+    assert merged_config(barrier)["model"]["potential"] == {
+        **scenario_defaults("event_channel")["model"]["potential"], "height": 5.0}
 
 
 @pytest.mark.parametrize("name, params, where", [

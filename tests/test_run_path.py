@@ -86,6 +86,23 @@ def test_a_packet_off_the_lattice_is_a_config_error(tmp_path):
     assert run_scenario(config, tmp_path / "near").passed
 
 
+@pytest.mark.parametrize("key", ["interior_center", "boundary_center", "sweep_start",
+                                 "sweep_stop"])
+def test_an_embedding_packet_off_the_lattice_is_a_config_error(tmp_path, key):
+    """As params.center of free_packet: each packet centre of embedding_check
+    that leaves no amplitude on the region is reported at its key, exit 2 with
+    nothing written, not as a zero state that cannot be normalized, exit 3."""
+    path = write(tmp_path / "cfg.json", {"scenario": "embedding_check", "params": {key: 100.0}})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", path)[0] == 0
+    code, err = run_cli("run", "--config", path, "--out", str(out))
+    assert code == 2, err
+    assert f"invalid: params.{key}: must leave the packet some amplitude on the sites " \
+        "[1, 10)" in err
+    assert "zero state" not in err
+    assert not out.exists()
+
+
 def test_a_stage_failing_after_tables_were_built_writes_nothing(tmp_path, monkeypatch):
     """The exact oracle runs after the correlation and parameter tables exist."""
     def failing(*args, **kwargs):

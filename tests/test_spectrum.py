@@ -505,11 +505,10 @@ def commutators(rel, h):
     return [1j * (h @ a - a @ h) for a in rel.operators]
 
 
-def per_node_operand(rel, history, h, tau_cut, t, zeta, records):
-    """The history operand of the derivative at (t, zeta) in the state's
-    eigenbasis, every node combined and dressed on the spot, and the trapezoid
-    weight of the endpoint; records are the (t', zeta, zdot) nodes so far."""
-    spectrum = Spectrum(h)
+def per_node_history(rel, history, spectrum, tau_cut, t, zeta, records):
+    """The history operand of the derivative at (t, zeta) in the eigenbasis of
+    H that spectrum holds, every node combined and dressed on the spot, and the
+    trapezoid weight of the endpoint; records are the (t', zeta, zdot) nodes so far."""
     ad_eig = oracle_eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
     cutoff = -np.inf if tau_cut is None else t - tau_cut
     operand = per_node_prep(rel, history, spectrum, t, cutoff)
@@ -517,10 +516,16 @@ def per_node_operand(rel, history, h, tau_cut, t, zeta, records):
     nodes = [tp for tp, _, _ in kept] + [t]
     combos = [spont_combo(rel, ad_eig, z, zd) for _, z, zd in kept]
     combos.append(spont_combo(rel, ad_eig, zeta, np.zeros_like(zeta)))
-    operand += per_node_integral(spectrum, t, nodes, combos)
+    return operand + per_node_integral(spectrum, t, nodes, combos), trapezoid(nodes)[-1]
+
+
+def per_node_operand(rel, history, h, tau_cut, t, zeta, records):
+    """per_node_history in the state's eigenbasis, and the endpoint's weight."""
+    spectrum = Spectrum(h)
+    operand, w_end = per_node_history(rel, history, spectrum, tau_cut, t, zeta, records)
     state = Spectrum(exponent_matrix(rel, zeta), sectors=rel.basis.sector_slices())
     to_state = eigenvectors(state).conj().T @ eigenvectors(spectrum)
-    return to_state @ operand @ to_state.conj().T, trapezoid(nodes)[-1]
+    return to_state @ operand @ to_state.conj().T, w_end
 
 
 def per_node_derivative(rel, history, h, tau_cut, t, zeta, records):
@@ -661,12 +666,15 @@ def footprint(obj):
     return {k: size(v) for k, v in vars(obj).items() if isinstance(v, (np.ndarray, list, dict))}
 
 
-def block_shapes(engine, n_nodes):
-    return [(n_nodes, sl.stop - sl.start, sl.stop - sl.start)
-            for sl in engine.past.spectrum.slices]
+def block_shapes(engine):
+    return [(sl.stop - sl.start,) * 2 for sl in engine.past.spectrum.slices]
 
 
-def test_engine_memory_is_one_node_per_record():
+def test_engine_memory_is_one_running_sum_per_block():
+    """After 15 records the engine holds, per block, one sum and one last node of
+    the spontaneous history, derivatives whose windows move forward, back and
+    past every node leave what it holds as it was, and dropping the engine frees
+    its preparation record at once."""
     basis = build_basis(BOSE, L=3, g=1, n_max=2)
     v, rv = pair_preset("contact", v0=0.6)
     model = LatticeModel(L=3, V=v, range_V=rv)
@@ -682,14 +690,100 @@ def test_engine_memory_is_one_node_per_record():
     n_nodes = 15
     for k in range(n_nodes):
         engine.record(0.05 * k, zeta + 0.01 * k, rng.normal(size=len(rel)))
-    held = [footprint(x) for x in (engine, engine.past, engine.past.spectrum)]
+    parts = (engine, engine.spont, engine.past, engine.past.record, engine.past.spectrum)
+    held = [footprint(x) for x in parts]
     for t, tau_cut in itertools.product([0.7, 0.725, 1.3, 4.0],
                                         [None, 0.1, 0.4, 0.9, 10.0]):
         engine.tau_cut = tau_cut
         engine.derivative(t, zeta)
-    assert [b.shape for b in engine.stack] == block_shapes(engine, n_nodes)
-    assert len(engine.times) == n_nodes
-    assert [footprint(x) for x in (engine, engine.past, engine.past.spectrum)] == held
+    for sums in (engine.spont.sum, engine.spont.last, engine.past.record.sum):
+        assert [x.shape for x in sums] == block_shapes(engine)
+    assert len(engine.spont.times) == n_nodes
+    assert [footprint(x) for x in parts] == held
+    # reference counts alone free it: no cycle keeps the blocks after a run
+    past = weakref.ref(engine.past)
+    del parts
+    gc.disable()
+    try:
+        del engine
+        assert past() is None
+    finally:
+        gc.enable()
+
+
+@settings(SETTINGS, max_examples=10)
+@given(st.data())
+def test_windowed_memory_matches_per_node_oracle(data):
+    """The derivative's history operand, both branches held as running sums,
+    against the per-node trapezoid over about 150 records: the window start
+    moves forward through the preparation record, then through the spontaneous
+    one, then back."""
+    basis, model, h = data.draw(models())
+    rel = mass_relevant(basis, model, h)
+    history = HistorySpec(
+        T=-0.4, t0=0.0, n_quad=9, gamma_T=np.linspace(-0.3, 0.3, len(rel)),
+        terms=(HistoryTerm("drive", (rel.operators[0],), np.array([0.3]),
+                           cosine_test_function(2.0)),))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_records = data.draw(st.integers(140, 160))
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.002, 0.01, n_records - 1))])
+    records = [(tp, 0.3 * rng.normal(size=len(rel)), rng.normal(size=len(rel)))
+               for tp in times]
+    t, zeta = times[-1] + 0.005, 0.3 * rng.normal(size=len(rel))
+    cutoffs = [data.draw(st.floats(-0.4, 0.0))] + sorted(
+        data.draw(st.lists(st.floats(0.0, float(t)), min_size=2, max_size=4)))
+    cutoffs.append(data.draw(st.floats(-0.5, cutoffs[-1])))
+    engine = _DynamicsEngine(rel, history, h, 1.0, None)
+    for record in records:
+        engine.record(*record)
+    operands, correlations = [], _DynamicsEngine._correlations
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_DynamicsEngine, "_correlations", lambda self, us, p, kappa, operand:
+                   operands.append(operand) or correlations(self, us, p, kappa, operand))
+        for tau_cut in [None] + [t - cutoff for cutoff in cutoffs]:
+            engine.tau_cut = tau_cut
+            engine.derivative(t, zeta)
+            want, _ = per_node_history(rel, history, engine.past.spectrum, tau_cut, t,
+                                       zeta, records)
+            assert_close(scipy.linalg.block_diag(*operands[-1]), want)
+
+
+@pytest.mark.parametrize("tau_cut", [None, 0.05])
+def test_engine_memory_does_not_grow_with_the_record(tau_cut):
+    """At dim 165 with an empty preparation record, what the engine holds after
+    10 and after 160 records, and the traced peak of the derivative that
+    follows, differ by under 64 KB: the scalar record grows, and no block array
+    does, where 160 phased nodes alone would take 42 MB.  A cutoff makes the
+    window drop 5 and 155 nodes in that derivative."""
+    basis = build_basis(BOSE, L=8, g=1, n_max=3)
+    v, rv = pair_preset("contact", v0=0.6)
+    model = LatticeModel(L=8, V=v, range_V=rv)
+    h = build_hamiltonian(basis, model)
+    rel = mass_relevant(basis, model, h)
+    _ = rel.gauge_projector  # the set's own cached projector is not counted
+    rng = np.random.default_rng(5)
+    zeta = 0.2 * rng.normal(size=len(rel))
+    records = [(0.01 * k, zeta + 0.01 * rng.normal(size=len(rel)), rng.normal(size=len(rel)))
+               for k in range(160)]
+    warm = _DynamicsEngine(rel, HistorySpec.empty(0.0), h, 1.0, tau_cut)
+    warm.record(*records[0])
+    warm.derivative(0.01, zeta)  # first-use caches are not counted
+    held, peaks = [], []
+    for n_records in (10, 160):
+        tracemalloc.start()
+        try:
+            engine = _DynamicsEngine(rel, HistorySpec.empty(0.0), h, 1.0, tau_cut)
+            for record in records[:n_records]:
+                engine.record(*record)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            engine.derivative(0.01 * n_records, zeta)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held[-1])
+        finally:
+            tracemalloc.stop()
+        del engine
+    assert abs(held[1] - held[0]) < 64 * 1024
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024
 
 
 # ---- real and complex arithmetic, sector blocks ----------------------------------
@@ -1147,7 +1241,10 @@ def test_kubo_gram_peak_memory_stays_below_one_full_stack():
     assert peak < n * d * d * 8
 
 
-def test_engine_records_into_a_geometrically_grown_buffer():
+def test_engine_records_into_a_running_trapezoid_sum():
+    """Each record adds its interval to one sum per block and becomes the last
+    node: after every one of 64 records the sum is the trapezoid over the nodes
+    so far, each dressed by its time, and no array of the engine grows."""
     basis = build_basis(BOSE, L=2, g=1, n_max=2)
     model = LatticeModel(L=2)
     h = build_hamiltonian(basis, model)
@@ -1156,25 +1253,18 @@ def test_engine_records_into_a_geometrically_grown_buffer():
     rng = np.random.default_rng(4)
     records = [(0.01 * k, rng.normal(size=len(rel)), rng.normal(size=len(rel)))
                for k in range(64)]
-    buffers = []
-    for record in records:
-        engine.record(*record)
-        roots = []
-        for root in engine.stack:
-            while root.base is not None:
-                root = root.base
-            roots.append(root)
-        buffers.append(roots)
-    # every buffer is kept alive, so distinct ones have distinct ids
-    for per_block in zip(*buffers):
-        assert len({id(b) for b in per_block}) <= int(np.log2(len(records))) + 2
-    assert [b.shape for b in engine.stack] == block_shapes(engine, len(records))
     spectrum = engine.past.spectrum
     ad_eig = oracle_eigenbasis_stack(spectrum, rel.operators + rel.div_currents)
+    nodes = []
     for k, (t, zeta, zdot) in enumerate(records):
-        node = dress_in_eigenbasis(spectrum, spont_combo(rel, ad_eig, zeta, zdot), t)
-        for nodes, sl in zip(engine.stack, spectrum.slices):
-            assert_close(nodes[k], node[sl, sl])
+        engine.record(t, zeta, zdot)
+        nodes.append(dress_in_eigenbasis(spectrum, spont_combo(rel, ad_eig, zeta, zdot), t))
+        want = np.tensordot(trapezoid([r[0] for r in records[:k + 1]]), np.array(nodes), 1)
+        for got, last, sl in zip(engine.spont.sum, engine.spont.last, spectrum.slices):
+            assert_close(got, want[sl, sl])
+            assert_close(last, nodes[-1][sl, sl])
+        assert [x.shape for x in engine.spont.sum] == block_shapes(engine)
+    assert engine.spont.times == [r[0] for r in records]
 
 
 # ---- kept Gibbs decompositions and the dynamics rows as traces ----------------------
