@@ -217,17 +217,14 @@ def entropy(rho, tol=1e-9):
 def _kubo_kernel(w, u=None):
     """kappa[a, b] = (w_a - u_b)/(log w_a - log u_b), with u = w when not given:
     the logarithmic mean, sqrt(w_a u_b) where the two nearly coincide."""
-    u = w if u is None else u
-    d = np.subtract.outer(np.log(w), np.log(u))
-    kappa = np.subtract.outer(w, u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa /= d
-    # near-degenerate pairs: symmetric expansion sqrt(wa wb) sinh(d/2)/(d/2)
-    d = np.abs(d, out=d)
-    a, b = np.nonzero(d < 1e-7)
-    near = d[a, b]
-    kappa[a, b] = np.sqrt(w[a] * u[b]) * (1.0 + near * near / 24.0)
-    return kappa
+    log_w = np.log(w)
+    u, log_u = (w, log_w) if u is None else (u, np.log(u))
+    d = np.subtract.outer(log_w, log_u)
+    # near-degenerate pairs: symmetric expansion sqrt(wa wb) sinh(d/2)/(d/2), which
+    # the quotient overwrites everywhere else
+    kappa = np.sqrt(np.multiply.outer(w, u))
+    kappa *= 1.0 + d * d / 24.0
+    return np.divide(np.subtract.outer(w, u), d, out=kappa, where=np.abs(d) >= 1e-7)
 
 
 def _kubo(p, pairs, shape, kappa=None):
@@ -250,10 +247,10 @@ def _kubo(p, pairs, shape, kappa=None):
     means_c, means_b = np.zeros(shape[0]), np.zeros(shape[1])
     for rs, cs, *ct, b in pairs:
         k = _kubo_kernel(p[rs], p[cs]) if kappa is None else kappa[rs, cs]
-        mean_b = np.diagonal(b, axis1=1, axis2=2) @ p[rs] if rs == cs else 0.0
+        mean_b = b.diagonal(0, 1, 2) @ p[rs] if rs == cs else 0.0
         if ct:
             (ct,) = ct
-            mean_c = np.diagonal(ct, axis1=1, axis2=2) @ p[rs] if rs == cs else 0.0
+            mean_c = ct.diagonal(0, 1, 2) @ p[rs] if rs == cs else 0.0
             connected = connected + ct.reshape(len(ct), -1) @ (k * b).reshape(len(b), -1).T
         else:
             mean_c = mean_b
@@ -263,7 +260,7 @@ def _kubo(p, pairs, shape, kappa=None):
         means_c, means_b = means_c + mean_c, means_b + mean_b
         # unbound before the next block is made, so one block is alive at a time
         del ct, b
-    return connected - np.outer(means_c, means_b), means_c
+    return connected - means_c[:, None] * means_b, means_c
 
 
 def kubo(C, B, W, eig_floor=EIG_FLOOR):
@@ -373,6 +370,12 @@ def match_expectations(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_I
     eigenstate expectations) make the parameters diverge; that is reported
     as a failure once the iterate passes ZETA_MAX while still unconverged.
     """
+    return _match(relevant, targets, zeta_init, max_iters)[0]
+
+
+def _match(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_ITERS):
+    """match_expectations, with the spectrum and weights (_gibbs) of the state it
+    converged to: _density of them is gibbs_state's state at the same zeta."""
     targets = np.asarray(targets, float)
     n = len(relevant)
     zeta = np.zeros(n) if zeta_init is None else np.asarray(zeta_init, float).copy()
@@ -387,7 +390,7 @@ def match_expectations(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_I
     for _ in range(max_iters):
         if np.max(np.abs(resid)) < MATCH_TOL:
             return ZetaField(labels=relevant.labels, values=zeta,
-                             zeta0=logz, gauge_projector=proj)
+                             zeta0=logz, gauge_projector=proj), state, p
         gram = _gram(relevant, state, np.clip(p, EIG_FLOOR, None))
         # Newton system -G diag(w) step = -resid, solved in the symmetric
         # coordinates y = sqrt(w) step where S = sqrt(w) G sqrt(w); the
@@ -428,7 +431,7 @@ def match_expectations(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_I
                 residual=resid, null_direction=None)
     if np.max(np.abs(resid)) < MATCH_TOL:
         return ZetaField(labels=relevant.labels, values=zeta, zeta0=logz,
-                         gauge_projector=proj)
+                         gauge_projector=proj), state, p
     raise MatchFailure(
         f"no convergence in {max_iters} iterations "
         f"(residual inf-norm {np.max(np.abs(resid)):.3e})",

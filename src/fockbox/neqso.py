@@ -23,8 +23,10 @@ import numpy as np
 
 from .maxent import (
     EIG_FLOOR,
+    _density,
     _kubo,
     _kubo_kernel,
+    _match,
     entropy,
     exponent_matrix,
     expectations,
@@ -123,8 +125,8 @@ def _weighted(c, stack):
 
 def _masks(spectrum, t):
     """exp(i (w_a - w_b) t / hbar) on each block of spectrum: dressing by t there."""
-    phase = np.exp(1j * spectrum.w * t / spectrum.hbar)
-    return [np.outer(phase[sl], phase[sl].conj()) for sl in spectrum.slices]
+    phase = np.exp((1j * t / spectrum.hbar) * spectrum.w)
+    return [phase[sl, None] * phase[sl].conj() for sl in spectrum.slices]
 
 
 class _WindowedSum:
@@ -220,7 +222,7 @@ class _PreparedHistory:
         eigs = [np.linalg.eigh(_weighted(-relevant.weights * zeta, a)) for a in self.members]
         x = np.concatenate([x for x, _ in eigs])
         p = np.exp(x - x.max())
-        return [u for _, u in eigs], np.clip(p / p.sum(), EIG_FLOOR, None)
+        return [u for _, u in eigs], np.maximum(p / p.sum(), EIG_FLOOR)
 
     def spontaneous(self):
         """An empty sum over the nodes sum_l w_l (zdot_l A_l - zeta_l div J_l) of
@@ -365,26 +367,34 @@ class _DynamicsEngine:
     To the members, i div J_j and preparation record that past holds per block
     the engine adds the spontaneous history as one windowed sum: O(d_k^2) arrays
     and O(N n) scalars after N records, at a derivative cost that does not grow
-    with N.  A derivative diagonalizes the exponent of w[zeta] on each block and
-    moves the A_j into its eigenvectors for the Gram matrix.  The rows R_j =
-    Delta o A_j are traces against operands dressed by the Kubo kernel
-    (_dressed), taken in the eigenbasis of H with no R_j made: the history
-    operand, and on complex blocks each A_l too.
+    with N.  Bound once are the weights as record and the condition number take
+    them, whether the model is real (the members' dtype) and, per block, the rows
+    of the A_j and of i div J_j (views) and Delta.  A derivative makes one phase
+    vector, diagonalizes the exponent of w[zeta] on each block and moves the A_j
+    into its eigenvectors for one Gram pass.  The rows R_j = Delta o A_j are
+    traces against operands dressed by the Kubo kernel, in the eigenbasis of H
+    with no R_j made: Im O on a real model, O and the Gram pass's u^dag A_l u on
+    a complex one.
     """
 
     def __init__(self, relevant, history, H, hbar, tau_cut, cond_max=1e12):
         if relevant.div_currents is None:
             raise ValueError("relevant set needs div_currents for the dynamics")
         self.relevant, self.tau_cut, self.cond_max = relevant, tau_cut, cond_max
-        self.past = _PreparedHistory(relevant, history, H, hbar)
-        self.spont = self.past.spontaneous()
+        self.past = past = _PreparedHistory(relevant, history, H, hbar)
+        self.spont = past.spontaneous()
         self.proj = relevant.gauge_projector
         self.rank = int(round(np.trace(self.proj)))  # the gauge rank, fixed by the set
+        w, n = relevant.weights, len(relevant)
+        self.w2, self.sqrt_ww = np.tile(w, 2), np.outer(np.sqrt(w), np.sqrt(w))
+        self.blocks = [(sl, a.reshape(n, -1), j.reshape(n, -1), delta) for sl, a, j, delta
+                       in zip(past.spectrum.slices, past.members, past.div_rates, past.delta)]
+        self.real = np.isrealobj(past.members[0])  # so are u and every block
 
     def record(self, t, zeta, zdot):
         """Store the node sum_l w_l (zdot_l A_l - zeta_l div J_l) at t, after
         every node stored so far."""
-        self.spont.append(t, np.concatenate([zdot, zeta]) * np.tile(self.relevant.weights, 2))
+        self.spont.append(t, np.concatenate([zdot, zeta]) * self.w2)
 
     def derivative(self, t, zeta):
         """zeta-dot at (t, zeta) given the recorded spontaneous history.
@@ -405,16 +415,16 @@ class _DynamicsEngine:
         spont, wz = self.spont, self.relevant.weights * zeta
         spont.window(cutoff)
         w_end = 0.5 * (t - spont.times[-1]) if spont.first < len(spont.times) else 0.0
-        operand = [mask * (q + s + w_end * last) + (1j * w_end) * _weighted(wz, j)
-                   for mask, q, s, last, j in zip(
+        operand = [mask * (q + s + w_end * last) + (1j * w_end) * (wz @ j).reshape(q.shape)
+                   for mask, q, s, last, (_, _, j, _) in zip(
                        _masks(self.past.spectrum, -t), prep, spont.sum, spont.last,
-                       self.past.div_rates)]
+                       self.blocks)]
 
         us, p = self.past.state(self.relevant, zeta)
         gram, rhs, kmat = self._correlations(us, p, _kubo_kernel(p), operand)
 
         # ---- linear solve:  -(G + w_end K) diag(w) zdot = rhs -------------
-        mw = (gram + w_end * kmat) * self.relevant.weights[None, :]
+        mw = (gram + w_end * kmat) * self.relevant.weights
         cond = self._deflated_condition(gram)
         if cond > self.cond_max:
             raise GramConditionError(cond, t, self.cond_max)
@@ -425,36 +435,42 @@ class _DynamicsEngine:
     def _correlations(self, us, p, kappa, operand):
         """(G, rhs, K) in the state with weights p on the eigenvectors us.
 
-        G is one (n, n) Kubo pass over the A_j.  The rows R_j = Delta o A_j meet
-        any X as <R_j, X> = sum_ab A_j[a,b] Delta_ab conj(G_X)[a,b] - Tr(R_j rho)
-        conj(Tr(X rho)), G_X = _dressed(u, kappa, X), rho = u diag(p) u^dag, with
-        no R_j made: rhs_j = Re i (Tr(R_j rho) + <R_j, O>), K = Re i <R_j, A_l>.
-        On a real block (u, A_j real) time reversal zeroes Tr(R_j rho) and its part
-        of K: only Im O is dressed, in real arithmetic.  Complex blocks dress each A_l.
+        G is one (n, n) Kubo pass over the u^dag A_j u.  The rows R_j = Delta o A_j
+        meet any X as <R_j, X> = sum_ab A_j[a,b] Delta_ab conj(G_X)[a,b] - Tr(R_j rho)
+        conj(Tr(X rho)), G_X = u (kappa o u^dag X u) u^dag, rho = u diag(p) u^dag,
+        with no R_j made: rhs_j = Re i (Tr(R_j rho) + <R_j, O>), K = Re i <R_j, A_l>.
+        On a real model (u, A_j real) time reversal zeroes Tr(R_j rho) and K: only
+        Im O is dressed, in real arithmetic.  A complex one dresses O, and each A_l
+        from the Gram pass's block, which that pass leaves scaled by sqrt(kappa).
         """
-        n, past, slices = len(self.relevant), self.past, self.past.spectrum.slices
-        gram, tr_a = _kubo(p, ((sl, sl, u.conj().T @ a @ u) for sl, u, a in zip(
-            slices, us, past.members)), (n, n), kappa)
-        conn_o, tr_r, tr_o = np.zeros(n, complex), np.zeros(n, complex), 0.0
-        conn_a = np.zeros((n, n), complex)
-        for sl, u, a, delta, o in zip(slices, us, past.members, past.delta, operand):
-            rows, k = a.reshape(n, -1), kappa[sl, sl]
-            if np.isrealobj(u) and np.isrealobj(a):
-                # G_Re O and G_Im O are real here: Re i conj(G_O) = G_Im O
-                conn_o -= 1j * (rows @ (delta * _dressed(u, k, o.imag)).ravel())
-                continue
+        n, blocks = len(self.relevant), self.blocks
+        pairs = ((b[0], b[0], u.conj().T @ a @ u)
+                 for b, u, a in zip(blocks, us, self.past.members))
+        pairs = pairs if self.real else list(pairs)  # made one at a time unless kept
+        gram, tr_a = _kubo(p, pairs, (n, n), kappa)
+        if self.real:  # G_Re O and G_Im O are real: Re i conj(G_O) = G_Im O
+            return gram, sum(rows @ (delta * _dressed(u, kappa[sl, sl], o.imag)).ravel()
+                             for (sl, rows, _, delta), u, o in zip(blocks, us, operand)), 0.0
+        conn_o = conn_a = tr_r = tr_o = 0.0
+        for (sl, rows, _, delta), u, o in zip(blocks, us, operand):
+            k, g = kappa[sl, sl], pairs.pop(0)[2]  # each block dropped once used
             rho_t = ((u * p[sl]) @ u.conj().T).T
             conn_o += rows @ (delta * _dressed(u, k, o).conj()).ravel()
-            conn_a += rows @ (delta * _dressed(u, k, a).conj()).reshape(n, -1).T
             tr_r += rows @ (delta * rho_t).ravel()
             tr_o += np.sum(o * rho_t)
+            # conj(G_A_l) o Delta, one step at a time: at most two stacks are alive
+            g *= np.sqrt(k)
+            g = u @ g
+            g = g @ u.conj().T
+            np.conjugate(g, out=g)
+            g *= delta
+            conn_a += rows @ g.reshape(n, -1).T
         rhs = (1j * (tr_r + conn_o - tr_r * np.conj(tr_o))).real
         return gram.real, rhs, (1j * (conn_a - np.outer(tr_r, np.conj(tr_a)))).real
 
     def _deflated_condition(self, gram):
-        d_sqrt = np.sqrt(self.relevant.weights)
-        s = gram * d_sqrt[None, :] * d_sqrt[:, None]
-        live = np.linalg.eigvalsh(self.proj @ s @ self.proj)[-self.rank:]  # ascending
+        s = self.proj @ (gram * self.sqrt_ww) @ self.proj
+        live = np.linalg.eigvalsh(s)[-self.rank:]  # ascending
         if self.rank == 0 or live[0] <= 0.0:
             return np.inf
         return float(live[-1] / live[0])
@@ -582,7 +598,7 @@ def entropy_monitor(trajectory, relevant, conserved=None):
     For each sample, S(t) of w[zeta(t)]; steps decreasing by more than
     ENTROPY_STEP_TOL are flagged.  When a conserved relevant set is given (e.g.
     total energy and number), the distance to the equilibrium Gibbs state
-    with the same conserved totals is reported alongside.
+    with the same conserved totals, the matcher's own final state, is reported.
     """
     times = trajectory.times
     s_vals, dist, guess = np.empty(len(times)), np.full(len(times), np.nan), None
@@ -590,8 +606,9 @@ def entropy_monitor(trajectory, relevant, conserved=None):
         rho, _ = gibbs_state(relevant, zeta)
         s_vals[i] = entropy(rho)
         if conserved is not None:
-            guess = macrostate_of(rho, conserved, zeta_guess=guess).values
-            dist[i] = float(np.linalg.norm(rho - gibbs_state(conserved, guess)[0]))
+            zf, spectrum, p = _match(conserved, expectations(conserved, rho), guess)
+            guess = zf.values
+            dist[i] = float(np.linalg.norm(rho - _density(spectrum, p)))
         # read before the next state is built, so one is alive at a time
         del rho
     steps = np.diff(s_vals)

@@ -198,7 +198,7 @@ def run_free_packet(config):
     p = config["params"]
     h = build_hamiltonian(basis, model)
     reg = region(range(model.L))
-    _check_packets(reg, p, {"center": "width"})
+    _check_packets(reg, {"center": ([p["center"]], p["width"])})
     psi = gaussian_packet(reg, center=p["center"], width=p["width"],
                           k=p["momentum"], dx=model.dx, g=model.g)
     rho0 = embed(psi, vacuum_state(basis), basis, model, reg)
@@ -222,14 +222,15 @@ def run_free_packet(config):
         tables={"density.csv": (["t", "site", "density"], rows)})
 
 
-def _check_packets(reg, p, widths):
-    """A ConfigError naming each params key whose Gaussian packet, of the width
-    under widths[key], underflows on every site of reg: a zero state, which no
-    run can normalize."""
+def _check_packets(reg, packets):
+    """A ConfigError naming each params key whose Gaussian packets, at the centres
+    and of the width under packets[key], underflow on every site of reg at one of
+    the centres: a zero state, which no run can normalize."""
     findings = []
-    for key, width in widths.items():
+    for key, (centers, width) in packets.items():
         try:
-            gaussian_packet(reg, center=p[key], width=p[width])
+            for center in centers:
+                gaussian_packet(reg, center=center, width=width)
         except ValueError:
             findings.append(Finding(f"params.{key}", "must leave the packet some amplitude "
                                     f"on the sites [{min(reg.sites)}, {max(reg.sites) + 1})"))
@@ -253,10 +254,14 @@ def run_embedding_check(config):
     h = build_hamiltonian(basis, model)
     reg = region(p["region"])
     dt = float(p["dt"])
-    # the sweep's centers lie between its ends, so they reach the region when
-    # both ends do, unless the width is far below the site spacing
-    _check_packets(reg, p, {"interior_center": "width", "boundary_center": "width",
-                            "sweep_start": "sweep_width", "sweep_stop": "sweep_width"})
+    sweep = np.linspace(p["sweep_start"], p["sweep_stop"], p["sweep_points"])
+    _check_packets(reg, {"interior_center": ([p["interior_center"]], p["width"]),
+                         "boundary_center": ([p["boundary_center"]], p["width"]),
+                         "sweep_start": (sweep[:1], p["sweep_width"]),
+                         "sweep_stop": (sweep[-1:], p["sweep_width"])})
+    # a centre between two ends that reach the region can still miss every site
+    # when the width is far below the site spacing
+    _check_packets(reg, {"sweep_width": (sweep[1:-1], p["sweep_width"])})
 
     r_int, _ = _residual_and_surface(p["interior_center"], p["width"], dt,
                                      h, model, reg)
@@ -270,10 +275,9 @@ def run_embedding_check(config):
     r_int2, _ = _residual_and_surface(p["interior_center"], p["width"], dt,
                                       build_hamiltonian(bigger, model), model, reg)
 
-    centers = np.linspace(p["sweep_start"], p["sweep_stop"], p["sweep_points"])
     rows = []
     residuals, norms = [], []
-    for c in centers:
+    for c in sweep:
         r, s = _residual_and_surface(float(c), p["sweep_width"], dt,
                                      h, model, reg)
         residuals.append(r)

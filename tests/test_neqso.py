@@ -435,6 +435,28 @@ def test_entropy_monitor_holds_one_state_at_a_time():
     assert peak(20) < peak(5) + 0.5 * state
 
 
+def test_entropy_monitor_builds_each_conserved_state_once(monkeypatch):
+    """The distance to equilibrium reads the matcher's own final state: one
+    _gibbs call per sample fewer than building gibbs_state of the matched
+    parameters again, and the same distances bit for bit."""
+    basis, model, h, rel = interacting_model()
+    conserved = relevant_set(["H", "N"], [h, number_operator(basis)], [1.0, 1.0])
+    traj = zeta_dynamics(rel, np.array([0.3, -0.1, 0.2, 0.5]), HistorySpec.empty(0.0),
+                         h, 0.0, 0.3, step=0.05)
+    calls, gibbs = [], maxent._gibbs
+    monkeypatch.setattr(maxent, "_gibbs", lambda *args: calls.append(1) or gibbs(*args))
+    series = entropy_monitor(traj, rel, conserved=conserved)
+    n_calls = len(calls)
+    calls.clear()
+    guess, want = None, []
+    for zeta in traj.zetas:
+        rho, _ = gibbs_state(rel, zeta)
+        guess = macrostate_of(rho, conserved, zeta_guess=guess).values
+        want.append(float(np.linalg.norm(rho - gibbs_state(conserved, guess)[0])))
+    assert n_calls == len(calls) - len(traj.times)
+    assert np.array_equal(series.dist_equilibrium, want)
+
+
 def test_entropy_micro_constant_macro_grows():
     basis, model, h, rel = interacting_model()
     zeta0 = np.array([0.4, 0.0, -0.4, 0.3])

@@ -103,6 +103,24 @@ def test_an_embedding_packet_off_the_lattice_is_a_config_error(tmp_path, key):
     assert not out.exists()
 
 
+def test_a_sweep_centre_between_sites_is_a_config_error(tmp_path):
+    """Both ends of the sweep reach the region, but at a width far below the
+    site spacing the centre 5.5 leaves no amplitude on any site: reported at
+    params.sweep_width, exit 2 with nothing written.  As for the other packet
+    centres, only a run measures it; validate loads no numpy."""
+    path = write(tmp_path / "cfg.json", {"scenario": "embedding_check", "params": {
+        "sweep_width": 0.005, "sweep_start": 5.0, "sweep_stop": 6.0, "sweep_points": 3}})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", path)[0] == 0
+    code, err = run_cli("run", "--config", path, "--out", str(out))
+    assert code == 2, err
+    assert "invalid: params.sweep_width: must leave the packet some amplitude on the " \
+        "sites [1, 10)" in err
+    assert "invalid: params.sweep_start" not in err and "params.sweep_stop" not in err
+    assert "zero state" not in err
+    assert not out.exists()
+
+
 def test_a_stage_failing_after_tables_were_built_writes_nothing(tmp_path, monkeypatch):
     """The exact oracle runs after the correlation and parameter tables exist."""
     def failing(*args, **kwargs):

@@ -38,6 +38,7 @@ from fockbox.fock import (
 )
 from fockbox.lattice import (
     MASS,
+    MOMENTUM,
     LatticeModel,
     build_hamiltonian,
     current_ops,
@@ -47,6 +48,7 @@ from fockbox.lattice import (
     pair_preset,
 )
 from fockbox.maxent import (
+    EIG_FLOOR,
     _correlation,
     _density,
     _gibbs,
@@ -542,6 +544,101 @@ def per_node_derivative(rel, history, h, tau_cut, t, zeta, records):
     mw = (gram + w_end * kmat) * rel.weights[None, :]
     u, *_ = np.linalg.lstsq(mw, -rhs, rcond=1e-13)
     return gauge_projector(rel) @ u
+
+
+def per_node_condition(rel, zeta):
+    """The condition number of the weighted Gram matrix sqrt(w) G sqrt(w) on the
+    non-gauge directions, from the full-space Gram matrix restricted to an
+    orthonormal basis of the range of the gauge projector."""
+    state = Spectrum(exponent_matrix(rel, zeta), sectors=rel.basis.sector_slices())
+    p = np.clip(state.gibbs()[0], 1e-14, None)
+    a_st = oracle_eigenbasis_stack(state, rel.operators)
+    d = np.sqrt(rel.weights)
+    s = kubo_matrix(p, a_st, a_st).real * np.outer(d, d)
+    evals, evecs = np.linalg.eigh(gauge_projector(rel))
+    live = evecs[:, evals > 0.5]
+    x = np.linalg.eigvalsh(live.T @ s @ live)
+    return x[-1] / x[0]
+
+
+@settings(SETTINGS, max_examples=20)
+@given(st.data())
+def test_derivative_matches_per_node_derivative_on_every_block(data):
+    """One derivative, zeta-dot and condition number, against the per-node
+    oracle: real and complex models, the mass cells and H with or without a
+    complex momentum density (the member that makes K = Re i <R_j, A_l>
+    nonzero), an empty preparation record or one of a density, H and a
+    momentum density, up to four records, a cutoff or none, and the spectrum
+    cut into blocks at 1, 4 and the library's ROW_RESTRICT states."""
+    basis, model, h = data.draw(hermitian_models())
+    rel = mass_relevant(basis, model, h)
+    if data.draw(st.booleans()):
+        site = data.draw(st.integers(0, model.L - 1))
+        div = divergence_ops(current_ops(basis, model, MOMENTUM), model)[site]
+        rel = relevant_set(rel.labels + ("p",), rel.operators + (
+            momentum_density_ops(basis, model)[site],), np.append(rel.weights, 1.0),
+            div_currents=rel.div_currents + (div,))
+    n = len(rel)
+    zeta = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    history = HistorySpec.empty(0.0) if data.draw(st.booleans()) else HistorySpec(
+        T=-0.4, t0=0.0, n_quad=5, gamma_T=np.linspace(-0.3, 0.3, n),
+        terms=(HistoryTerm("drive", (rel.operators[0], h), np.array([0.3, -0.2]),
+                           cosine_test_function(2.0)),
+               HistoryTerm("flow", (momentum_density_ops(basis, model)[0],),
+                           np.array([0.5]), cosine_test_function(0.7))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    records = [(0.05 * k, zeta + 0.1 * rng.normal(size=n), rng.normal(size=n))
+               for k in range(data.draw(st.integers(0, 4)))]
+    t = 0.05 * len(records) + data.draw(st.floats(0.0, 0.05))
+    # cutoffs inside the spontaneous record, through the preparation one, past both
+    tau_cut = data.draw(st.sampled_from([None, 0.07, 0.3, 1.0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "ROW_RESTRICT", data.draw(st.sampled_from(
+            [1, 4, propagate.ROW_RESTRICT])))
+        engine = _DynamicsEngine(rel, history, h, 1.0, tau_cut)
+        for record in records:
+            engine.record(*record)
+        got, got_cond = engine.derivative(t, zeta)
+        assert_close(got, per_node_derivative(rel, history, h, tau_cut, t, zeta, records))
+        assert_close(got_cond, per_node_condition(rel, zeta))
+
+
+def logarithmic_mean(a, b):
+    """(a - b) / (log a - log b), and a at a = b, as sqrt(ab) sinh(y/2) / (y/2) with
+    y = log(a/b) taken by log1p near 1, so it keeps its relative accuracy as a and
+    b approach each other."""
+    r = a / b
+    half = 0.5 * np.where(np.abs(r - 1.0) < 0.5, np.log1p((a - b) / b), np.log(r))
+    safe = np.where(half == 0.0, 1.0, half)
+    return np.sqrt(a * b) * np.where(half == 0.0, 1.0, np.sinh(safe) / safe)
+
+
+@SETTINGS
+@given(st.data())
+def test_kubo_kernel_is_the_logarithmic_mean(data):
+    """_kubo_kernel of w with itself and with u, against the logarithmic mean:
+    weights over fourteen decades, at EIG_FLOOR, and near copies of each other
+    down to a relative gap of 1e-15.  The quotient loses eps (|log a| + |log b|)
+    / |log a - log b| of relative accuracy to the rounding of the logarithms, so
+    it is bounded by that; below a gap of 1e-7 the expansion is within a few
+    eps."""
+    weight = st.one_of(st.just(EIG_FLOOR), st.floats(-14.0, 0.0).map(lambda e: 10.0 ** e))
+    gap = st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 3e-8, 1e-7, 3e-7, 1e-5, 1e-3, 0.1])
+
+    def weights():
+        w = data.draw(st.lists(weight, min_size=1, max_size=6))
+        return np.array(w + [x * (1.0 + g) for x, g in zip(
+            w, data.draw(st.lists(gap, min_size=len(w), max_size=len(w))))])
+
+    w, u = weights(), weights()
+    eps = np.finfo(float).eps
+    for got, (a, b) in ((_kubo_kernel(w), np.meshgrid(w, w, indexing="ij")),
+                        (_kubo_kernel(w, u), np.meshgrid(w, u, indexing="ij"))):
+        d = np.abs(np.log(a) - np.log(b))
+        far = 4.0 * eps * (2.0 + (np.abs(np.log(a)) + np.abs(np.log(b))) / np.maximum(d, 1e-7))
+        bound = np.where(d < 1e-7, 8.0 * eps, far)
+        want = logarithmic_mean(a, b)
+        assert np.all(np.abs(got - want) <= bound * want)
 
 
 def per_node_trajectory(rel, zeta0, history, h, step, n_steps, tau_cut):
@@ -1354,8 +1451,8 @@ def today_pass(engine, us, p, kappa, operand):
 def test_traced_derivative_matches_todays_pass(data):
     """The derivative against the same engine with today's pass, with a
     preparation record, spontaneous nodes and a cutoff or none.  Every model
-    makes one (n, n) Kubo pass; a real model dresses one operand per block
-    (Im O), a complex one 1 + n (O and each A_l)."""
+    makes one (n, n) Kubo pass and dresses one operand per block (Im O on a
+    real model, O on a complex one, whose A_l are dressed from the Gram pass)."""
     basis, model, h = data.draw(hermitian_models())
     rel = mass_relevant(basis, model, h)
     zeta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0]),
@@ -1376,9 +1473,8 @@ def test_traced_derivative_matches_todays_pass(data):
         mp.setattr(neqso, "_dressed", lambda u, kappa, x:
                    dressed.append(1 if x.ndim == 2 else len(x)) or dressed_(u, kappa, x))
         got, got_cond = engine.derivative(0.15, zeta)
-    real = not np.any(h.to_dense().imag)
     assert shapes == [(n, n)]
-    assert sum(dressed) == (1 if real else 1 + n) * len(engine.past.spectrum.slices)
+    assert sum(dressed) == len(engine.past.spectrum.slices)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_DynamicsEngine, "_correlations", today_pass)
         want, want_cond = engine.derivative(0.15, zeta)
