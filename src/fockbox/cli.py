@@ -10,7 +10,8 @@ path is printed), including a number that is not finite anywhere in the
 config, a FOCKBOX_DIM_CAP that is not a positive integer and a problem a run
 measures, such as a step longer than twice the decay horizon; 3 numerical
 failure (the failing operation's diagnostic is printed), including running
-out of memory and a NaN or unmet invariant.  A run that fails writes
+out of memory and a NaN or unmet invariant.  Any other exception is a
+fault of the program: exit 1 with its traceback.  A run that fails writes
 nothing.  The Fock dimension cap honors the FOCKBOX_DIM_CAP environment
 variable.
 
@@ -104,11 +105,12 @@ def cmd_run(args):
     import numpy as np
 
     from .events import InactiveSourceError, SupportViolationError
-    from .fock import DimensionCapError
+    from .fock import DimensionCapError, NumericalError
     from .lattice import UnsupportedFamilyError
     from .maxent import MatchFailure
     from .neqso import GramConditionError
     from .scenarios import ConfigError, run_scenario
+    from .subdynamics import VacuumConditionError
 
     config = _load_config(args.config)
     if config is None:
@@ -117,11 +119,11 @@ def cmd_run(args):
         config["seed"] = args.seed
     numerical_errors = (MatchFailure, GramConditionError, DimensionCapError,
                         UnsupportedFamilyError, InactiveSourceError,
-                        SupportViolationError, FloatingPointError,
-                        np.linalg.LinAlgError, ValueError)
+                        SupportViolationError, VacuumConditionError, NumericalError,
+                        FloatingPointError, OverflowError, np.linalg.LinAlgError)
     try:
         result = run_scenario(config, args.out)
-    except ConfigError as exc:  # before numerical_errors, whose ValueError it is
+    except ConfigError as exc:
         return _invalid(exc.findings)
     except MemoryError:
         print("numerical failure: out of memory", file=sys.stderr)

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .fock import FieldOperator
+from .fock import FieldOperator, one_body
 from .propagate import evolve_state
-from .subdynamics import Region, _field_sums, _region_modes, _require_vacuum, _traces
+from .subdynamics import Region, _fields, _region_modes, _require_vacuum, _traces
 
 EVENT_VACUUM_TOL = 1e-8
 SUPPORT_TOL = 1e-12
@@ -74,18 +74,15 @@ class EventMixture:
     quanton_kernel: np.ndarray
 
 
-def _emitters(spec, basis, model):
-    """A(y, sigma) = sum_x K(y, x) psi(x, sigma), a dense stack, site-major."""
-    return _field_sums(basis, model, spec.source, np.kron(spec.kernel, np.eye(model.g)))
-
-
-def _emission_operator(spec, basis, model, emitters):
-    """S = sum_{y, sigma} dx psi^dag(y, sigma) A(y, sigma), dense, from the emitters
-    stack of the A(y, sigma): moves one quanton from the source region into the
-    channel.  The channel fields are real, so psi^dag is the stacked psi transposed."""
-    d = basis.dim
-    fields = _field_sums(basis, model, spec.channel, np.eye(len(spec.channel) * model.g))
-    return model.dx * (fields.reshape(-1, d).T @ emitters.reshape(-1, d))
+def _emission_operator(spec, basis, model):
+    """S = sum_{y, sigma} dx psi^dag(y, sigma) A(y, sigma) as a canonical sparse
+    matrix: moves one quanton from the source region into the channel.  With
+    psi = a / sqrt(dx) it is the one-body operator sum K(y, x) a^dag_(y, sigma)
+    a_(x, sigma), coefficients K (x) 1_g in the (channel, source) block."""
+    modes = (_region_modes(basis, model, r) for r in (spec.channel, spec.source))
+    coeff = np.zeros((basis.modes,) * 2, dtype=complex)
+    coeff[np.ix_(*modes)] = np.kron(spec.kernel, np.eye(model.g))
+    return one_body(basis, coeff)
 
 
 def build_event_mixture(rho_normal, spec, basis, model):
@@ -101,8 +98,7 @@ def build_event_mixture(rho_normal, spec, basis, model):
     rho_n = np.asarray(rho_normal, dtype=complex)
     _require_vacuum(rho_n, basis, model, spec.channel, EVENT_VACUUM_TOL,
                     what="normal component")
-    emitters = _emitters(spec, basis, model)
-    s_op = _emission_operator(spec, basis, model, emitters)
+    s_op = _emission_operator(spec, basis, model)
     raw = s_op @ rho_n @ s_op.conj().T
     norm = np.trace(raw).real
     if norm <= 1e-14:
@@ -112,17 +108,24 @@ def build_event_mixture(rho_normal, spec, basis, model):
     rho_a = raw / norm
     rho_a = 0.5 * (rho_a + rho_a.conj().T)
 
-    kernel = _quanton_kernel(rho_n, emitters, model.dx)
+    kernel = _quanton_kernel(rho_n, spec, basis, model)
     mix = spec.lam * rho_n + (1.0 - spec.lam) * rho_a
     return EventMixture(rho=mix, rho_normal=rho_n, rho_anomalous=rho_a,
                         lam=spec.lam, quanton_kernel=kernel)
 
 
-def _quanton_kernel(rho_n, emitters, dx):
-    """Normalized kernel Tr(A(y) rho_n A^dag(y')) over the channel grid, from an
-    _emitters stack of the A(y) and the lattice spacing dx."""
-    kernel = np.einsum("iab,jab->ij", emitters @ rho_n, emitters.conj())
-    trace = dx * np.trace(kernel).real
+def _quanton_kernel(rho_n, spec, basis, model):
+    """Normalized kernel Tr(A(y) rho_n A^dag(y')) over the channel grid: W C W^dag
+    with W = K (x) 1_g and C[m, n] = Tr(psi_m rho_n psi_n^dag), the source fields'
+    one-body density matrix, gathered from their table (source, amp) as
+    sum_r amp[m, r] amp[n, r] rho_n[source[m, r], source[n, r]]."""
+    source, amp = _fields(basis, model, spec.source)
+    live = np.any(source >= 0, axis=0)  # the rows some source field lowers onto
+    source, amp = source[:, live], amp[:, live]
+    c = np.einsum("mr,nr,mnr->mn", amp, amp, rho_n[source[:, None], source])
+    w = np.kron(spec.kernel, np.eye(model.g))
+    kernel = w @ c @ w.conj().T
+    trace = model.dx * np.trace(kernel).real
     if trace <= 1e-14:
         raise InactiveSourceError(
             "inactive source: the emission kernel annihilates the background"

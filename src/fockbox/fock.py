@@ -10,11 +10,11 @@ Enumeration is deterministic: states are sorted by total occupation first,
 then lexicographically with mode 0 as the least significant digit, so two
 builds of the same basis are bit-identical.  A basis also holds its states
 as one integer array ``occ`` and ranks occupation arrays back to ordinals
-combinatorially (Zhang & Dong, Eur. J. Phys. 31, 591 (2010)).  Its ladder
-operators are built once, on first use, by one vectorized pass over ``occ``
-that ranks every lowered state, as one stack held by it, so they are freed
-with it.  Every one-body operator reads its hops off that stack and its
-number terms off ``occ``, with no further ranking.
+combinatorially (Zhang & Dong, Eur. J. Phys. 31, 591 (2010)).  It holds its
+ladder operators as one gather table, built once, on first use, by one
+vectorized pass over ``occ`` that ranks every lowered state, and freed with
+it.  Every one-body operator reads its hops off that table and its number
+terms off ``occ``, with no further ranking.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ class DimensionCapError(ValueError):
         )
 
 
+class NumericalError(ValueError):
+    """A computed value is not finite, or lost its Hermiticity, positivity or trace."""
+
+
 def mode_index(site, component, g):
     """Canonical dense mode label for (site, component), site-major."""
     if component < 0 or component >= g:
@@ -64,11 +68,11 @@ class FockBasis:
     maps the tuple back to its ordinal.  ``sectors`` lists the contiguous
     (start, stop) index range of each total-particle-number block, in
     ascending particle number.  ``occ`` holds the states as one integer
-    array and ``ladder`` every a_m as one stack, both built on first use.
-    The stack is the one held form of the a_m: a_m is its row block for mode
-    m, a region's fields, whose modes are contiguous, are a row slice of it,
-    and one_body reads every hop a_i^dag a_j off it.  Among the operator
-    builders, only the stack ranks states.
+    array and ``ladder`` every a_m as one gather table, both built on first
+    use.  The table is the one held form of the a_m: annihilation reads a_m
+    off row m, a region's fields, whose modes are contiguous, are a row slice
+    of it, and one_body reads every hop a_i^dag a_j off it.  Among the
+    operator builders, only the table ranks states.
     """
 
     statistics: str
@@ -129,23 +133,22 @@ class FockBasis:
 
     @cached_property
     def ladder(self):
-        """Every a_m once, as one canonical complex CSR stack of shape
-        (modes * dim, dim) whose rows m * dim .. (m + 1) * dim - 1 hold a_m:
-        one pass lowers every occupied (state, mode) pair, ranks the target
-        and takes the Bose sqrt(n) or the Jordan-Wigner sign (-1)**(number
-        of occupied modes with smaller canonical index)."""
-        import scipy.sparse as sp
-
-        occ, d = self.occ, self.dim
+        """Every a_m as a gather table (source, amp) of two read-only (modes, dim)
+        arrays: row r of a_m holds amp[m, r] in column source[m, r], the state a_m
+        lowers onto r, or nothing where source is -1 and amp 0.  One pass lowers each
+        occupied (state, mode) pair, ranks the target and takes the Bose sqrt(n) or
+        the Jordan-Wigner sign (-1)**(number of occupied modes of smaller index)."""
+        occ = self.occ
         states, modes = np.nonzero(occ)
         lowered = occ[states]
         lowered[np.arange(len(states)), modes] -= 1
-        if self.statistics == FERMI:
-            amp = np.where((np.cumsum(occ, axis=1) - occ)[states, modes] % 2, -1.0, 1.0)
-        else:
-            amp = np.sqrt(occ[states, modes])
-        return _canonical(sp.csr_matrix((amp, (modes * d + self.rank(lowered), states)),
-                                        shape=(self.modes * d, d), dtype=complex))
+        source, amp = np.full((self.modes, self.dim), -1), np.zeros((self.modes, self.dim))
+        at = modes, self.rank(lowered)
+        source[at] = states
+        amp[at] = (np.where((np.cumsum(occ, axis=1) - occ)[states, modes] % 2, -1.0, 1.0)
+                   if self.statistics == FERMI else np.sqrt(occ[states, modes]))
+        source.flags.writeable = amp.flags.writeable = False
+        return source, amp
 
     def to_json(self):
         """Documented dump: occupation vectors as integer arrays."""
@@ -320,10 +323,10 @@ def _max_abs(matrix):
 def one_body(basis, coeff, diagonal=0.0):
     """sum_ij coeff[i, j] a_i^dag a_j over the modes plus a diagonal given per
     state, as a canonical complex CSR matrix.  The number terms are read off
-    the occupations, the hops off the ladder stack, built for hops only: row
-    y of a_m's block holds one entry alpha_m(y), from the source y + e_m, so
-    a_i^dag a_j sends the source of (j, y) to that of (i, y) with the value
-    coeff[i, j] alpha_j(y) alpha_i(y)."""
+    the occupations, the hops off the basis's gather table (source, amp): row
+    y of a_m holds amp[m, y] from source[m, y], so a_i^dag a_j sends the
+    source of (j, y) to that of (i, y) with the value coeff[i, j] amp[j, y]
+    amp[i, y]."""
     import scipy.sparse as sp
 
     coeff, d = np.asarray(coeff), basis.dim
@@ -334,9 +337,7 @@ def one_body(basis, coeff, diagonal=0.0):
     create, destroy = np.nonzero(coeff)
     hop = create != destroy
     if hop.any():
-        stack = basis.ladder.tocoo()
-        source, amp = np.full((basis.modes, d), -1), np.zeros((basis.modes, d))
-        source.flat[stack.row], amp.flat[stack.row] = stack.col, stack.data.real
+        source, amp = basis.ladder
         term, y = np.nonzero((source[create[hop]] >= 0) & (source[destroy[hop]] >= 0))
         i, j = create[hop][term], destroy[hop][term]
         # a Jordan-Wigner sign negates: a complex product with -1.0 can flip a zero part's sign
@@ -344,6 +345,8 @@ def one_body(basis, coeff, diagonal=0.0):
                  if basis.statistics == FERMI else coeff[i, j] * amp[j, y] * amp[i, y])
         parts.append((source[i, y], source[j, y], value))
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError("one-body operator has a non-finite entry")
     return _canonical(sp.csr_matrix((vals, (rows, cols)), shape=(d, d), dtype=complex))
 
 
@@ -365,11 +368,16 @@ def _check_mode(basis, mode):
 
 
 def annihilation(basis, mode):
-    """Ladder-down operator for one mode: a copy of its rows of basis.ladder,
-    whose docstring gives the Bose and Fermi amplitudes."""
+    """Ladder-down operator for one mode: its row of the basis's gather table
+    as a canonical CSR matrix, at most one entry per row; FockBasis.ladder
+    gives the Bose and Fermi amplitudes."""
+    import scipy.sparse as sp
+
     _check_mode(basis, mode)
-    d = basis.dim
-    return FieldOperator._held(basis, basis.ladder[mode * d:(mode + 1) * d])
+    held = basis.ladder[0][mode] >= 0
+    source, amp = (a[mode, held] for a in basis.ladder)
+    return FieldOperator._held(basis, sp.csr_matrix(
+        (amp.astype(complex), source, np.r_[0, np.cumsum(held)]), shape=(basis.dim,) * 2))
 
 
 def creation(basis, mode):

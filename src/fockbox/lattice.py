@@ -11,7 +11,7 @@ continuity identities.
 Every kinetic, external and density term is a one-body sum
 sum_ij c_ij a_i^dag a_j with c a first-quantized coefficient matrix over the
 (site, component) modes; ``fock.one_body`` reads its hops off the basis's
-ladder stack and its number terms off the occupation array.  The
+ladder gather table and its number terms off the occupation array.  The
 normal-ordered interaction is diagonal in the occupation basis: cell x
 carries (1/2) sum_y V_xy (N_x N_y - delta_xy N_x) with N_x the site
 occupation, read off the occupation array too.  Each operator holds the
@@ -29,6 +29,7 @@ from .fock import (
     BOSE,
     FERMI,
     FieldOperator,
+    NumericalError,
     check_model,
     commutator,
     one_body,
@@ -97,7 +98,7 @@ class LatticeModel:
     def potential_vector(self, t=0.0):
         u = np.array([float(self.U(x, t)) for x in range(self.L)])
         if not np.all(np.isfinite(u)):
-            raise ValueError("external potential evaluated to a non-finite value")
+            raise NumericalError("external potential evaluated to a non-finite value")
         return u
 
     def pair_matrix(self):
@@ -105,7 +106,7 @@ class LatticeModel:
                                 else 0.0 for k in range(self.L)])
         v = by_distance[np.abs(np.subtract.outer(range(self.L), range(self.L)))]
         if not np.all(np.isfinite(v)):
-            raise ValueError("pair potential evaluated to a non-finite value")
+            raise NumericalError("pair potential evaluated to a non-finite value")
         return v
 
     def single_particle_matrix(self, t=0.0):

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np  # scipy.sparse is imported where used, as in fock
 
 from . import propagate
+from .fock import NumericalError
 from .propagate import OperatorStack, Spectrum, sector_blocks
 
 MATCH_TOL = 1e-9
@@ -207,7 +208,7 @@ def entropy(rho, tol=1e-9):
     eig = getattr(rho, "_eig", None)
     w = np.linalg.eigvalsh(np.asarray(rho)) if eig is None else eig[1][1]
     if w.min() < -tol:
-        raise ValueError(f"matrix has eigenvalue {w.min():.3e} < -{tol:.0e}")
+        raise NumericalError(f"matrix has eigenvalue {w.min():.3e} < -{tol:.0e}")
     w = np.clip(w, 0.0, None)
     nz = w[w > 0.0]
     # clamping can leave an eigenvalue marginally above 1; entropy stays >= 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np  # scipy.sparse is imported where used, as in fock
 
-from .fock import FieldOperator
+from .fock import FieldOperator, NumericalError
 
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
@@ -132,7 +132,7 @@ def _decompose(m, sectors):
         slices, parts = [slice(0, len(m))], [m]
     dev = max(float(np.max(np.abs(a - a.conj().T))) for a in parts)
     if dev >= HERMITICITY_TOL * max(1.0, max(float(np.max(np.abs(a))) for a in parts)):
-        raise ValueError(f"operator is not Hermitian: ||A - A^dag||_max = {dev:.3e}")
+        raise NumericalError(f"operator is not Hermitian: ||A - A^dag||_max = {dev:.3e}")
     eigs = [np.linalg.eigh(a) for a in parts]
     w, blocks = np.concatenate([w for w, _ in eigs]), tuple(v for _, v in eigs)
     for a in (w,) + blocks:

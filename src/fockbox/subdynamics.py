@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .fock import FieldOperator, check_model
+from .fock import FieldOperator, NumericalError, check_model
 
 VACUUM_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
@@ -131,24 +131,12 @@ def _region_modes(basis, model, region_):
     return range(region_.sites[0] * model.g, (region_.sites[-1] + 1) * model.g)
 
 
-class _Fields(NamedTuple):
-    """The k fields of a region as the stored entries (rows, cols, values) of
-    one (k d, d) stack; every row holds at most one entry."""
-
-    k: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-
 def _fields(basis, model, region_):
-    """The region's fields psi = a / sqrt(dx), site-major, read from the
-    region's rows of the basis's ladder stack."""
-    modes, d, ladder = _region_modes(basis, model, region_), basis.dim, basis.ladder
-    indptr = ladder.indptr[modes.start * d:modes.stop * d + 1]
-    at = slice(indptr[0], indptr[-1])
-    return _Fields(len(modes), np.repeat(np.arange(len(modes) * d), np.diff(indptr)),
-                   ladder.indices[at], ladder.data[at] * (1.0 / math.sqrt(model.dx)))
+    """The region's fields psi = a / sqrt(dx), site-major, in the gather form
+    (source, amp) of FockBasis.ladder: the region's rows of its table."""
+    modes = _region_modes(basis, model, region_)
+    source, amp = (a[modes.start:modes.stop] for a in basis.ladder)
+    return source, amp * (1.0 / math.sqrt(model.dx))
 
 
 def _field_sums(basis, model, region_, weights):
@@ -156,11 +144,11 @@ def _field_sums(basis, model, region_, weights):
     row i of weights, as a dense (n, d, d) stack; the ladder amplitudes are real,
     so its transpose is sum_m weights[i, m] psi_m^dag.  Distinct fields share no
     stored position, so each entry is one product."""
-    fields, d = _fields(basis, model, region_), basis.dim
-    mode, row = np.divmod(fields.rows, d)
+    source, amp = _fields(basis, model, region_)
+    mode, row = np.nonzero(source >= 0)
     weights = np.reshape(weights, (len(weights), -1))
-    out = np.zeros((len(weights), d, d), dtype=complex)
-    out[:, row, fields.cols] = weights[:, mode] * fields.values
+    out = np.zeros((len(weights), basis.dim, basis.dim), dtype=complex)
+    out[:, row, source[mode, row]] = weights[:, mode] * amp[mode, row]
     return out
 
 
@@ -169,27 +157,23 @@ def _traces(x, y):
     return np.einsum("rij,cji->rc", x, y)
 
 
-def _field_products(fields, x):
-    """psi(y) x for each field of a _fields stack and a dense x, as a (k, d, d)
-    stack, with the largest Frobenius norm among them: one scaled row of x per
-    stored entry, O(nnz d)."""
-    d = x.shape[-1]
-    applied = np.zeros((fields.k, d, d), dtype=complex)
-    applied.reshape(-1, d)[fields.rows] = fields.values[:, None] * x[fields.cols]
-    return applied, float(np.linalg.norm(applied, axis=(1, 2)).max())
-
-
 def vacuum_residual(rho, basis, model, region_):
-    fields = _fields(basis, model, region_)
-    applied, strong = _field_products(fields, np.asarray(rho, dtype=complex))
-    pairwise = max(_field_products(fields, x)[1] for x in applied)
-    return VacuumResidual(strong=strong, pairwise=pairwise)
+    """Read off the squared row norms q of rho: psi_m^dag psi_m = n_m / dx and
+    psi_m^dag psi_n^dag psi_n psi_m = n_m (n_n - delta_mn) / dx^2 are diagonal
+    for either statistics, so ||psi_m rho||_F^2 = sum_s n_m(s) q(s) / dx, and
+    the pairwise norms are sums of q weighted the same way."""
+    occ = basis.occ[:, _region_modes(basis, model, region_)]
+    weighted = occ * (np.einsum("ij,ij->i", rho, np.conj(rho)).real / model.dx)[:, None]
+    pairs = weighted.T @ occ
+    np.fill_diagonal(pairs, np.sum(weighted * (occ - 1), axis=0))
+    return VacuumResidual(strong=math.sqrt(weighted.sum(axis=0).max()),
+                          pairwise=math.sqrt(pairs.max() / model.dx))
 
 
 def _require_vacuum(rho, basis, model, region_, tol, what="background"):
     """Raise VacuumConditionError unless the strong residual max_y ||psi(y) rho||
-    is below tol: the one field product of vacuum_residual, without the pairwise."""
-    _, strong = _field_products(_fields(basis, model, region_), rho)
+    is below tol."""
+    strong = vacuum_residual(rho, basis, model, region_).strong
     if strong >= tol:
         raise VacuumConditionError(strong, tol, what)
 
@@ -232,7 +216,7 @@ def embed(state, rho_prime, basis, model, region_):
         out = np.tensordot(evals[keep], f.transpose(0, 2, 1) @ rho_prime @ f.conj(), 1)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-10:
-        raise ValueError(
+        raise NumericalError(
             f"embedded trace {tr:.12f} != 1; check normalization and that the "
             f"background leaves truncation headroom for one more particle"
         )
@@ -448,7 +432,7 @@ def embed_two_quanton(psi2, rho_prime, basis, model, region_):
     out = 0.5 * (b @ rho_prime @ b.conj().T)
     tr = np.trace(out).real
     if abs(tr - 1.0) > 1e-10:
-        raise ValueError(
+        raise NumericalError(
             f"two-quanton trace {tr:.12f} != 1; check the symmetrized "
             f"normalization dx^2 sum |psi2|^2 = 1 and truncation headroom"
         )

@@ -292,6 +292,29 @@ def test_non_finite_number_is_a_config_error(tmp_path, name, entry, where):
     assert not out.exists()
 
 
+OVERFLOW = [
+    ("free_packet", {"potential": {"preset": "harmonic", "k": 1e308}},
+     "external potential evaluated to a non-finite value"),
+    ("relaxation", {"potential": {"preset": "harmonic", "k": 1e308}},
+     "one-body operator has a non-finite entry"),
+    ("free_packet", {"dx": 1e300}, "Numerical result out of range"),
+]
+
+
+@pytest.mark.parametrize("name, model, message", OVERFLOW, ids=["potential", "sum", "hopping"])
+def test_finite_values_that_overflow_are_a_numerical_failure(tmp_path, name, model, message):
+    """Each value is finite and valid, but the potential, a sum of two
+    particles' potentials or the hopping overflows in the run: exit 3 by its
+    own cause, with no traceback and nothing written."""
+    path, out = write_config(tmp_path, name, model=model), tmp_path / "out"
+    assert cli("validate", "--config", str(path)).returncode == 0
+    r = cli("run", "--config", str(path), "--out", str(out))
+    assert r.returncode == 3, r.stderr
+    assert "numerical failure: " in r.stderr and message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_non_finite_number_is_reported_once_among_other_findings():
     cfg = json.loads('{"scenario": "free_packet", "seed": NaN, "comment": [Infinity],'
                      ' "model": {"mass": NaN, "L": "four"}}')

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from fockbox.fock import BOSE, build_basis, number_operator
 from fockbox.lattice import LatticeModel, build_hamiltonian, potential_preset
 from fockbox.maxent import entropy
 from fockbox.propagate import evolve_state
-from fockbox.subdynamics import region
+from fockbox.subdynamics import region, vacuum_residual
 
 
 def one_particle(basis, site, L):
@@ -95,16 +97,33 @@ def test_inactive_source_raises(channel_box):
         build_event_mixture(vac, delta_spec(), basis, model)
 
 
-def test_mixture_builds_its_emitter_stack_once(channel_box, monkeypatch):
-    from fockbox import events
+def traced_peak(call):
+    """The tracemalloc peak of one call, in complex d x d matrices."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
-    basis, model, _ = channel_box
-    calls = []
-    emitters = events._emitters
-    monkeypatch.setattr(events, "_emitters",
-                        lambda *args: calls.append(args) or emitters(*args))
-    build_event_mixture(one_particle(basis, 0, 5), delta_spec(), basis, model)
-    assert len(calls) == 1
+
+@pytest.mark.parametrize("g", [10, 20])
+def test_the_event_layer_holds_no_per_mode_stack(g):
+    """At g components on the channel box (dim 5 g + 1, 2 g source modes and
+    2 g channel modes), a mixture and a vacuum residual each peak at a few
+    dense states: the emission operator and the induced kernel are read off
+    the basis's gather table, and no (modes, d, d) field stack is built; the
+    parent's mixture peaked at 63 and 123 states."""
+    model = LatticeModel(L=5, g=g, U=potential_preset("barrier", 5, height=50.0, sites=[2]))
+    basis = build_basis(BOSE, L=5, g=g, n_max=1)
+    rho_n = one_particle(basis, 0, basis.modes)
+    spec = EventSpec(lam=0.4, source=region([0, 1]), channel=region([3, 4]),
+                     kernel=np.array([[1.0, 0.5j], [0.0, 1.0]]))
+    build_event_mixture(rho_n, spec, basis, model)  # the held table is not counted
+    state = 16 * basis.dim**2
+    assert traced_peak(lambda: build_event_mixture(rho_n, spec, basis, model)) <= 8 * state
+    assert traced_peak(lambda: vacuum_residual(rho_n, basis, model, spec.channel)) <= 4 * state
 
 
 def test_channel_vacuum_gate(channel_box):

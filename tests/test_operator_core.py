@@ -32,7 +32,6 @@ from fockbox.events import (
     EventSpec,
     SupportViolationError,
     _emission_operator,
-    _emitters,
     _quanton_kernel,
     build_event_mixture,
     check_channel_support,
@@ -478,14 +477,22 @@ def test_ladder_stack_and_one_body_match_the_per_coefficient_passes(statistics, 
     got = FieldOperator._held(basis, one_body(basis, coeff, diagonal))
     want = FieldOperator._held(basis, oracle_one_body(basis, coeff, diagonal))
     assert got.equal_bits(want) and same_bits(got.matrix, want.matrix)
-    assert same_bits(basis.ladder, oracle_ladder(basis))
-    assert np.diff(basis.ladder.indptr).max(initial=0) <= 1
+    stacked = sp.vstack([annihilation(basis, m).matrix for m in range(basis.modes)],
+                        format="csr")
+    assert same_bits(stacked, oracle_ladder(basis))
+    source, amp = basis.ladder
+    assert source.shape == amp.shape == (basis.modes, basis.dim)
+    assert np.array_equal(amp == 0.0, source == -1) and source.min() >= -1
+    assert not (source.flags.writeable or amp.flags.writeable)
 
 
 def ladder_rows(basis, mode):
-    """a_mode as the basis's ladder stack holds it: rows mode * dim onward."""
-    d = basis.dim
-    return FieldOperator(basis, basis.ladder[mode * d:(mode + 1) * d])
+    """a_mode as the basis's gather table holds it: amp[mode, r] in row r, column
+    source[mode, r]."""
+    source, amp = (a[mode] for a in basis.ladder)
+    rows = np.flatnonzero(source >= 0)
+    return FieldOperator(basis, sp.csr_matrix((amp[rows], (rows, source[rows])),
+                                              shape=(basis.dim,) * 2))
 
 
 def test_held_ladder_operators_die_with_their_basis():
@@ -512,7 +519,7 @@ def test_region_fields_come_from_the_one_held_ladder_stack(monkeypatch):
     n_op = number_operator(basis, 2)
     spec = EventSpec(lam=0.5, source=region([0, 1]), channel=region([2, 3]),
                      kernel=np.ones((2, 2)))
-    # the stack is held now; no later build ranks an occupation array again
+    # the table is held now; no later build ranks an occupation array again
     calls = []
     rank = fock.FockBasis.rank
     monkeypatch.setattr(fock.FockBasis, "rank",
@@ -526,9 +533,8 @@ def test_region_fields_come_from_the_one_held_ladder_stack(monkeypatch):
     surface_term(psi, vac, basis, model, reg)
     embed_two_quanton(psi2, vac, basis, model, reg)
     induced_observable(n_op, vac, basis, model, reg, windows=[(0.5, 1.5)])
-    emitters = _emitters(spec, basis, model)
-    _quanton_kernel(np.outer(one, one), emitters, model.dx)
-    _emission_operator(spec, basis, model, emitters)
+    _quanton_kernel(np.outer(one, one), spec, basis, model)
+    _emission_operator(spec, basis, model)
     build_event_mixture(np.outer(one, one), spec, basis, model)
     assert calls == []
 
@@ -633,13 +639,13 @@ def test_event_operators_match_loop_oracles(bm, data):
                      channel=region(range(cut, model.L)),
                      kernel=rng.normal(size=shape) + 1j * rng.normal(size=shape))
     want = oracle_emission(spec, basis, model)
-    emitters = _emitters(spec, basis, model)
-    assert np.max(np.abs(_emission_operator(spec, basis, model, emitters) - want)) \
+    assert np.max(np.abs(_emission_operator(spec, basis, model).toarray() - want)) \
         <= 1e-14 * np.max(np.abs(want))
-    x = rng.normal(size=(basis.dim, basis.dim))
-    rho = x @ x.T / np.trace(x @ x.T)
+    # a complex rho: with a real one, C and its transpose coincide
+    x = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+    rho = x @ x.conj().T / np.trace(x @ x.conj().T).real
     want = oracle_quanton_kernel(rho, spec, basis, model)
-    assert np.max(np.abs(_quanton_kernel(rho, emitters, model.dx) - want)) \
+    assert np.max(np.abs(_quanton_kernel(rho, spec, basis, model) - want)) \
         <= 1e-13 * np.max(np.abs(want))
 
 

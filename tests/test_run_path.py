@@ -6,6 +6,8 @@ so a run that raises leaves no output directory; configuration problems exit
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -177,6 +179,38 @@ def test_a_nan_invariant_exits_3_and_writes_nothing(tmp_path, monkeypatch, name,
     assert not out.exists()
 
 
+def test_a_vacuum_violation_exits_3_and_writes_nothing(tmp_path):
+    """A particle seeded on a channel site leaves the background no vacuum
+    there: a numerical failure by its own name, not by a catch-all."""
+    path = write(tmp_path / "cfg.json", {"scenario": "event_channel",
+                                         "params": {"source_site": 3}})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", path)[0] == 0
+    code, err = run_cli("run", "--config", path, "--out", str(out))
+    assert code == 3, err
+    assert "numerical failure: normal component violates the vacuum condition" in err
+    assert not out.exists()
+
+
+def test_a_plain_value_error_is_a_fault_of_the_program(tmp_path):
+    """Only named numerical causes exit 3: a ValueError raised inside a run
+    exits 1 with its traceback, and writes nothing."""
+    script = ("import sys\n"
+              "from fockbox import cli, scenarios\n"
+              "def broken(*args, **kwargs):\n"
+              "    raise ValueError('a fault of the program')\n"
+              "scenarios.build_event_mixture = broken\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    path = write(tmp_path / "cfg.json", {"scenario": "event_channel"})
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-c", script, "run", "--config", path,
+                          "--out", str(out)], capture_output=True, text=True)
+    assert run.returncode == 1, run.stderr
+    assert "Traceback" in run.stderr and "ValueError: a fault of the program" in run.stderr
+    assert "numerical failure" not in run.stderr
+    assert not out.exists()
+
+
 # ---- the bounds of the scenario values ------------------------------------------
 
 
@@ -252,7 +286,8 @@ def wrong_values(value):
 
 @st.composite
 def mutated_defaults(draw):
-    config = scenario_defaults(draw(st.sampled_from(["free_packet", "event_channel"])))
+    config = scenario_defaults(draw(st.sampled_from(["free_packet", "event_channel",
+                                                     "embedding_check", "decoherence_sweep"])))
     path, value = draw(st.sampled_from(sorted(key_paths(config))))
     *parents, key = path.split(".")
     node = config
