@@ -191,14 +191,29 @@ def _entries(extra):
     return rule
 
 
+def _kinetic(dx, config):
+    """dx > 0, with a kinetic prefactor hbar^2 / (2 mass dx^2) that is a finite
+    float as LatticeModel.hopping computes it; a mass or hbar <= 0 is its own
+    finding."""
+    m = config["model"]
+    if dx <= 0 or m["mass"] <= 0 or m["hbar"] <= 0:
+        return None if dx > 0 else "must be positive"
+    try:
+        hop = float(m["hbar"]) ** 2 / (2.0 * float(m["mass"]) * float(dx) ** 2)
+    except (OverflowError, ZeroDivisionError):
+        hop = math.inf
+    return None if math.isfinite(hop) else (
+        "gives a kinetic prefactor hbar^2 / (2 mass dx^2) that is not a finite float")
+
+
 # what the example objects cannot say, a bound, a site, an index or a length
 # tied to the model: full key path -> rule on (value, merged config), a message or None
 RULES = {
     "seed": _bound(lambda v: v >= 0, "must be a non-negative integer"),
     **dict.fromkeys(("model.L", "model.g", "model.n_max"),
                     _bound(lambda v: v >= 1, "must be an integer >= 1")),
-    **dict.fromkeys(("model.dx", "model.mass", "model.hbar"),
-                    _bound(lambda v: v > 0, "must be positive")),
+    **dict.fromkeys(("model.mass", "model.hbar"), _bound(lambda v: v > 0, "must be positive")),
+    "model.dx": _kinetic,
     "model.statistics": _bound(lambda v: v in (BOSE, FERMI), "must be 'bose' or 'fermi'"),
     "model.potential.sites": lambda v, c: (None if all(0 <= s < c["model"]["L"] for s in v)
                                            else f"must be sites in [0, {c['model']['L']})"),
@@ -243,12 +258,6 @@ def _rule_findings(config):
         if message:
             findings.append(Finding(path, message))
     return findings
-
-
-def validate_model(model):
-    """Findings for a model block, merged over ``default_model()``."""
-    return _kind_findings(model, default_model(), "model") or \
-        _rule_findings({"model": deep_merge(default_model(), model)})
 
 
 def _non_finite_paths(value, path="$"):

@@ -330,20 +330,23 @@ def one_body(basis, coeff, diagonal=0.0):
     import scipy.sparse as sp
 
     coeff, d = np.asarray(coeff), basis.dim
-    number = [coeff[i, i] * basis.occ[:, i] for i in np.flatnonzero(np.diagonal(coeff))]
-    diag = sum(number, np.zeros(d)) + diagonal
-    nz = np.flatnonzero(diag)
-    parts = [(nz, nz, diag[nz])]
-    create, destroy = np.nonzero(coeff)
-    hop = create != destroy
-    if hop.any():
-        source, amp = basis.ladder
-        term, y = np.nonzero((source[create[hop]] >= 0) & (source[destroy[hop]] >= 0))
-        i, j = create[hop][term], destroy[hop][term]
-        # a Jordan-Wigner sign negates: a complex product with -1.0 can flip a zero part's sign
-        value = (np.where(amp[i, y] == amp[j, y], coeff[i, j], -coeff[i, j])
-                 if basis.statistics == FERMI else coeff[i, j] * amp[j, y] * amp[i, y])
-        parts.append((source[i, y], source[j, y], value))
+    # an entry that overflows is reported by the finite check below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        number = [coeff[i, i] * basis.occ[:, i] for i in np.flatnonzero(np.diagonal(coeff))]
+        diag = sum(number, np.zeros(d)) + diagonal
+        nz = np.flatnonzero(diag)
+        parts = [(nz, nz, diag[nz])]
+        create, destroy = np.nonzero(coeff)
+        hop = create != destroy
+        if hop.any():
+            source, amp = basis.ladder
+            term, y = np.nonzero((source[create[hop]] >= 0) & (source[destroy[hop]] >= 0))
+            i, j = create[hop][term], destroy[hop][term]
+            # a Jordan-Wigner sign negates: a complex product with -1.0 can flip a
+            # zero part's sign
+            value = (np.where(amp[i, y] == amp[j, y], coeff[i, j], -coeff[i, j])
+                     if basis.statistics == FERMI else coeff[i, j] * amp[j, y] * amp[i, y])
+            parts.append((source[i, y], source[j, y], value))
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
     if not np.all(np.isfinite(vals)):
         raise NumericalError("one-body operator has a non-finite entry")

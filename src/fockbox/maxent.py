@@ -10,7 +10,7 @@ expectations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -73,30 +73,23 @@ class RelevantSet:
         return self.operators[0].basis
 
     @cached_property
-    def rows(self):
-        """The members flattened into the rows of one sparse (n, d*d) matrix, real
-        when every entry is, so that a real model's exponent is real."""
-        import scipy.sparse as sp
-
-        d = self.basis.dim
-        rows = sp.vstack([op.matrix.reshape(1, d * d) for op in self.operators],
-                         format="csr")
-        return rows if np.any(rows.data.imag) else rows.real
+    def stacked(self):
+        """The members held as one OperatorStack, whose matrix holds member j
+        raveled in row j, real when every entry is, so that a real model's
+        exponent is real."""
+        return OperatorStack(self.operators)
 
     @cached_property
     def columns(self):
-        """rows transposed: the members as the columns of a sparse (d*d, n) matrix."""
-        return self.rows.T
+        """stacked's rows transposed: the members as the columns of a sparse
+        (d*d, n) matrix."""
+        return self.stacked.matrix.T
 
     @cached_property
     def conj_rows(self):
-        """rows with conjugated entries, the form expectations reads rho with."""
-        return self.rows.conj()
-
-    @cached_property
-    def stacked(self):
-        """The members held as one OperatorStack, for sector_blocks."""
-        return OperatorStack(self.operators)
+        """stacked's rows with conjugated entries, the form expectations reads
+        rho with."""
+        return self.stacked.matrix.conj()
 
     @cached_property
     def gauge_projector(self):
@@ -173,28 +166,19 @@ def _density(spectrum, p):
     return rho
 
 
-def _gibbs(relevant, zeta):
-    """(spectrum, p, logZ): the exponent of w[zeta], diagonalized by sector, with
-    its Gibbs weights; w[zeta] shares the exponent's eigenvectors."""
-    spectrum = Spectrum(exponent_matrix(relevant, zeta),
-                        sectors=relevant.basis.sector_slices())
-    p, logz = spectrum.gibbs()
-    return spectrum, p, logz
-
-
 def gibbs_state(relevant, zeta):
     """Generalized Gibbs state and its ZetaField (zeta0 = log Z).
 
     Positive semidefinite with unit trace by construction (Hermitian
-    eigendecomposition with a log-sum-exp shift, so the exponent cannot
-    overflow for finite zeta).  The state is read-only and keeps the blocks of
-    its exponent's eigenvectors and its weights on them, sum_k d_k^2 + d
-    floats, so kubo_gram and entropy of it diagonalize nothing.
+    eigendecomposition by particle-number sector with a log-sum-exp shift, so
+    the exponent cannot overflow for finite zeta).  The state is read-only and
+    keeps the blocks of its exponent's eigenvectors and its weights on them,
+    sum_k d_k^2 + d floats, so kubo_gram and entropy of it diagonalize nothing.
     """
-    spectrum, p, logz = _gibbs(relevant, zeta)
-    zf = ZetaField(labels=relevant.labels, values=np.asarray(zeta, float).copy(),
-                   zeta0=logz)
-    return _density(spectrum, p), zf
+    rho, logz = state_from_exponent(exponent_matrix(relevant, zeta),
+                                    relevant.basis.sector_slices())
+    return rho, ZetaField(labels=relevant.labels, values=np.asarray(zeta, float).copy(),
+                          zeta0=logz)
 
 
 def entropy(rho, tol=1e-9):
@@ -228,40 +212,37 @@ def _kubo_kernel(w, u=None):
     return np.divide(np.subtract.outer(w, u), d, out=kappa, where=np.abs(d) >= 1e-7)
 
 
-def _kubo(p, pairs, shape, kappa=None):
-    """(K, m): K[j, l] = <C_j, B_l> and m[j] = Tr(C_j W) in the state W with
-    eigenvalues p, summed over the sector-pair blocks of the operators in its
-    eigenbasis, one block at a time.  The connected part contracts each pair
-    with the closed-form divided-difference kernel (Higham, Functions of
-    Matrices, ch. 3); the disconnected part is Tr(C W) Tr(B W).
+def _dressed(u, kappa, x):
+    """G_x = u (kappa o u^dag x u) u^dag: x, one matrix or a stack, dressed by the
+    Kubo kernel kappa of the state W with eigenvectors u, in the basis x is given
+    in; the connected part of <C, B> is Tr(C G_B) = Tr(G_C B) there."""
+    return u @ (kappa * (u.conj().T @ x @ u)) @ u.conj().T
 
-    pairs yields (rs, cs, ct, b) for the pairs of rows rs and columns cs where
-    the B_l live: ct holds the blocks there of the C_j transposed, (n_c, |rs|,
-    |cs|), and b those of the B_l, (n_b, |rs|, |cs|).  An item (rs, cs, b)
-    stands for Hermitian B_l correlated with themselves (ct = conj(b)): b is
-    then scaled in place by sqrt(kappa), kappa being positive, and the scaled
-    b enters as conj(b) b^T, so no second array of its size is made.  shape is
-    (n_c, n_b); kappa is the whole kernel _kubo_kernel(p) when the caller holds
-    it, else each block's part is computed alone.
+
+def _kubo(p, pairs, n, kappa=None):
+    """(K, m): K[j, l] = <B_j, B_l> and m[j] = Tr(B_j W) for n Hermitian B_j in
+    the state W with eigenvalues p, summed over the sector-pair blocks of the
+    operators in its eigenbasis, one block at a time.  The connected part
+    contracts each pair with the closed-form divided-difference kernel (Higham,
+    Functions of Matrices, ch. 3); the disconnected part is Tr(B_j W) Tr(B_l W).
+
+    pairs yields (rs, cs, b) for the pairs of rows rs and columns cs where the
+    B_j live, b their blocks there, (n, |rs|, |cs|).  b is scaled in place by
+    sqrt(kappa), kappa being positive, and enters as conj(b) b^T, so no second
+    array of its size is made.  kappa is the whole kernel _kubo_kernel(p) when
+    the caller holds it, else each block's part is computed alone.
     """
-    connected = np.zeros(shape)
-    means_c, means_b = np.zeros(shape[0]), np.zeros(shape[1])
-    for rs, cs, *ct, b in pairs:
+    connected, means = np.zeros((n, n)), np.zeros(n)
+    for rs, cs, b in pairs:
         k = _kubo_kernel(p[rs], p[cs]) if kappa is None else kappa[rs, cs]
-        mean_b = b.diagonal(0, 1, 2) @ p[rs] if rs == cs else 0.0
-        if ct:
-            (ct,) = ct
-            mean_c = ct.diagonal(0, 1, 2) @ p[rs] if rs == cs else 0.0
-            connected = connected + ct.reshape(len(ct), -1) @ (k * b).reshape(len(b), -1).T
-        else:
-            mean_c = mean_b
-            b *= np.sqrt(k)
-            b = b.reshape(len(b), -1)
-            connected = connected + b.conj() @ b.T
-        means_c, means_b = means_c + mean_c, means_b + mean_b
+        if rs == cs:
+            means = means + b.diagonal(0, 1, 2) @ p[rs]
+        b *= np.sqrt(k)
+        b = b.reshape(n, -1)
+        connected = connected + b.conj() @ b.T
         # unbound before the next block is made, so one block is alive at a time
-        del ct, b
-    return connected - means_c[:, None] * means_b, means_c
+        del b
+    return connected - means[:, None] * means, means
 
 
 def kubo(C, B, W, eig_floor=EIG_FLOOR):
@@ -269,8 +250,8 @@ def kubo(C, B, W, eig_floor=EIG_FLOOR):
 
     <C, B>_W = Tr C int_0^1 du exp(uA) B exp(-uA) W  -  Tr(C W) Tr(B W)
     with W = exp(A)/Tr exp(A); evaluated in W's eigenbasis through the
-    closed-form kernel, so no quadrature enters.  The operands are
-    transformed one block pair at a time.  W must be positive definite;
+    closed-form kernel, so no quadrature enters.  The operands are dense and
+    the eigenvectors assembled from W's blocks.  W must be positive definite;
     eigenvalues below eig_floor are lifted to it (documented regularization),
     unless eig_floor is None, in which case a singular W raises.
     """
@@ -299,14 +280,13 @@ def cumulant_expect(C, A_exponent, B_perturbation):
 
 def _correlation(spectrum, p, C, B):
     """(<C, B>, Tr(C W)) in the state W with eigenvalues p on the eigenvectors
-    of spectrum, for FieldOperators or matrices C and B.  C^dag and B are
-    transformed as one stack by sector_blocks: on the pair (r, c) where B_rc
-    lives, conj(C^dag_rc) is the C_cr^T that _kubo pairs it with."""
-    c_dag = C.dag() if hasattr(C, "dag") else C.conj().T
-    pairs = ((rs, cs, block[:1].conj(), block[1:])
-             for rs, cs, block in sector_blocks(spectrum, OperatorStack([c_dag, B])))
-    corr, mean = _kubo(p, pairs, (1, 1))
-    return complex(corr[0, 0]), mean[0]
+    of spectrum, for FieldOperators or matrices C and B: Tr(C G_B) - Tr(C W)
+    Tr(B W) over the assembled eigenvectors."""
+    c, b = (x.to_dense() if hasattr(x, "to_dense") else np.asarray(x) for x in (C, B))
+    u = spectrum.dense(spectrum.blocks)
+    w = (u * p) @ u.conj().T
+    mean_c, mean_b = np.sum(c.T * w), np.sum(b.T * w)
+    return complex(np.sum(c.T * _dressed(u, _kubo_kernel(p), b)) - mean_c * mean_b), mean_c
 
 
 def expectations(relevant, rho):
@@ -345,17 +325,12 @@ def kubo_gram(relevant, rho):
     rho's eigenvalues are lifted to EIG_FLOOR.  A state that
     keeps its decomposition, as gibbs_state's does, is read from its blocks and
     weights, so no eigendecomposition is made; any other rho is diagonalized by
-    particle-number sector.
+    particle-number sector.  The members' blocks are made and contracted one
+    sector pair at a time.
     """
     spectrum = Spectrum(rho, sectors=relevant.basis.sector_slices())
-    return _gram(relevant, spectrum, np.clip(spectrum.w, EIG_FLOOR, None))
-
-
-def _gram(relevant, spectrum, p):
-    """kubo_gram in the state with eigenvalues p on the eigenvectors of spectrum:
-    the members' blocks are made and contracted one sector pair at a time."""
-    n = len(relevant)
-    g = _kubo(p, sector_blocks(spectrum, relevant.stacked), (n, n))[0].real
+    g = _kubo(np.clip(spectrum.w, EIG_FLOOR, None), sector_blocks(spectrum, relevant.stacked),
+              len(relevant))[0].real
     return 0.5 * (g + g.T)
 
 
@@ -375,8 +350,8 @@ def match_expectations(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_I
 
 
 def _match(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_ITERS):
-    """match_expectations, with the spectrum and weights (_gibbs) of the state it
-    converged to: _density of them is gibbs_state's state at the same zeta."""
+    """(ZetaField, rho): match_expectations, with gibbs_state's state at the
+    parameters it converged to."""
     targets = np.asarray(targets, float)
     n = len(relevant)
     zeta = np.zeros(n) if zeta_init is None else np.asarray(zeta_init, float).copy()
@@ -384,15 +359,14 @@ def _match(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_ITERS):
         raise ValueError("zeta_init contains non-finite entries")
     proj = relevant.gauge_projector
 
-    # one diagonalization per iterate: the exponent's spectrum gives both
-    # w[zeta] and its Gram matrix
-    state, p, logz = _gibbs(relevant, zeta)
-    resid = expectations(relevant, _density(state, p)) - targets
+    # one diagonalization per iterate: the state keeps it, and its Gram matrix
+    # reads it
+    rho, zf = gibbs_state(relevant, zeta)
+    resid = expectations(relevant, rho) - targets
     for _ in range(max_iters):
         if np.max(np.abs(resid)) < MATCH_TOL:
-            return ZetaField(labels=relevant.labels, values=zeta,
-                             zeta0=logz, gauge_projector=proj), state, p
-        gram = _gram(relevant, state, np.clip(p, EIG_FLOOR, None))
+            return replace(zf, gauge_projector=proj), rho
+        gram = kubo_gram(relevant, rho)
         # Newton system -G diag(w) step = -resid, solved in the symmetric
         # coordinates y = sqrt(w) step where S = sqrt(w) G sqrt(w); the
         # thresholded pseudo-inverse deflates the gauge null space
@@ -411,9 +385,8 @@ def _match(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_ITERS):
         norm0 = np.linalg.norm(resid)
         lam = 1.0
         for _ in range(40):
-            trial = zeta + lam * step
-            state_t, p_t, logz_t = _gibbs(relevant, trial)
-            resid_t = expectations(relevant, _density(state_t, p_t)) - targets
+            rho_t, zf_t = gibbs_state(relevant, zeta + lam * step)
+            resid_t = expectations(relevant, rho_t) - targets
             if np.linalg.norm(resid_t) < norm0:
                 break
             lam *= 0.5
@@ -423,7 +396,7 @@ def _match(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_ITERS):
                 "line search stalled; targets may lie outside the attainable set "
                 f"(residual inf-norm {np.max(np.abs(resid)):.3e})",
                 residual=resid, null_direction=null)
-        zeta, state, p, logz, resid = trial, state_t, p_t, logz_t, resid_t
+        zeta, rho, zf, resid = zf_t.values, rho_t, zf_t, resid_t
         if np.max(np.abs(zeta)) > ZETA_MAX and np.max(np.abs(resid)) >= MATCH_TOL:
             raise MatchFailure(
                 "parameters diverged past "
@@ -431,8 +404,7 @@ def _match(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_ITERS):
                 "outside) the boundary of the attainable expectation set",
                 residual=resid, null_direction=None)
     if np.max(np.abs(resid)) < MATCH_TOL:
-        return ZetaField(labels=relevant.labels, values=zeta, zeta0=logz,
-                         gauge_projector=proj), state, p
+        return replace(zf, gauge_projector=proj), rho
     raise MatchFailure(
         f"no convergence in {max_iters} iterations "
         f"(residual inf-norm {np.max(np.abs(resid)):.3e})",

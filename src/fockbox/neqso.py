@@ -23,7 +23,7 @@ import numpy as np
 
 from .maxent import (
     EIG_FLOOR,
-    _density,
+    _dressed,
     _kubo,
     _kubo_kernel,
     _match,
@@ -38,6 +38,9 @@ from .propagate import Spectrum, diagonal_blocks
 
 DECAY_THRESHOLD = 0.05
 ENTROPY_STEP_TOL = 1e-6
+# the largest deflated condition number of the correlation Gram matrix that the
+# parameter dynamics advances through
+GRAM_COND_MAX = 1e12
 
 
 class GramConditionError(RuntimeError):
@@ -172,13 +175,6 @@ class _WindowedSum:
         for k in ks:
             lo = self._interval(k, lo, 1.0 if back else -1.0)
         self.first = first
-
-
-def _dressed(u, kappa, x):
-    """G_x = u (kappa o u^dag x u) u^dag: x, one matrix or a stack, dressed by the
-    Kubo kernel kappa of the state with eigenvectors u, in the basis x is given in;
-    the connected part of _kubo's <C, B> is Tr(C G_B) = Tr(G_C B) there."""
-    return u @ (kappa * (u.conj().T @ x @ u)) @ u.conj().T
 
 
 class _PreparedHistory:
@@ -377,10 +373,10 @@ class _DynamicsEngine:
     a complex one.
     """
 
-    def __init__(self, relevant, history, H, hbar, tau_cut, cond_max=1e12):
+    def __init__(self, relevant, history, H, hbar, tau_cut):
         if relevant.div_currents is None:
             raise ValueError("relevant set needs div_currents for the dynamics")
-        self.relevant, self.tau_cut, self.cond_max = relevant, tau_cut, cond_max
+        self.relevant, self.tau_cut = relevant, tau_cut
         self.past = past = _PreparedHistory(relevant, history, H, hbar)
         self.spont = past.spontaneous()
         self.proj = relevant.gauge_projector
@@ -426,8 +422,8 @@ class _DynamicsEngine:
         # ---- linear solve:  -(G + w_end K) diag(w) zdot = rhs -------------
         mw = (gram + w_end * kmat) * self.relevant.weights
         cond = self._deflated_condition(gram)
-        if cond > self.cond_max:
-            raise GramConditionError(cond, t, self.cond_max)
+        if cond > GRAM_COND_MAX:
+            raise GramConditionError(cond, t, GRAM_COND_MAX)
         u, *_ = np.linalg.lstsq(mw, -rhs, rcond=1e-13)
         zdot = self.proj @ u
         return zdot, cond
@@ -447,7 +443,7 @@ class _DynamicsEngine:
         pairs = ((b[0], b[0], u.conj().T @ a @ u)
                  for b, u, a in zip(blocks, us, self.past.members))
         pairs = pairs if self.real else list(pairs)  # made one at a time unless kept
-        gram, tr_a = _kubo(p, pairs, (n, n), kappa)
+        gram, tr_a = _kubo(p, pairs, n, kappa)
         if self.real:  # G_Re O and G_Im O are real: Re i conj(G_O) = G_Im O
             return gram, sum(rows @ (delta * _dressed(u, kappa[sl, sl], o.imag)).ravel()
                              for (sl, rows, _, delta), u, o in zip(blocks, us, operand)), 0.0
@@ -477,7 +473,7 @@ class _DynamicsEngine:
 
 
 def zeta_dynamics(relevant, zeta_t0, history, H, t0, t_end, step,
-                  tau_cut=None, hbar=1.0, cond_max=1e12):
+                  tau_cut=None, hbar=1.0):
     """Integrate the parameter equation from t0 to t_end by explicit midpoint.
 
     At every stage the correlation Gram matrix of the current macrostate is
@@ -487,7 +483,7 @@ def zeta_dynamics(relevant, zeta_t0, history, H, t0, t_end, step,
     gamma_T term.  A commuting relevant family gives an exactly constant
     trajectory.
     """
-    engine = _DynamicsEngine(relevant, history, H, hbar, tau_cut, cond_max=cond_max)
+    engine = _DynamicsEngine(relevant, history, H, hbar, tau_cut)
     zeta = np.asarray(zeta_t0, float).copy()
     n_steps = int(round((t_end - t0) / step))
     if n_steps < 1:
@@ -606,9 +602,9 @@ def entropy_monitor(trajectory, relevant, conserved=None):
         rho, _ = gibbs_state(relevant, zeta)
         s_vals[i] = entropy(rho)
         if conserved is not None:
-            zf, spectrum, p = _match(conserved, expectations(conserved, rho), guess)
+            zf, rho_eq = _match(conserved, expectations(conserved, rho), guess)
             guess = zf.values
-            dist[i] = float(np.linalg.norm(rho - _density(spectrum, p)))
+            dist[i] = float(np.linalg.norm(rho - rho_eq))
         # read before the next state is built, so one is alive at a time
         del rho
     steps = np.diff(s_vals)

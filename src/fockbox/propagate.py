@@ -18,6 +18,8 @@ sums in that state diagonalize nothing.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np  # scipy.sparse is imported where used, as in fock
 
 from .fock import FieldOperator, NumericalError
@@ -58,8 +60,11 @@ class Spectrum:
                 eig = ROW_RESTRICT, _decompose(np.asarray(op), sectors)
         slices, self.w, blocks = eig[1]
         self.slices, self.blocks, self.hbar = list(slices), list(blocks), hbar
-        self.sector = np.repeat(np.arange(len(self.slices)),
-                                [sl.stop - sl.start for sl in self.slices])
+
+    @cached_property
+    def sector(self):
+        """The block of each state, made when a stack is first split by it."""
+        return np.repeat(np.arange(len(self.slices)), [sl.stop - sl.start for sl in self.slices])
 
     def from_blocks(self, ms):
         """sum_k v_k m_k v_k^dag for one matrix m_k per block, in the eigenbasis."""
@@ -148,13 +153,13 @@ Dresser = Spectrum
 class OperatorStack:
     """n operators on one basis, held for repeated changes of basis.
 
-    ops are FieldOperators or sparse or dense matrices; matrix is the stack as
-    one sparse (n d, d) CSR matrix, real when every entry is.  The stack is
-    split by the block partition of the last spectrum it met: on each block
-    pair (r, c) the operators connect, a pair with fewer than ROW_RESTRICT
-    states on each side keeps the dense (n, d_r, d_c) block of all n, a larger
-    one, for each operator j, the rows R it touches in r and its entries
-    A[R, c] as CSR, as (j, R or None for all rows, A).
+    ops are FieldOperators or sparse or dense matrices; matrix holds operator j
+    raveled in row j of one sparse (n, d*d) CSR matrix, real when every entry
+    is.  The stack is split by the block partition of the last spectrum it met:
+    on each block pair (r, c) the operators connect, a pair with fewer than
+    ROW_RESTRICT states on each side keeps the dense (n, d_r, d_c) block of all
+    n, a larger one, for each operator j, the rows R it touches in r and its
+    entries A[R, c] as CSR, as (j, R or None for all rows, A).
     """
 
     def __init__(self, ops):
@@ -163,9 +168,14 @@ class OperatorStack:
         m = sp.vstack([op.matrix if isinstance(op, FieldOperator)
                        else op if sp.issparse(op) else sp.csr_matrix(op) for op in ops],
                       format="csr")
+        self.dim = d = m.shape[1]
+        self.n = m.shape[0] // d
+        # row i of the (n d, d) stack is row i mod d of operator i // d: its entries
+        # move right by (i mod d) d, and every d-th row pointer bounds an operator
+        shift = np.repeat(np.arange(m.shape[0]) % d * d, np.diff(m.indptr))
+        m = sp.csr_matrix((m.data, m.indices + shift, m.indptr[::d].copy()),
+                          shape=(self.n, d * d))
         self.matrix = m if np.any(m.data.imag) else m.real
-        self.dim = self.matrix.shape[1]
-        self.n = self.matrix.shape[0] // self.dim
         self._held = (None, None)
 
     def split(self, spectrum):
@@ -179,9 +189,8 @@ class OperatorStack:
         import scipy.sparse as sp
 
         m, k = self.matrix, len(spectrum.slices)
-        member, row = np.divmod(np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)),
-                                self.dim)
-        col = m.indices
+        member = np.repeat(np.arange(self.n), np.diff(m.indptr))
+        row, col = np.divmod(m.indices, self.dim)
         # entries grouped by block pair, operator-major within each pair
         pair = spectrum.sector[row] * k + spectrum.sector[col]
         order = np.argsort(pair, kind="stable")

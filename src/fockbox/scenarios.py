@@ -40,6 +40,7 @@ from .lattice import (
 )
 from .maxent import entropy, gibbs_state, relevant_set
 from .neqso import (
+    GRAM_COND_MAX,
     HistorySpec,
     HistoryTerm,
     cosine_test_function,
@@ -349,7 +350,7 @@ def run_relaxation(config):
                     check_le("step_halving", halving, 1e-3),
                     check_le("entropy_min_step", -series.min_step, 1e-6),
                     check_le("micro_entropy_drift", micro_drift, 1e-10),
-                    check_le("gram_condition", traj.gram_cond_max, 1e12)],
+                    check_le("gram_condition", traj.gram_cond_max, GRAM_COND_MAX)],
         tables={"correlation.csv": (["t", "label", "value"], correlation_rows),
                 "zeta.csv": (["t", "label", "value"], traj.as_rows()),
                 "entropy.csv": (["t", "label", "value"], entropy_rows)})

@@ -14,7 +14,6 @@ from fockbox.config import (
     Finding,
     deep_merge,
     default_model,
-    validate_model,
 )
 from fockbox.fock import BOSE, DimensionCapError, build_basis
 from fockbox.scenarios import (
@@ -78,12 +77,13 @@ def test_validate_flags_dimension_over_cap():
 
 
 def test_validate_model_types():
-    findings = validate_model({"L": "four"})
-    assert any(f.path == "model.L" for f in findings)
-    findings = validate_model({"statistics": "anyon"})
-    assert any(f.path == "model.statistics" for f in findings)
-    findings = validate_model({"potential": {"preset": "vortex"}})
-    assert any("unknown preset" in f.message for f in findings)
+    def findings(model):
+        return validate_config({"scenario": "free_packet", "model": model})
+
+    assert any(f.path == "model.L" for f in findings({"L": "four"}))
+    assert any(f.path == "model.statistics" for f in findings({"statistics": "anyon"}))
+    assert any("unknown preset" in f.message
+               for f in findings({"potential": {"preset": "vortex"}}))
 
 
 def test_every_rule_path_names_a_key():
@@ -297,15 +297,16 @@ OVERFLOW = [
      "external potential evaluated to a non-finite value"),
     ("relaxation", {"potential": {"preset": "harmonic", "k": 1e308}},
      "one-body operator has a non-finite entry"),
-    ("free_packet", {"dx": 1e300}, "Numerical result out of range"),
+    # a finite kinetic prefactor hbar^2 / (2 mass dx^2) of 1.7e308, doubled on the diagonal
+    ("free_packet", {"mass": 3e-309}, "one-body operator has a non-finite entry"),
 ]
 
 
 @pytest.mark.parametrize("name, model, message", OVERFLOW, ids=["potential", "sum", "hopping"])
 def test_finite_values_that_overflow_are_a_numerical_failure(tmp_path, name, model, message):
     """Each value is finite and valid, but the potential, a sum of two
-    particles' potentials or the hopping overflows in the run: exit 3 by its
-    own cause, with no traceback and nothing written."""
+    particles' potentials or the hopping term overflows in the run: exit 3 by
+    its own cause, with no traceback and nothing written."""
     path, out = write_config(tmp_path, name, model=model), tmp_path / "out"
     assert cli("validate", "--config", str(path)).returncode == 0
     r = cli("run", "--config", str(path), "--out", str(out))
@@ -313,6 +314,42 @@ def test_finite_values_that_overflow_are_a_numerical_failure(tmp_path, name, mod
     assert "numerical failure: " in r.stderr and message in r.stderr
     assert "Traceback" not in r.stderr
     assert not out.exists()
+
+
+def test_an_overflowing_one_body_operator_reports_one_line_and_no_warning(tmp_path, capsys):
+    """Run in process, where the suite makes a RuntimeWarning an error: the
+    finite check alone reports the overflow."""
+    path = write_config(tmp_path, "relaxation",
+                        model={"potential": {"preset": "harmonic", "k": 1e308}})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == \
+        "numerical failure: one-body operator has a non-finite entry\n"
+
+
+KINETIC = {"dx-huge": {"dx": 1e300}, "hbar-huge": {"hbar": 1e200},
+           "dx-tiny": {"dx": 1e-200}, "mass-tiny": {"mass": 1e-320}}
+
+
+@pytest.mark.parametrize("model", KINETIC.values(), ids=KINETIC.keys())
+def test_a_kinetic_prefactor_out_of_float_range_is_a_config_error(tmp_path, model):
+    """Positive dx, mass and hbar whose hbar^2 / (2 mass dx^2) overflows, or
+    divides by an underflowed zero, are found before a run: exit 2 naming
+    model.dx from validate and run, with nothing written."""
+    path, out = write_config(tmp_path, "free_packet", model=model), tmp_path / "out"
+    assert [f.path for f in validate_config(json.loads(path.read_text()))] == ["model.dx"]
+    for args in (("validate", "--config", str(path)),
+                 ("run", "--config", str(path), "--out", str(out))):
+        r = cli(*args)
+        assert r.returncode == 2, r.stderr
+        assert "invalid: model.dx: gives a kinetic prefactor" in r.stderr
+    assert not out.exists()
+
+
+def test_a_scale_that_is_not_positive_is_found_once_at_its_key():
+    for model, where in (({"dx": 0.0}, "model.dx"), ({"mass": -1.0}, "model.mass"),
+                         ({"hbar": 0.0, "dx": 1e-200}, "model.hbar")):
+        assert validate_config({"scenario": "free_packet", "model": model}) == [
+            Finding(where, "must be positive")]
 
 
 def test_non_finite_number_is_reported_once_among_other_findings():
@@ -485,8 +522,8 @@ def test_values_take_the_kind_of_their_default():
     # preset parameters are numbers or lists of numbers
     assert validate_config({"scenario": "event_channel", "model": {"potential": {
         "preset": "barrier", "height": 50, "sites": [2, 3]}}}) == []
-    assert [f.path for f in validate_model({"potential": {
-        "preset": "barrier", "height": True, "sites": ["2"]}})] == [
+    assert [f.path for f in validate_config({"scenario": "event_channel", "model": {
+        "potential": {"preset": "barrier", "height": True, "sites": ["2"]}}})] == [
         "model.potential.height", "model.potential.sites"]
 
 

@@ -368,8 +368,8 @@ def test_gauge_projector_held_once_per_set(monkeypatch):
 
 
 def expectations_oracle(relevant, rho):
-    """Tr(A_j rho) from the rows against rho transposed, which copies rho."""
-    return (relevant.rows @ np.asarray(rho).T.ravel()).real
+    """Tr(A_j rho) from the member matrix against rho transposed, which copies rho."""
+    return (relevant.stacked.matrix @ np.asarray(rho).T.ravel()).real
 
 
 @SETTINGS
@@ -411,14 +411,14 @@ def test_expectations_copy_no_state_at_dim_1001():
 def test_match_halves_its_step_and_still_recovers_zeta(monkeypatch):
     """On the relaxation default the full Newton step from zeta = 0 overshoots
     the targets of a Gibbs state at |zeta| up to 2; the line search halves it
-    and the match still lands on zeta.  Each trial step is one _gibbs call and
-    each iteration one _gram call, so any _gibbs call beyond the first and one
-    per iteration is a halving."""
+    and the match still lands on zeta.  Each trial step is one gibbs_state call
+    and each iteration one kubo_gram call, so any gibbs_state call beyond the
+    first and one per iteration is a halving."""
     model, basis = build_model(scenario_defaults("relaxation")["model"])
     rel, _ = mass_energy_relevant(basis, model)
     zeta_star = np.random.default_rng(1).uniform(-2, 2, len(rel))
     rho, _ = gibbs_state(rel, zeta_star)
-    calls = {"_gibbs": 0, "_gram": 0}
+    calls = {"gibbs_state": 0, "kubo_gram": 0}
     for name in calls:
         def counted(*args, _f=getattr(maxent, name), _name=name):
             calls[_name] += 1
@@ -426,4 +426,4 @@ def test_match_halves_its_step_and_still_recovers_zeta(monkeypatch):
         monkeypatch.setattr(maxent, name, counted)
     zf = match_expectations(rel, expectations(rel, rho))
     assert np.max(np.abs(zf.values - zeta_star)) < 1e-12
-    assert calls["_gibbs"] - 1 - calls["_gram"] >= 1
+    assert calls["gibbs_state"] - 1 - calls["kubo_gram"] >= 1

@@ -284,14 +284,14 @@ def test_dynamics_gauge_covariance():
         assert np.max(np.abs(w1 - w2)) < 1e-10
 
 
-def test_dynamics_gram_condition_abort():
+def test_dynamics_gram_condition_abort(monkeypatch):
     from fockbox.neqso import GramConditionError
 
     basis, model, h, rel = interacting_model()
     zeta0 = np.array([0.3, 0.0, -0.3, 0.4])
+    monkeypatch.setattr(neqso, "GRAM_COND_MAX", 1.0)
     with pytest.raises(GramConditionError) as exc:
-        zeta_dynamics(rel, zeta0, HistorySpec.empty(0.0), h, 0.0, 0.1,
-                      step=0.05, cond_max=1.0)
+        zeta_dynamics(rel, zeta0, HistorySpec.empty(0.0), h, 0.0, 0.1, step=0.05)
     assert exc.value.cond > 1.0
 
 
@@ -437,14 +437,15 @@ def test_entropy_monitor_holds_one_state_at_a_time():
 
 def test_entropy_monitor_builds_each_conserved_state_once(monkeypatch):
     """The distance to equilibrium reads the matcher's own final state: one
-    _gibbs call per sample fewer than building gibbs_state of the matched
-    parameters again, and the same distances bit for bit."""
+    state_from_exponent call per sample fewer than building gibbs_state of the
+    matched parameters again, and the same distances bit for bit."""
     basis, model, h, rel = interacting_model()
     conserved = relevant_set(["H", "N"], [h, number_operator(basis)], [1.0, 1.0])
     traj = zeta_dynamics(rel, np.array([0.3, -0.1, 0.2, 0.5]), HistorySpec.empty(0.0),
                          h, 0.0, 0.3, step=0.05)
-    calls, gibbs = [], maxent._gibbs
-    monkeypatch.setattr(maxent, "_gibbs", lambda *args: calls.append(1) or gibbs(*args))
+    calls, build = [], maxent.state_from_exponent
+    monkeypatch.setattr(maxent, "state_from_exponent",
+                        lambda *args: calls.append(1) or build(*args))
     series = entropy_monitor(traj, rel, conserved=conserved)
     n_calls = len(calls)
     calls.clear()

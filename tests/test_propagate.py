@@ -234,3 +234,36 @@ def test_a_non_unitary_block_raises_with_the_complex_deviation(box, monkeypatch)
     with pytest.raises(AssertionError,
                        match=re.escape(f"propagator lost unitarity: {dev:.3e}")):
         propagator(h, 0.7)
+
+
+# ---- the member matrix of an operator stack --------------------------------------
+
+
+def oracle_member_rows(ops):
+    """Each operator reshaped to one row of d*d columns, stacked, real when every
+    entry is: the construction the index shift of OperatorStack replaces."""
+    mats = [op.matrix if isinstance(op, FieldOperator) else sp.csr_matrix(op) for op in ops]
+    d = mats[0].shape[1]
+    rows = sp.vstack([m.reshape(1, d * d) for m in mats], format="csr")
+    return rows if np.any(rows.data.imag) else rows.real
+
+
+def test_member_matrix_equals_the_per_member_reshape(box):
+    """FieldOperators, CSR and dense members, an all-zero one, one whose entries
+    all lie in its last row and a complex one among real ones: the rows of the
+    member matrix, their pointers and dtype equal the per-member reshape."""
+    basis, _, h = box
+    d, rng = basis.dim, np.random.default_rng(5)
+    last_row = np.zeros((d, d))
+    last_row[-1, [0, 3, d - 1]] = [1.5, -2.0, 0.25]
+    sparse = sp.random(d, d, density=0.2, random_state=3, format="csr")
+    real = [h, number_operator(basis, 1), sparse, np.zeros((d, d)), last_row,
+            rng.normal(size=(d, d)), np.zeros((d, d))]
+    for ops in (real, real[:3] + [1j * last_row.T] + real[3:]):
+        got = propagate.OperatorStack(ops).matrix
+        want = oracle_member_rows(ops)
+        assert got.shape == want.shape == (len(ops), d * d)
+        assert got.dtype == want.dtype == (float if ops is real else complex)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)

@@ -51,9 +51,7 @@ from fockbox.maxent import (
     EIG_FLOOR,
     _correlation,
     _density,
-    _gibbs,
-    _gram,
-    _kubo,
+    _dressed,
     _kubo_kernel,
     cumulant_expect,
     entropy,
@@ -92,10 +90,10 @@ from fockbox.propagate import (
 # ---- test-only oracles -------------------------------------------------------
 
 
-def kubo_matrix(p, cs, bs):
-    """<C_j, B_l> for (n, d, d) stacks in the state's eigenbasis: one whole-space block."""
-    return _kubo(p, [(slice(None), slice(None), np.swapaxes(cs, 1, 2), bs)],
-                 (len(cs), len(bs)))[0]
+def gibbs_spectrum(rel, zeta):
+    """(spectrum, p, log Z): the exponent of w[zeta] diagonalized by sector, and its weights."""
+    spectrum = Spectrum(exponent_matrix(rel, zeta), sectors=rel.basis.sector_slices())
+    return (spectrum,) + spectrum.gibbs()
 
 
 def eigenvectors(spectrum, dtype=complex):
@@ -104,6 +102,15 @@ def eigenvectors(spectrum, dtype=complex):
     for sl, b in zip(spectrum.slices, spectrum.blocks):
         v[sl, sl] = b
     return v
+
+
+def block_diagonal(spectrum, blocks):
+    """The (n, d, d) stack holding one (n, d_k, d_k) block per block of spectrum
+    on its diagonal."""
+    out = np.zeros((len(blocks[0]),) + (len(spectrum.w),) * 2, dtype=complex)
+    for sl, b in zip(spectrum.slices, blocks):
+        out[:, sl, sl] = b
+    return out
 
 
 def oracle_kernel(w):
@@ -287,7 +294,7 @@ def test_operator_blocks_match_the_dense_construction(data):
             assert str(raised.value) == oracle_not_hermitian(op.to_dense())
 
 
-# ---- kubo_matrix ---------------------------------------------------------------
+# ---- Kubo sums -----------------------------------------------------------------
 
 
 @SETTINGS
@@ -299,7 +306,7 @@ def test_kubo_matrix_matches_pairwise_oracle(data):
     p = np.clip(state.gibbs()[0], 1e-14, None)
     ops = operands(basis, model, data.draw) + [h]
     stack = oracle_eigenbasis_stack(state, ops)
-    got = kubo_matrix(p, stack, stack)
+    got = oracle_full_kubo(p, stack, stack)
     dense = [op.to_dense() for op in ops]
     want = oracle_kubo_matrix(dense, dense, oracle_gibbs(x))
     assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
@@ -332,12 +339,12 @@ def test_newton_gram_shares_the_exponent_spectrum(data):
                        list(density_ops(basis, model)) + [h])
     zeta = data.draw(st.lists(st.sampled_from([0.0, 0.3, -0.7, 1.0]),
                               min_size=len(rel), max_size=len(rel)))
-    state, p, log_z = _gibbs(rel, zeta)
+    state, p, log_z = gibbs_spectrum(rel, zeta)
     rho = oracle_gibbs(exponent_matrix(rel, zeta))
     assert np.max(np.abs(_density(state, p) - rho)) < 1e-10
     assert np.array_equal(_density(state, p), gibbs_state(rel, zeta)[0])
     assert log_z == gibbs_state(rel, zeta)[1].zeta0
-    g = _gram(rel, state, np.clip(p, 1e-14, None))
+    g = kubo_gram(rel, gibbs_state(rel, zeta)[0])
     dense = [op.to_dense() for op in rel.operators]
     want = oracle_kubo_matrix(dense, dense, rho).real
     assert np.max(np.abs(g - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
@@ -536,11 +543,11 @@ def per_node_derivative(rel, history, h, tau_cut, t, zeta, records):
     p = np.clip(state.gibbs()[0], 1e-14, None)
     a_st = oracle_eigenbasis_stack(state, rel.operators)
     c_st = oracle_eigenbasis_stack(state, commutators(rel, h))
-    gram = kubo_matrix(p, a_st, a_st).real
+    gram = oracle_full_kubo(p, a_st, a_st).real
     rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
     operand, w_end = per_node_operand(rel, history, h, tau_cut, t, zeta, records)
-    rhs += kubo_matrix(p, c_st, operand[None])[:, 0].real
-    kmat = kubo_matrix(p, c_st, a_st).real if w_end else 0.0
+    rhs += oracle_full_kubo(p, c_st, operand[None])[:, 0].real
+    kmat = oracle_full_kubo(p, c_st, a_st).real if w_end else 0.0
     mw = (gram + w_end * kmat) * rel.weights[None, :]
     u, *_ = np.linalg.lstsq(mw, -rhs, rcond=1e-13)
     return gauge_projector(rel) @ u
@@ -554,7 +561,7 @@ def per_node_condition(rel, zeta):
     p = np.clip(state.gibbs()[0], 1e-14, None)
     a_st = oracle_eigenbasis_stack(state, rel.operators)
     d = np.sqrt(rel.weights)
-    s = kubo_matrix(p, a_st, a_st).real * np.outer(d, d)
+    s = oracle_full_kubo(p, a_st, a_st).real * np.outer(d, d)
     evals, evecs = np.linalg.eigh(gauge_projector(rel))
     live = evecs[:, evals > 0.5]
     x = np.linalg.eigvalsh(live.T @ s @ live)
@@ -909,11 +916,11 @@ def test_real_and_complex_spectra_match_oracles(data):
     assert abs(log_z - np.log(np.trace(scipy.linalg.expm(x)).real)) < 1e-10
     p = np.clip(p, 1e-14, None)
     want = oracle_kubo_matrix(dense, dense, oracle_gibbs(x))
-    # FieldOperators, CSR and dense matrices as the entries of one OperatorStack
+    # FieldOperators, CSR and dense matrices as the operands of the eigenbasis stack
     for stack in (oracle_eigenbasis_stack(state, ops),
                   oracle_eigenbasis_stack(state, [op.matrix for op in ops]),
                   oracle_eigenbasis_stack(state, dense)):
-        got = kubo_matrix(p, stack, stack)
+        got = oracle_full_kubo(p, stack, stack)
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
     # one matrix per block of the eigenbasis, back in the occupation basis
@@ -965,14 +972,13 @@ def oracle_decay_table(relevant, zeta, H, horizon, n_samples, hbar=1.0):
     there at every sample, and one Kubo pass per sample."""
     past = _PreparedHistory(relevant, HistorySpec.empty(), H, hbar)
     us, p = past.state(relevant, zeta)
-    n, kappa, w = len(relevant), _kubo_kernel(p), past.spectrum.w
-    cts = [np.swapaxes(u.conj().T @ (np.subtract.outer(w[sl], w[sl]) / hbar * a) @ u, 1, 2)
-           for sl, u, a in zip(past.spectrum.slices, us, past.members)]
+    spectrum, w = past.spectrum, past.spectrum.w
+    cs = block_diagonal(spectrum, [u.conj().T @ (np.subtract.outer(w[sl], w[sl]) / hbar * a) @ u
+                                   for sl, u, a in zip(spectrum.slices, us, past.members)])
     times = np.linspace(0.0, horizon, n_samples)
-    table = np.array([(1j * _kubo(p, [
-        (sl, sl, ct, u.conj().T @ (mask * a) @ u) for sl, u, ct, mask, a in zip(
-            past.spectrum.slices, us, cts, _masks(past.spectrum, -s), past.members)],
-        (n, n), kappa)[0]).real for s in times])
+    table = np.array([(1j * oracle_full_kubo(p, cs, block_diagonal(spectrum, [
+        u.conj().T @ (mask * a) @ u for u, mask, a in zip(
+            us, _masks(spectrum, -s), past.members)]))).real for s in times])
     zeta = np.asarray(zeta, float)
     v = relevant.weights * (zeta if np.max(np.abs(zeta)) > 0 else 1.0)
     aggregate = np.linalg.norm(table @ v, axis=1)
@@ -1025,7 +1031,7 @@ def test_real_blocks_stay_in_their_sectors_and_public_dtypes_hold():
 
     rel = mass_relevant(basis, model, h)
     zeta = [0.2, -0.1, 0.3, 0.5]
-    state, p, _ = _gibbs(rel, zeta)
+    state, p, _ = gibbs_spectrum(rel, zeta)
     inside = np.zeros((basis.dim,) * 2, dtype=bool)
     for _, sl in basis.sector_slices():
         inside[sl, sl] = True
@@ -1054,7 +1060,9 @@ def test_real_blocks_stay_in_their_sectors_and_public_dtypes_hold():
 def oracle_eigenbasis_stack(spectrum, ops):
     """The full (n, d, d) transform: one sparse product with the assembled
     block-diagonal eigenvectors, then v_r^dag on each sector pair present."""
-    ops = ops if sp.issparse(ops) else OperatorStack(ops).matrix
+    ops = ops if sp.issparse(ops) else sp.vstack(
+        [op.matrix if isinstance(op, FieldOperator) else sp.csr_matrix(op) for op in ops],
+        format="csr")
     d, k = len(spectrum.w), len(spectrum.slices)
     out = (ops @ eigenvectors(spectrum, spectrum.blocks[0].dtype)).reshape(-1, d, d)
     rows = np.repeat(np.tile(np.arange(d), len(out)), np.diff(ops.indptr))
@@ -1066,7 +1074,8 @@ def oracle_eigenbasis_stack(spectrum, ops):
 
 
 def oracle_full_kubo(p, cs, bs):
-    """kubo_matrix as one pass over the full stack bs per member of cs."""
+    """<C_j, B_l> for (n, d, d) stacks in the state's eigenbasis with weights p:
+    one pass over the full stack bs per member of cs."""
     kappa = oracle_kernel(p)
     flat_b = bs.reshape(len(bs), -1)
     connected = np.array([flat_b @ (c.T * kappa).ravel() for c in cs])
@@ -1084,9 +1093,9 @@ def oracle_full_gram(relevant, spectrum, p):
 def full_stack_derivative(rel, history, h, t, zeta, records):
     """The parameter derivative with full operand stacks in the state's
     eigenbasis and one full-stack Kubo pass per product, without a cutoff."""
-    state, p, _ = _gibbs(rel, zeta)
+    state, p, _ = gibbs_spectrum(rel, zeta)
     p = np.clip(p, 1e-14, None)
-    ops = OperatorStack(list(rel.operators) + commutators(rel, h)).matrix
+    ops = list(rel.operators) + commutators(rel, h)
     a_st, c_st = np.split(oracle_eigenbasis_stack(state, ops), 2)
     gram = oracle_full_kubo(p, a_st, a_st).real
     rhs = (np.diagonal(c_st, axis1=1, axis2=2) @ p).real
@@ -1103,10 +1112,11 @@ def assert_close(got, want, tol=1e-12):
 
 
 def assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, hermitian_extra):
-    """Blocks, _correlation, kubo_gram, _gram and one derivative call against the
-    full-stack oracles: ops are transformed in the eigenbasis of exp(x), the
-    Gram and the dynamics use the mass cells and H, plus the number-changing
-    Hermitian hermitian_extra (with a zero current divergence) when given."""
+    """Blocks, _correlation, kubo_gram of a dense and of a Gibbs state and one
+    derivative call against the full-stack oracles: ops are transformed in the
+    eigenbasis of exp(x), the Gram and the dynamics use the mass cells and H,
+    plus the number-changing Hermitian hermitian_extra (with a zero current
+    divergence) when given."""
     state = Spectrum(x, sectors=basis.sector_slices())
     p = np.clip(state.gibbs()[0], 1e-14, None)
     held = OperatorStack(ops)
@@ -1129,9 +1139,10 @@ def assert_sector_sums_match_oracles(basis, model, h, ops, x, zeta, hermitian_ex
     spectrum = Spectrum(rho, sectors=basis.sector_slices())
     want_g = oracle_full_gram(rel, spectrum, np.clip(spectrum.w, 1e-14, None))
     assert_close(kubo_gram(rel, rho), want_g)
-    state, p, _ = _gibbs(rel, zeta[:len(rel)])
+    state, p, _ = gibbs_spectrum(rel, zeta[:len(rel)])
     p = np.clip(p, 1e-14, None)
-    assert_close(_gram(rel, state, p), oracle_full_gram(rel, state, p))
+    assert_close(kubo_gram(rel, gibbs_state(rel, zeta[:len(rel)])[0]),
+                 oracle_full_gram(rel, state, p))
 
     history = HistorySpec(
         T=-0.4, t0=0.0, n_quad=5, gamma_T=np.full(len(rel), 0.1),
@@ -1428,21 +1439,21 @@ def test_a_gibbs_state_is_read_only_and_derived_arrays_keep_nothing():
 
 
 def today_pass(engine, us, p, kappa, operand):
-    """(G, rhs, K) from the (2n, n + 1) Kubo pass of [A; R] against the
+    """(G, rhs, K) from the (2n, n + 1) Kubo pass of [A; R]^T against the
     conjugated A_l and operand, the rates R_j = Delta o A_j made for the
     call: the derivative's pass for every model before its rows became traces
-    against dressed operands."""
+    against dressed operands, over the full stacks in the state's eigenbasis."""
     past, n = engine.past, len(engine.relevant)
     w, hbar = past.spectrum.w, past.spectrum.hbar
-
-    def pairs():
-        for sl, u, a, o in zip(past.spectrum.slices, us, past.members, operand):
-            r = np.subtract.outer(w[sl], w[sl]) / hbar * a
-            block = u.conj().T @ np.concatenate([a, r]) @ u
-            b = np.concatenate([block[:n], (u.conj().T @ o @ u)[None]])
-            yield sl, sl, block, np.conjugate(b, out=b)
-
-    k, means = _kubo(p, pairs(), (2 * n, n + 1), kappa)
+    cs, bs = [], []
+    for sl, u, a, o in zip(past.spectrum.slices, us, past.members, operand):
+        r = np.subtract.outer(w[sl], w[sl]) / hbar * a
+        block = u.conj().T @ np.concatenate([a, r]) @ u
+        cs.append(np.swapaxes(block, 1, 2))
+        bs.append(np.concatenate([block[:n], (u.conj().T @ o @ u)[None]]).conj())
+    cs = block_diagonal(past.spectrum, cs)
+    k = oracle_full_kubo(p, cs, block_diagonal(past.spectrum, bs))
+    means = np.diagonal(cs, axis1=1, axis2=2) @ p
     return k[:n, :n].real, (1j * (means[n:] + k[n:, n])).real, (1j * k[n:, :n]).real
 
 
@@ -1466,14 +1477,14 @@ def test_traced_derivative_matches_todays_pass(data):
     rng = np.random.default_rng(3)
     for k in range(3):
         engine.record(0.05 * k, zeta + 0.01 * k, rng.normal(size=len(rel)))
-    n, shapes, dressed, kubo_, dressed_ = len(rel), [], [], neqso._kubo, neqso._dressed
+    n, sizes, dressed, kubo_ = len(rel), [], [], neqso._kubo
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neqso, "_kubo", lambda p, pairs, shape, kappa=None:
-                   shapes.append(shape) or kubo_(p, pairs, shape, kappa))
+        mp.setattr(neqso, "_kubo", lambda p, pairs, size, kappa=None:
+                   sizes.append(size) or kubo_(p, pairs, size, kappa))
         mp.setattr(neqso, "_dressed", lambda u, kappa, x:
-                   dressed.append(1 if x.ndim == 2 else len(x)) or dressed_(u, kappa, x))
+                   dressed.append(1 if x.ndim == 2 else len(x)) or _dressed(u, kappa, x))
         got, got_cond = engine.derivative(0.15, zeta)
-    assert shapes == [(n, n)]
+    assert sizes == [n]
     assert sum(dressed) == len(engine.past.spectrum.slices)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_DynamicsEngine, "_correlations", today_pass)
