@@ -349,9 +349,10 @@ def match_expectations(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_I
     return _match(relevant, targets, zeta_init, max_iters)[0]
 
 
-def _match(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_ITERS):
+def _match(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_ITERS, start=None):
     """(ZetaField, rho): match_expectations, with gibbs_state's state at the
-    parameters it converged to."""
+    parameters it converged to; start, a pair _match returned, is the first
+    iterate in place of zeta_init's state."""
     targets = np.asarray(targets, float)
     n = len(relevant)
     zeta = np.zeros(n) if zeta_init is None else np.asarray(zeta_init, float).copy()
@@ -361,8 +362,8 @@ def _match(relevant, targets, zeta_init=None, max_iters=MAX_NEWTON_ITERS):
 
     # one diagonalization per iterate: the state keeps it, and its Gram matrix
     # reads it
-    rho, zf = gibbs_state(relevant, zeta)
-    resid = expectations(relevant, rho) - targets
+    zf, rho = start or gibbs_state(relevant, zeta)[::-1]
+    zeta, resid = zf.values, expectations(relevant, rho) - targets
     for _ in range(max_iters):
         if np.max(np.abs(resid)) < MATCH_TOL:
             return replace(zf, gauge_projector=proj), rho

@@ -597,14 +597,13 @@ def entropy_monitor(trajectory, relevant, conserved=None):
     with the same conserved totals, the matcher's own final state, is reported.
     """
     times = trajectory.times
-    s_vals, dist, guess = np.empty(len(times)), np.full(len(times), np.nan), None
+    s_vals, dist, eq = np.empty(len(times)), np.full(len(times), np.nan), None
     for i, zeta in enumerate(trajectory.zetas):
         rho, _ = gibbs_state(relevant, zeta)
         s_vals[i] = entropy(rho)
-        if conserved is not None:
-            zf, rho_eq = _match(conserved, expectations(conserved, rho), guess)
-            guess = zf.values
-            dist[i] = float(np.linalg.norm(rho - rho_eq))
+        if conserved is not None:  # each match starts from the last one's state
+            eq = _match(conserved, expectations(conserved, rho), start=eq)
+            dist[i] = float(np.linalg.norm(rho - eq[1]))
         # read before the next state is built, so one is alive at a time
         del rho
     steps = np.diff(s_vals)

@@ -315,7 +315,7 @@ def run_relaxation(config):
     hist = HistorySpec.empty(0.0)
     traj = zeta_dynamics(rel, zeta0, hist, h, 0.0, tau, step=step,
                          hbar=model.hbar)
-    fine = zeta_dynamics(rel, zeta0, hist, h, 0.0, tau, step=step / 2.0,
+    fine = zeta_dynamics(rel, zeta0, hist, h, 0.0, traj.times[-1], step=step / 2.0,
                          hbar=model.hbar)
     halving = float(np.max(np.abs(fine.zetas[::2] - traj.zetas)))
 
@@ -365,6 +365,9 @@ def run_zubarev_limit(config):
 
     decay = decay_time(rel, zeta0, h, horizon=p["decay_horizon"],
                        n_samples=p["decay_samples"], hbar=model.hbar)
+    if decay.tau == 0.0:  # HistorySpec's test for a nonempty interval [T, t0]
+        raise ConfigError([Finding("model.L", "must let the correlations decay: the measured "
+                                   "decay horizon tau = 0 leaves no preparation interval")])
     tau_cut = 3.0 * decay.tau
     t0 = 0.0
     T = t0 - 3.0 * tau_cut

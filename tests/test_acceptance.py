@@ -12,9 +12,9 @@ import sys
 from functools import lru_cache
 
 import numpy as np
+import oracles
 import pytest
 import scipy.linalg
-from scipy.integrate import simpson
 
 from fockbox.fock import (
     BOSE,
@@ -25,20 +25,16 @@ from fockbox.fock import (
     commutator,
     creation,
     number_operator,
-    zero_operator,
 )
 from fockbox.lattice import (
     ENERGY,
     MASS,
     MOMENTUM,
-    LatticeModel,
-    build_hamiltonian,
     current_ops,
     density_ops,
     divergence_ops,
     energy_density_ops,
     family_density_ops,
-    pair_preset,
 )
 from fockbox.maxent import (
     cumulant_expect,
@@ -48,7 +44,6 @@ from fockbox.maxent import (
     kubo,
     kubo_gram,
     match_expectations,
-    relevant_set,
 )
 from fockbox.neqso import (
     HistorySpec,
@@ -114,10 +109,7 @@ def test_criterion_01_algebra():
 
 
 def test_criterion_02_model():
-    v, rv = pair_preset("contact", v0=0.6)
-    model = LatticeModel(L=4, dx=1.0, V=v, range_V=rv)
-    basis = build_basis(BOSE, L=4, g=1, n_max=2)
-    h = build_hamiltonian(basis, model)
+    basis, model, h, _ = oracles.contact_model(L=4)
     cells = energy_density_ops(basis, model)
     total = sum((model.dx * c.to_dense() for c in cells),
                 np.zeros((basis.dim,) * 2, dtype=complex))
@@ -137,17 +129,8 @@ def test_criterion_02_model():
 # -- 3. max-ent suite ---------------------------------------------------------------
 
 
-def lattice_relevant():
-    model = LatticeModel(L=3, dx=1.0)
-    basis = build_basis(BOSE, L=3, g=1, n_max=2)
-    h = build_hamiltonian(basis, model)
-    ops = list(density_ops(basis, model)) + [h]
-    return relevant_set([f"rho[{x}]" for x in range(3)] + ["H"], ops,
-                        [model.dx] * 3 + [1.0])
-
-
 def test_criterion_03_maxent():
-    rel = lattice_relevant()
+    rel = oracles.contact_model(v0=0.0)[3]  # the free box's cells and H
     rng = np.random.default_rng(12)
     zeta_star = rng.uniform(-0.5, 0.5, size=len(rel))
     rho_star, _ = gibbs_state(rel, zeta_star)
@@ -208,17 +191,10 @@ def test_criterion_03_maxent():
     r = np.random.default_rng(99)
     aa = 0.5 * (lambda m: m + m.conj().T)(r.normal(size=(3, 3))
                                           + 1j * r.normal(size=(3, 3)))
-    w = scipy.linalg.expm(aa)
-    w /= np.trace(w).real
+    w = oracles.gibbs(aa)
     c = r.normal(size=(3, 3)) + 1j * r.normal(size=(3, 3))
     b = r.normal(size=(3, 3)) + 1j * r.normal(size=(3, 3))
-    us = np.linspace(0, 1, 1001)
-    logw = scipy.linalg.logm(w)
-    vals = np.array([np.trace(c @ scipy.linalg.expm(u * logw) @ b
-                              @ scipy.linalg.expm(-u * logw) @ w) for u in us])
-    oracle = (simpson(vals.real, x=us) + 1j * simpson(vals.imag, x=us)
-              - np.trace(c @ w) * np.trace(b @ w))
-    assert abs(kubo(c, b, w) - oracle) < 1e-8
+    assert abs(kubo(c, b, w) - oracles.kubo_integral(c, b, w)) < 1e-8
     report(3, "round trip 1e-6, Jacobian rel 1e-5, dominance x100, kubo 1e-8")
 
 
@@ -263,9 +239,7 @@ def test_criterion_05_embedding(scenario_runs):
 
 
 def test_criterion_06_reduction_duality():
-    model = LatticeModel(L=5, dx=1.0)
-    basis = build_basis(BOSE, L=5, g=1, n_max=2)
-    h = build_hamiltonian(basis, model)
+    basis, model, h, _ = oracles.contact_model(L=5, v0=0.0)
     occ = [0] * 5
     occ[4] = 1
     v = basis.basis_vector(occ)
@@ -302,15 +276,7 @@ def test_criterion_06_reduction_duality():
 
 
 def test_criterion_07_neso_consistency():
-    v, rv = pair_preset("contact", v0=0.6)
-    model = LatticeModel(L=3, dx=1.0, V=v, range_V=rv)
-    basis = build_basis(BOSE, L=3, g=1, n_max=2)
-    h = build_hamiltonian(basis, model)
-    cells = density_ops(basis, model)
-    div_mass = divergence_ops(current_ops(basis, model, MASS), model)
-    rel = relevant_set([f"rho[{x}]" for x in range(3)] + ["H"],
-                       list(cells) + [h], [1.0] * 3 + [1.0],
-                       div_currents=list(div_mass) + [zero_operator(basis)])
+    basis, model, h, rel = oracles.contact_model()
     zeta0 = np.array([0.3, 0.0, -0.3, 0.4])
 
     rho_hist, _ = build_rho_t0(rel, zeta0, HistorySpec.empty(0.0), h)
@@ -331,13 +297,7 @@ def test_criterion_07_neso_consistency():
     assert rep.coarse_distance < 1e-6
 
     # exactly commuting family: single site, two components
-    model_d = LatticeModel(L=1, dx=1.0, g=2)
-    basis_d = build_basis(BOSE, L=1, g=2, n_max=2)
-    h_d = build_hamiltonian(basis_d, model_d)
-    rel_d = relevant_set(["n0", "n1"],
-                         [number_operator(basis_d, 0), number_operator(basis_d, 1)],
-                         [1.0, 1.0],
-                         div_currents=[zero_operator(basis_d)] * 2)
+    _, _, h_d, rel_d = oracles.diagonal_model()
     traj = zeta_dynamics(rel_d, np.array([0.5, -0.2]), HistorySpec.empty(0.0),
                          h_d, 0.0, 1.0, step=0.1)
     assert np.max(np.abs(traj.zdots)) == 0.0

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from fockbox.events import (
@@ -17,13 +18,6 @@ from fockbox.lattice import LatticeModel, build_hamiltonian, potential_preset
 from fockbox.maxent import entropy
 from fockbox.propagate import evolve_state
 from fockbox.subdynamics import region, vacuum_residual
-
-
-def one_particle(basis, site, L):
-    occ = [0] * L
-    occ[site] = 1
-    v = basis.basis_vector(occ)
-    return np.outer(v, v.conj())
 
 
 @pytest.fixture
@@ -44,9 +38,9 @@ def delta_spec(lam=0.5, target=0):
 
 def test_delta_kernel_moves_particle(channel_box):
     basis, model, _ = channel_box
-    rho_n = one_particle(basis, 0, 5)
+    rho_n = oracles.one_particle(basis, 0, 5)
     mix = build_event_mixture(rho_n, delta_spec(), basis, model)
-    expected = one_particle(basis, 3, 5)
+    expected = oracles.one_particle(basis, 3, 5)
     assert np.max(np.abs(mix.rho_anomalous - expected)) < 1e-12
     # induced one-quanton kernel is the unit-trace delta at the target site
     assert abs(model.dx * np.trace(mix.quanton_kernel).real - 1.0) < 1e-12
@@ -56,7 +50,7 @@ def test_delta_kernel_moves_particle(channel_box):
 def test_mixture_unit_trace_random_kernel(channel_box):
     basis, model, _ = channel_box
     rng = np.random.default_rng(8)
-    rho_n = one_particle(basis, 1, 5)
+    rho_n = oracles.one_particle(basis, 1, 5)
     k = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     spec = EventSpec(lam=0.3, source=region([0, 1]), channel=region([3, 4]),
                      kernel=k)
@@ -70,7 +64,7 @@ def test_mixture_unit_trace_random_kernel(channel_box):
 
 def test_lambda_one_limit_is_normal_state(channel_box):
     basis, model, _ = channel_box
-    rho_n = one_particle(basis, 0, 5)
+    rho_n = oracles.one_particle(basis, 0, 5)
     spec = delta_spec(lam=1.0 - 1e-12)
     mix = build_event_mixture(rho_n, spec, basis, model)
     assert np.max(np.abs(mix.rho - rho_n)) < 1e-10
@@ -117,7 +111,7 @@ def test_the_event_layer_holds_no_per_mode_stack(g):
     parent's mixture peaked at 63 and 123 states."""
     model = LatticeModel(L=5, g=g, U=potential_preset("barrier", 5, height=50.0, sites=[2]))
     basis = build_basis(BOSE, L=5, g=g, n_max=1)
-    rho_n = one_particle(basis, 0, basis.modes)
+    rho_n = oracles.one_particle(basis, 0, basis.modes)
     spec = EventSpec(lam=0.4, source=region([0, 1]), channel=region([3, 4]),
                      kernel=np.array([[1.0, 0.5j], [0.0, 1.0]]))
     build_event_mixture(rho_n, spec, basis, model)  # the held table is not counted
@@ -128,14 +122,14 @@ def test_the_event_layer_holds_no_per_mode_stack(g):
 
 def test_channel_vacuum_gate(channel_box):
     basis, model, _ = channel_box
-    rho_bad = one_particle(basis, 3, 5)
+    rho_bad = oracles.one_particle(basis, 3, 5)
     with pytest.raises(ValueError, match="vacuum"):
         build_event_mixture(rho_bad, delta_spec(), basis, model)
 
 
 def test_mixture_linearity(channel_box):
     basis, model, _ = channel_box
-    rho_n = one_particle(basis, 0, 5)
+    rho_n = oracles.one_particle(basis, 0, 5)
     mix = build_event_mixture(rho_n, delta_spec(lam=0.37), basis, model)
     rng = np.random.default_rng(3)
     for seed in range(5):
@@ -149,7 +143,7 @@ def test_mixture_linearity(channel_box):
 
 def test_entropy_mixing_bounds(channel_box):
     basis, model, _ = channel_box
-    rho_n = one_particle(basis, 0, 5)
+    rho_n = oracles.one_particle(basis, 0, 5)
     lam = 0.5
     mix = build_event_mixture(rho_n, delta_spec(lam=lam), basis, model)
     s_mix = entropy(mix.rho)
@@ -176,7 +170,7 @@ def test_support_check_accepts_channel_observables(channel_box):
 
 def test_shielded_identity_no_evolution(channel_box):
     basis, model, h = channel_box
-    rho_n = one_particle(basis, 0, 5)
+    rho_n = oracles.one_particle(basis, 0, 5)
     lam = 0.5
     mix = build_event_mixture(rho_n, delta_spec(lam=lam), basis, model)
     b = number_operator(basis, 3) + number_operator(basis, 4)
@@ -189,7 +183,7 @@ def test_shielded_identity_no_evolution(channel_box):
 
 def test_shielded_identity_with_barrier(channel_box):
     basis, model, h = channel_box
-    rho_n = one_particle(basis, 0, 5)
+    rho_n = oracles.one_particle(basis, 0, 5)
     lam = 0.4
     mix = build_event_mixture(rho_n, delta_spec(lam=lam), basis, model)
     b = number_operator(basis, 3) + number_operator(basis, 4)
@@ -203,7 +197,7 @@ def test_shielded_identity_with_barrier(channel_box):
 def test_shielded_series_matches_one_call_per_time(channel_box):
     basis, model, h = channel_box
     spec = delta_spec(lam=0.4)
-    mix = build_event_mixture(one_particle(basis, 0, 5), spec, basis, model)
+    mix = build_event_mixture(oracles.one_particle(basis, 0, 5), spec, basis, model)
     b = number_operator(basis, 3) + number_operator(basis, 4)
     times = [0.25, 0.5, 1.0]
     series = shielded_expectation(b, mix, h, 0.0, times, basis, model, spec)
@@ -212,10 +206,8 @@ def test_shielded_series_matches_one_call_per_time(channel_box):
 
 
 def test_shielding_degrades_without_barrier():
-    model = LatticeModel(L=5, dx=1.0)  # no barrier
-    basis = build_basis(BOSE, L=5, g=1, n_max=1)
-    h = build_hamiltonian(basis, model)
-    rho_n = one_particle(basis, 0, 5)
+    basis, model, h, _ = oracles.contact_model(L=5, n_max=1, v0=0.0)  # no barrier
+    rho_n = oracles.one_particle(basis, 0, 5)
     lam = 0.4
     spec = delta_spec(lam=lam)
     mix = build_event_mixture(rho_n, spec, basis, model)
@@ -228,7 +220,7 @@ def test_shielding_degrades_without_barrier():
 
 def test_memory_witness_identical_kernels_zero(channel_box):
     basis, model, h = channel_box
-    rho_n = one_particle(basis, 0, 5)
+    rho_n = oracles.one_particle(basis, 0, 5)
     spec = delta_spec()
     b = number_operator(basis, 3)
     w = memory_witness(spec, spec, rho_n, b, h, 0.0, 0.7, basis, model)
@@ -237,7 +229,7 @@ def test_memory_witness_identical_kernels_zero(channel_box):
 
 def test_memory_witness_distinguishes_orthogonal_kernels(channel_box):
     basis, model, h = channel_box
-    rho_n = one_particle(basis, 0, 5)
+    rho_n = oracles.one_particle(basis, 0, 5)
     spec_left = delta_spec(target=0)
     spec_right = delta_spec(target=1)
     b = number_operator(basis, 3)  # left half of the channel
@@ -251,7 +243,7 @@ def test_memory_witness_distinguishes_orthogonal_kernels(channel_box):
 
 def test_memory_witness_series_matches_per_time_evolution(channel_box):
     basis, model, h = channel_box
-    rho_n = one_particle(basis, 0, 5)
+    rho_n = oracles.one_particle(basis, 0, 5)
     spec_left, spec_right = delta_spec(target=0), delta_spec(target=1)
     b = number_operator(basis, 3)
     t_bar, times = 0.3, [0.3, 0.9, 1.6]
@@ -268,9 +260,7 @@ def test_memory_witness_series_matches_per_time_evolution(channel_box):
 
 
 def test_memory_witness_checks_the_detector_against_both_channels():
-    model = LatticeModel(L=5, dx=1.0)
-    basis = build_basis(BOSE, L=5, g=1, n_max=1)
-    h = build_hamiltonian(basis, model)
+    basis, model, h, _ = oracles.contact_model(L=5, n_max=1, v0=0.0)
     wide = EventSpec(lam=0.5, source=region([0, 1]), channel=region([2, 3, 4]),
                      kernel=np.ones((3, 2)))
     narrow = EventSpec(lam=0.5, source=region([0, 1]), channel=region([3, 4]),
@@ -278,7 +268,7 @@ def test_memory_witness_checks_the_detector_against_both_channels():
     b = number_operator(basis, 2)  # inside the wide channel, outside the narrow one
     for one, two in ((wide, narrow), (narrow, wide)):
         with pytest.raises(SupportViolationError):
-            memory_witness(one, two, one_particle(basis, 0, 5), b, h, 0.0, 0.5,
+            memory_witness(one, two, oracles.one_particle(basis, 0, 5), b, h, 0.0, 0.5,
                            basis, model)
 
 
@@ -296,7 +286,7 @@ def test_memory_witness_decays_under_channel_disorder():
                              U=potential_preset("table", 7, values=list(u)))
         basis = build_basis(BOSE, L=7, g=1, n_max=1)
         h = build_hamiltonian(basis, model)
-        rho_n = one_particle(basis, 0, 7)
+        rho_n = oracles.one_particle(basis, 0, 7)
         k = np.pi / 3.0
         ys = np.arange(3)
         k_plus = np.zeros((3, 2), dtype=complex)

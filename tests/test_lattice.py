@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from fockbox.fock import BOSE, FERMI, build_basis, commutator, number_operator
@@ -56,9 +57,7 @@ def test_middle_mode_has_center_node():
 
 
 def test_hamiltonian_vacuum_energy_zero():
-    model = LatticeModel(L=3, dx=1.0)
-    basis = build_basis(BOSE, L=3, g=1, n_max=2)
-    h = build_hamiltonian(basis, model)
+    basis, model, h, _ = oracles.contact_model(v0=0.0)
     vac = basis.basis_vector([0, 0, 0])
     assert np.linalg.norm(h.to_dense() @ vac) < 1e-14
 
@@ -74,10 +73,8 @@ def test_single_particle_sector_equals_first_quantized():
 
 
 def test_contact_interaction_counted_once():
-    v, r = pair_preset("contact", v0=1.3)
-    model = LatticeModel(L=2, dx=1.0, V=v, range_V=r)
-    basis = build_basis(BOSE, L=2, g=1, n_max=2)
-    h = build_hamiltonian(basis, model).to_dense()
+    basis, model, h, _ = oracles.contact_model(L=2, v0=1.3)
+    h = h.to_dense()
     free = build_hamiltonian(basis, LatticeModel(L=2, dx=1.0)).to_dense()
     pair = basis.state_ordinal([2, 0])
     assert abs((h - free)[pair, pair] - 1.3) < 1e-12
@@ -99,8 +96,7 @@ def test_mass_density_counts_particles():
 
 
 def test_momentum_vanishes_on_real_amplitudes():
-    model = LatticeModel(L=4, dx=1.0)
-    basis = build_basis(BOSE, L=4, g=1, n_max=1)
+    basis, model, _, _ = oracles.contact_model(L=4, n_max=1, v0=0.0)
     p = momentum_op(basis, model).to_dense()
     rng = np.random.default_rng(7)
     amps = rng.normal(size=4)
@@ -148,9 +144,7 @@ def test_hamiltonian_conserves_number():
 
 
 def test_free_spectrum_equals_mode_number_sums():
-    model = LatticeModel(L=3, dx=1.0)
-    basis = build_basis(BOSE, L=3, g=1, n_max=2)
-    h = build_hamiltonian(basis, model)
+    basis, model, h, _ = oracles.contact_model(v0=0.0)
     w = normal_modes(model).energies
     predicted = sorted(
         float(np.dot(w, occ_modes))
@@ -188,9 +182,7 @@ def test_continuity_identity_direct_commutator_oracle(family):
 
 
 def test_mass_energy_currents_close_at_walls():
-    v, r = pair_preset("contact", v0=0.6)
-    model = LatticeModel(L=4, dx=1.0, V=v, range_V=r)
-    basis = build_basis(BOSE, L=4, g=1, n_max=2)
+    basis, model, _, _ = oracles.contact_model(L=4)
     for family in (MASS, ENERGY):
         cs = current_ops(basis, model, family)
         assert cs.wall_defect < 1e-10
@@ -199,8 +191,7 @@ def test_mass_energy_currents_close_at_walls():
 
 
 def test_momentum_wall_flux_is_the_total_force():
-    model = LatticeModel(L=4, dx=1.0)
-    basis = build_basis(BOSE, L=4, g=1, n_max=1)
+    basis, model, _, _ = oracles.contact_model(L=4, n_max=1, v0=0.0)
     cs = current_ops(basis, model, MOMENTUM)
     assert cs.wall_defect > 1e-3  # walls push back on the box
     with pytest.raises(UnsupportedFamilyError):
@@ -224,9 +215,7 @@ def test_mass_current_matches_local_hopping_form():
 
 
 def test_density_stationary_in_eigenstate():
-    model = LatticeModel(L=3, dx=1.0)
-    basis = build_basis(BOSE, L=3, g=1, n_max=1)
-    h = build_hamiltonian(basis, model)
+    basis, model, h, _ = oracles.contact_model(n_max=1, v0=0.0)
     w, v = np.linalg.eigh(h.to_dense())
     rho_state = np.outer(v[:, 1], v[:, 1].conj())
     for op in density_ops(basis, model):
@@ -237,9 +226,7 @@ def test_density_stationary_in_eigenstate():
 
 
 def test_uniform_positive_mass_current_for_momentum_superposition():
-    model = LatticeModel(L=4, dx=1.0)
-    basis = build_basis(BOSE, L=4, g=1, n_max=1)
-    h = build_hamiltonian(basis, model)
+    basis, model, h, _ = oracles.contact_model(L=4, n_max=1, v0=0.0)
     k = 1.1
     amps = np.exp(1j * k * np.arange(4)) / 2.0
     v = np.zeros(basis.dim, dtype=complex)
@@ -265,7 +252,6 @@ def test_uniform_positive_mass_current_for_momentum_superposition():
 
 
 def test_unknown_family_rejected():
-    model = LatticeModel(L=2, dx=1.0)
-    basis = build_basis(BOSE, L=2, g=1, n_max=1)
+    basis, model, _, _ = oracles.contact_model(L=2, n_max=1, v0=0.0)
     with pytest.raises(ValueError):
         current_ops(basis, model, "charge")

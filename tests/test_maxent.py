@@ -1,18 +1,18 @@
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import simpson
 from strategies import SETTINGS, hermitian_models
 
 import fockbox.maxent as maxent
 
 from fockbox.config import build_model, scenario_defaults
 from fockbox.fock import BOSE, build_basis, number_operator
-from fockbox.lattice import LatticeModel, build_hamiltonian, density_ops, momentum_density_ops
+from fockbox.lattice import density_ops, momentum_density_ops
 from fockbox.maxent import (
     MatchFailure,
     cumulant_expect,
@@ -147,20 +147,10 @@ def test_kubo_against_quadrature_oracle():
     # independent route: Simpson quadrature of the similarity integral
     rng = np.random.default_rng(17)
     a = random_hermitian(3, 23)
-    w = scipy.linalg.expm(a)
-    w /= np.trace(w).real
+    w = oracles.gibbs(a)
     c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    us = np.linspace(0.0, 1.0, 1001)
-    loga = scipy.linalg.logm(w)
-    vals = np.array([
-        np.trace(c @ scipy.linalg.expm(u * loga) @ b
-                 @ scipy.linalg.expm(-u * loga) @ w)
-        for u in us
-    ])
-    oracle = (simpson(vals.real, x=us) + 1j * simpson(vals.imag, x=us)
-              - np.trace(c @ w) * np.trace(b @ w))
-    assert abs(kubo(c, b, w) - oracle) < 1e-8
+    assert abs(kubo(c, b, w) - oracles.kubo_integral(c, b, w)) < 1e-8
 
 
 def test_kubo_positivity_hermitian():
@@ -223,14 +213,8 @@ def test_cumulant_error_scales_second_order():
 
 @pytest.fixture
 def lattice_relevant():
-    model = LatticeModel(L=3, dx=1.0)
-    basis = build_basis(BOSE, L=3, g=1, n_max=2)
-    h = build_hamiltonian(basis, model)
-    rho_cells = density_ops(basis, model)
-    ops = list(rho_cells) + [h]
-    labels = [f"rho[{x}]" for x in range(3)] + ["H"]
-    weights = [model.dx] * 3 + [1.0]
-    return relevant_set(labels, ops, weights)
+    """The free box's cell densities and H."""
+    return oracles.contact_model(v0=0.0)[3]
 
 
 def test_match_maximally_mixed_targets(lattice_relevant):
@@ -257,8 +241,7 @@ def test_match_round_trip(lattice_relevant):
 def test_match_with_gauge_degeneracy():
     # densities plus the total number: the sum of the densities is m N,
     # so one direction of the parameter space is pure gauge
-    model = LatticeModel(L=2, dx=1.0)
-    basis = build_basis(BOSE, L=2, g=1, n_max=2)
+    basis, model, _, _ = oracles.contact_model(L=2, v0=0.0)
     cells = density_ops(basis, model)
     ntot = number_operator(basis)
     rel = relevant_set(["rho0", "rho1", "N"], list(cells) + [ntot],
@@ -346,8 +329,7 @@ def test_extremal_targets_fail(lattice_relevant):
 
 
 def test_gauge_projector_held_once_per_set(monkeypatch):
-    model = LatticeModel(L=2, dx=1.0)
-    basis = build_basis(BOSE, L=2, g=1, n_max=2)
+    basis, model, _, _ = oracles.contact_model(L=2, v0=0.0)
     rel = relevant_set(["rho0", "rho1", "N"],
                        list(density_ops(basis, model)) + [number_operator(basis)],
                        [1.0, 1.0, 1.0])
@@ -390,11 +372,7 @@ def test_expectations_match_the_transposing_oracle(data):
 
 
 def test_expectations_copy_no_state_at_dim_1001():
-    basis = build_basis(BOSE, L=10, g=1, n_max=4)
-    model = LatticeModel(L=10)
-    h = build_hamiltonian(basis, model)
-    rel = relevant_set([f"rho[{x}]" for x in range(model.L)] + ["H"],
-                       list(density_ops(basis, model)) + [h])
+    basis, model, h, rel = oracles.contact_model(L=10, n_max=4, v0=0.0)
     rho = np.eye(basis.dim, dtype=complex) / basis.dim
     assert basis.dim == 1001
     expectations(rel, rho)

@@ -3,18 +3,16 @@ from functools import lru_cache
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 import fockbox.maxent as maxent
 import fockbox.neqso as neqso
-from fockbox.fock import BOSE, build_basis, commutator, number_operator, zero_operator
+from fockbox.fock import BOSE, build_basis, commutator, number_operator
 from fockbox.lattice import (
     MASS,
     LatticeModel,
-    build_hamiltonian,
     current_ops,
-    density_ops,
-    divergence_ops,
     pair_preset,
 )
 from fockbox.maxent import entropy, expectations, gibbs_state, relevant_set
@@ -34,38 +32,11 @@ from fockbox.neqso import (
 from fockbox.propagate import evolve_state
 
 
-def diagonal_model():
-    """Single site, two components: everything commutes exactly."""
-    model = LatticeModel(L=1, dx=1.0, g=2)
-    basis = build_basis(BOSE, L=1, g=2, n_max=2)
-    h = build_hamiltonian(basis, model)
-    ops = [number_operator(basis, 0), number_operator(basis, 1)]
-    rel = relevant_set(["n0", "n1"], ops, [1.0, 1.0],
-                       div_currents=[zero_operator(basis)] * 2)
-    return basis, model, h, rel
-
-
-def interacting_model(L=3, v0=0.6, n_max=2):
-    v, rv = pair_preset("contact", v0=v0)
-    model = LatticeModel(L=L, dx=1.0, V=v, range_V=rv)
-    basis = build_basis(BOSE, L=L, g=1, n_max=n_max)
-    h = build_hamiltonian(basis, model)
-    cells = density_ops(basis, model)
-    div_mass = divergence_ops(current_ops(basis, model, MASS), model)
-    rel = relevant_set(
-        [f"rho[{x}]" for x in range(L)] + ["H"],
-        list(cells) + [h],
-        [model.dx] * L + [1.0],
-        div_currents=list(div_mass) + [zero_operator(basis)],
-    )
-    return basis, model, h, rel
-
-
 # ---- build_rho_t0 -------------------------------------------------------------
 
 
 def test_zero_history_reduces_to_gibbs():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta = np.array([0.2, -0.1, 0.3, 0.25])
     rho_hist, logz = build_rho_t0(rel, zeta, HistorySpec.empty(0.0), h)
     rho_gibbs, zf = gibbs_state(rel, zeta)
@@ -74,7 +45,7 @@ def test_zero_history_reduces_to_gibbs():
 
 
 def test_prepared_state_positive_unit_trace():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     rng = np.random.default_rng(9)
     term = HistoryTerm(
         label="drive",
@@ -101,14 +72,14 @@ def test_prepared_state_positive_unit_trace():
 def test_non_hermitian_history_term_rejected():
     from fockbox.fock import annihilation
 
-    basis, *_ = interacting_model()
+    basis, *_ = oracles.contact_model()
     with pytest.raises(ValueError, match="non-Hermitian"):
         HistoryTerm(label="bad", operators=(annihilation(basis, 0),),
                     coeffs=np.array([0.5]), h=lambda t: 1.0)
 
 
 def test_commuting_history_collapses_to_zeta_shift():
-    basis, model, h, rel = diagonal_model()
+    basis, model, h, rel = oracles.diagonal_model()
     gam = np.array([0.3, -0.2])
     T, t0 = -2.0, 0.0
     term = HistoryTerm(label="const", operators=rel.operators,
@@ -125,7 +96,7 @@ def test_commuting_history_collapses_to_zeta_shift():
 
 
 def test_rewrite_at_t0_is_identity():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta = np.array([0.2, -0.1, 0.3, 0.25])
     rep = evolve_and_rewrite(rel, zeta, HistorySpec.empty(0.0), h, 0.0,
                              lambda t: zeta, n_quad=10)
@@ -133,7 +104,7 @@ def test_rewrite_at_t0_is_identity():
 
 
 def test_rewrite_exact_for_commuting_family():
-    basis, model, h, rel = diagonal_model()
+    basis, model, h, rel = oracles.diagonal_model()
     zeta = np.array([0.4, -0.3])
     rep = evolve_and_rewrite(rel, zeta, HistorySpec.empty(0.0), h, 1.7,
                              lambda t: zeta, n_quad=50)
@@ -141,7 +112,7 @@ def test_rewrite_exact_for_commuting_family():
 
 
 def test_rewrite_matches_direct_for_interacting_case():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta0 = np.array([0.3, 0.0, -0.3, 0.4])
     rho0, _ = gibbs_state(rel, zeta0)
 
@@ -162,7 +133,7 @@ def test_rewrite_matches_direct_for_interacting_case():
 def test_rewrite_is_path_independent_but_anchor_sensitive():
     # the rewrite telescopes exactly for any differentiable path anchored at
     # zeta(t0); a broken anchor leaves a stable, visible gap
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta0 = np.array([0.3, 0.0, -0.3, 0.4])
     frozen = evolve_and_rewrite(rel, zeta0, HistorySpec.empty(0.0), h, 0.4,
                                 lambda t: zeta0, n_quad=200)
@@ -177,7 +148,7 @@ def test_rewrite_is_path_independent_but_anchor_sensitive():
 
 
 def test_rewrite_holds_with_preparation_history():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta0 = np.array([0.3, 0.0, -0.3, 0.4])
     prep = HistoryTerm(label="prep", operators=rel.operators[:3],
                        coeffs=np.array([0.15, -0.05, 0.1]),
@@ -194,7 +165,7 @@ def test_rewrite_holds_with_preparation_history():
 
 
 def test_macrostate_round_trip():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     rng = np.random.default_rng(4)
     zeta_star = rng.uniform(-0.4, 0.4, size=len(rel))
     rho, _ = gibbs_state(rel, zeta_star)
@@ -205,7 +176,7 @@ def test_macrostate_round_trip():
 def test_macrostate_extremal_expectations_fail():
     from fockbox.maxent import MatchFailure
 
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     vac = np.zeros((basis.dim, basis.dim))
     vac[0, 0] = 1.0
     with pytest.raises(MatchFailure):
@@ -213,7 +184,7 @@ def test_macrostate_extremal_expectations_fail():
 
 
 def test_macrostate_entropy_dominates():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta = np.array([0.2, -0.1, 0.3, 0.25])
     rho, _ = gibbs_state(rel, zeta)
     rho_t = evolve_state(rho, h, 0.0, 0.8)
@@ -226,7 +197,7 @@ def test_macrostate_entropy_dominates():
 
 
 def test_dynamics_constant_for_commuting_family():
-    basis, model, h, rel = diagonal_model()
+    basis, model, h, rel = oracles.diagonal_model()
     zeta = np.array([0.5, -0.2])
     traj = zeta_dynamics(rel, zeta, HistorySpec.empty(0.0), h, 0.0, 1.0,
                          step=0.1)
@@ -236,7 +207,7 @@ def test_dynamics_constant_for_commuting_family():
 
 def test_dynamics_times_lie_on_the_grid():
     # times are t0 + i * step, not a running sum of steps that drifts off it
-    basis, model, h, rel = diagonal_model()
+    basis, model, h, rel = oracles.diagonal_model()
     t0, step, n = 0.1, 0.025, 40
     traj = zeta_dynamics(rel, np.array([0.5, -0.2]), HistorySpec.empty(t0), h, t0,
                          t0 + n * step, step=step)
@@ -244,7 +215,7 @@ def test_dynamics_times_lie_on_the_grid():
 
 
 def test_dynamics_tracks_exact_inversion_short_horizon():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta0 = np.array([0.3, 0.0, -0.3, 0.4])
     traj = zeta_dynamics(rel, zeta0, HistorySpec.empty(0.0), h, 0.0, 0.5,
                          step=0.025)
@@ -255,7 +226,7 @@ def test_dynamics_tracks_exact_inversion_short_horizon():
 
 
 def test_dynamics_step_halving_stable():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta0 = np.array([0.3, 0.0, -0.3, 0.4])
     coarse = zeta_dynamics(rel, zeta0, HistorySpec.empty(0.0), h, 0.0, 0.5,
                            step=0.05)
@@ -266,7 +237,7 @@ def test_dynamics_step_halving_stable():
 
 def test_dynamics_gauge_covariance():
     # adding a multiple of the identity to one observable shifts zeta0 only
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     from fockbox.fock import identity
 
     shifted_ops = list(rel.operators)
@@ -287,7 +258,7 @@ def test_dynamics_gauge_covariance():
 def test_dynamics_gram_condition_abort(monkeypatch):
     from fockbox.neqso import GramConditionError
 
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta0 = np.array([0.3, 0.0, -0.3, 0.4])
     monkeypatch.setattr(neqso, "GRAM_COND_MAX", 1.0)
     with pytest.raises(GramConditionError) as exc:
@@ -296,7 +267,7 @@ def test_dynamics_gram_condition_abort(monkeypatch):
 
 
 def test_dynamics_memory_cutoff_drops_preparation():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta0 = np.array([0.2, 0.0, -0.2, 0.3])
     gam = np.array([0.3, -0.1, 0.2, 0.0])
     hist = HistorySpec(T=-6.0, t0=0.0, terms=(), gamma_T=gam, n_quad=16)
@@ -317,7 +288,7 @@ def test_dynamics_master_equation_regime():
     # map fitted over [0, tau] composed with itself reproduces the 2 tau
     # data.  The regime premise (parameters varying well below 1% over tau)
     # is asserted alongside the 5% composition bound.
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     n = len(rel)
     zeta_star = np.array([0.0, 0.0, 0.0, 0.5])
     tau, eps, step = 0.25, 0.02, 0.025
@@ -354,7 +325,7 @@ def test_dynamics_master_equation_regime():
 def test_decay_table_static_value_matches_kubo():
     from fockbox.maxent import kubo
 
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta = np.array([0.25, 0.05, -0.25, 0.3])
     rep = decay_time(rel, zeta, h, horizon=1.0, n_samples=5)
     rho, _ = gibbs_state(rel, zeta)
@@ -368,7 +339,7 @@ def test_decay_table_static_value_matches_kubo():
 
 
 def test_decay_commuting_family_is_zero():
-    basis, model, h, rel = diagonal_model()
+    basis, model, h, rel = oracles.diagonal_model()
     rep = decay_time(rel, np.array([0.3, -0.3]), h, horizon=2.0, n_samples=9)
     assert rep.tau == 0.0
     assert not rep.no_decay
@@ -376,7 +347,7 @@ def test_decay_commuting_family_is_zero():
 
 
 def test_decay_quasiperiodic_frequencies_match_spectral_gaps():
-    basis, model, h, rel = interacting_model(L=3)
+    basis, model, h, rel = oracles.contact_model(L=3)
     zeta = np.array([0.3, 0.0, -0.3, 0.2])
     horizon, n = 60.0, 1200
     rep = decay_time(rel, zeta, h, horizon=horizon, n_samples=n + 1)
@@ -395,7 +366,7 @@ def test_decay_quasiperiodic_frequencies_match_spectral_gaps():
 
 
 def test_entropy_constant_for_equilibrium_family():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     n = number_operator(basis)
     conserved = relevant_set(["H", "N"], [h, n], [1.0, 1.0])
     zeta_eq = np.array([0.0, 0.0, 0.0, 0.6])  # thermal in H alone
@@ -412,7 +383,7 @@ def test_entropy_monitor_holds_one_state_at_a_time():
     samples stays within half a dense state of the peak of 5: each state's
     entropy and distance are read before the next state is built (the parent
     kept every state, 4.3 and 12.9 MB)."""
-    basis, model, h, rel = interacting_model(L=8, n_max=3)
+    basis, model, h, rel = oracles.contact_model(L=8, n_max=3)
     conserved = relevant_set(["H", "N"], [h, number_operator(basis)], [1.0, 1.0])
     rng = np.random.default_rng(0)
 
@@ -436,10 +407,12 @@ def test_entropy_monitor_holds_one_state_at_a_time():
 
 
 def test_entropy_monitor_builds_each_conserved_state_once(monkeypatch):
-    """The distance to equilibrium reads the matcher's own final state: one
-    state_from_exponent call per sample fewer than building gibbs_state of the
-    matched parameters again, and the same distances bit for bit."""
-    basis, model, h, rel = interacting_model()
+    """The distance to equilibrium reads the matcher's own final state, and
+    each match starts from the last one's state: against building gibbs_state
+    of the matched parameters again and starting each match from them, two
+    state_from_exponent calls fewer per sample but the first, and the same
+    distances bit for bit."""
+    basis, model, h, rel = oracles.contact_model()
     conserved = relevant_set(["H", "N"], [h, number_operator(basis)], [1.0, 1.0])
     traj = zeta_dynamics(rel, np.array([0.3, -0.1, 0.2, 0.5]), HistorySpec.empty(0.0),
                          h, 0.0, 0.3, step=0.05)
@@ -454,12 +427,12 @@ def test_entropy_monitor_builds_each_conserved_state_once(monkeypatch):
         rho, _ = gibbs_state(rel, zeta)
         guess = macrostate_of(rho, conserved, zeta_guess=guess).values
         want.append(float(np.linalg.norm(rho - gibbs_state(conserved, guess)[0])))
-    assert n_calls == len(calls) - len(traj.times)
+    assert n_calls == len(calls) - 2 * len(traj.times) + 1
     assert np.array_equal(series.dist_equilibrium, want)
 
 
 def test_entropy_micro_constant_macro_grows():
-    basis, model, h, rel = interacting_model()
+    basis, model, h, rel = oracles.contact_model()
     zeta0 = np.array([0.4, 0.0, -0.4, 0.3])
     traj = zeta_dynamics(rel, zeta0, HistorySpec.empty(0.0), h, 0.0, 0.6,
                          step=0.03)
@@ -476,14 +449,12 @@ def test_entropy_micro_constant_macro_grows():
 
 
 def test_hydro_rest_frame_trivial_at_zero_velocity():
-    basis = build_basis(BOSE, L=3, g=1, n_max=2)
-    model = LatticeModel(L=3, dx=1.0)
+    basis, model, h, _ = oracles.contact_model(v0=0.0)
     exponent, parts = hydro_parametrize([1.0, 1.0, 1.0], [0.0, 0.0, 0.0],
                                         [0.0, 0.0, 0.0], basis, model)
     for x in range(3):
         assert (parts["e_o"][x] - parts["e"][x]).max_abs() == 0.0
         assert (parts["p_o"][x] - parts["p"][x]).max_abs() == 0.0
-    h = build_hamiltonian(basis, model)
     assert (exponent - h).max_abs() < 1e-12
 
 
@@ -503,16 +474,13 @@ def test_hydro_galilean_relations_hold_exactly():
 
 
 def test_hydro_uniform_equilibrium_commutes_with_hamiltonian():
-    basis = build_basis(BOSE, L=3, g=1, n_max=2)
-    v, rv = pair_preset("contact", v0=0.4)
-    model = LatticeModel(L=3, dx=1.0, V=v, range_V=rv)
-    h = build_hamiltonian(basis, model)
+    basis, model, h, _ = oracles.contact_model(v0=0.4)
     exponent, _ = hydro_parametrize([0.7] * 3, [0.3] * 3, [0.0] * 3, basis, model)
     assert commutator(exponent, h).max_abs() < 1e-12
 
 
 def test_kubo_kernel_once_per_derivative(monkeypatch):
-    basis, model, h, rel = interacting_model(L=2)
+    basis, model, h, rel = oracles.contact_model(L=2)
     engine = neqso._DynamicsEngine(rel, HistorySpec.empty(0.0), h, 1.0, None)
     zeta = np.array([0.2, -0.1, 0.3])
     engine.record(0.0, zeta, np.array([0.01, 0.02, -0.01]))

@@ -3,6 +3,7 @@ import re
 import weakref
 
 import numpy as np
+import oracles
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
@@ -20,9 +21,7 @@ from fockbox.propagate import Spectrum, evolve_state, heisenberg, propagator
 
 @pytest.fixture
 def box():
-    model = LatticeModel(L=3, dx=1.0)
-    basis = build_basis(BOSE, L=3, g=1, n_max=2)
-    return basis, model, build_hamiltonian(basis, model)
+    return oracles.contact_model(v0=0.0)[:3]
 
 
 def test_zero_time_is_identity(box):

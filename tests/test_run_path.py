@@ -71,6 +71,31 @@ def test_a_decay_horizon_below_half_a_step_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
+def test_a_horizon_of_an_odd_number_of_half_steps_runs(tmp_path):
+    """tau / step = 3.5: round gives the trajectory 4 steps and tau / (step / 2)
+    7 half steps, so the step-halving check compared shapes (4, 5) and (5, 5)
+    and the run exited 1; the halved run now ends where the trajectory does."""
+    config = {"scenario": "relaxation",
+              "params": {"decay_horizon": 0.875, "decay_samples": 8, "step": 0.25}}
+    assert run_scenario(config, tmp_path / "out").passed
+
+
+def test_a_zero_decay_horizon_is_a_config_error_of_zubarev_limit(tmp_path):
+    """On one site the only cell density is N, which commutes with H: the
+    measured tau is 0 and leaves no preparation interval [T, t0].  The run
+    reports it at model.L, exit 2 with nothing written, not as HistorySpec's
+    ValueError, exit 1."""
+    path = write(tmp_path / "cfg.json", {"scenario": "zubarev_limit", "model": {"L": 1}, "params": {
+        "zeta0": [0.3, 0.5], "gamma_T": [0.3, 0.1], "prep_weights": [0.2]}})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", path)[0] == 0
+    code, err = run_cli("run", "--config", path, "--out", str(out))
+    assert code == 2, err
+    assert "invalid: model.L: must let the correlations decay: the measured decay " \
+        "horizon tau = 0" in err
+    assert not out.exists()
+
+
 def test_a_packet_off_the_lattice_is_a_config_error(tmp_path):
     """validate cannot see whether the packet has amplitude on a site; the run
     reports it at params.center, before anything is written, not as a zero

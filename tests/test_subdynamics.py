@@ -1,12 +1,8 @@
 import numpy as np
+import oracles
 import pytest
 
-from fockbox.fock import (
-    BOSE,
-    FERMI,
-    build_basis,
-    number_operator,
-)
+from fockbox.fock import FERMI, build_basis, number_operator
 from fockbox.lattice import LatticeModel, build_hamiltonian, density_ops, potential_preset
 from fockbox.propagate import evolve_state
 from fockbox.subdynamics import (
@@ -26,17 +22,9 @@ from fockbox.subdynamics import (
 )
 
 
-def one_particle_state(basis, site, L):
-    occ = [0] * L
-    occ[site] = 1
-    v = basis.basis_vector(occ)
-    return np.outer(v, v.conj())
-
-
 @pytest.fixture
 def box5():
-    model = LatticeModel(L=5, dx=1.0)
-    basis = build_basis(BOSE, L=5, g=1, n_max=2)
+    basis, model, _, _ = oracles.contact_model(L=5, v0=0.0)
     return basis, model
 
 
@@ -54,7 +42,7 @@ def test_vacuum_residual_on_vacuum(box5):
 
 def test_vacuum_residual_particle_outside(box5):
     basis, model = box5
-    rho = one_particle_state(basis, 0, 5)
+    rho = oracles.one_particle(basis, 0, 5)
     res = vacuum_residual(rho, basis, model, region([2, 3, 4]))
     assert res.strong < 1e-12
     assert res.pairwise < 1e-12
@@ -62,7 +50,7 @@ def test_vacuum_residual_particle_outside(box5):
 
 def test_vacuum_residual_particle_inside(box5):
     basis, model = box5
-    rho = one_particle_state(basis, 2, 5)
+    rho = oracles.one_particle(basis, 2, 5)
     res = vacuum_residual(rho, basis, model, region([1, 2, 3]))
     assert res.strong > 0.1
     assert res.pairwise < 1e-12  # one particle cannot feed two destructions
@@ -90,7 +78,7 @@ def test_embed_pure_on_vacuum_is_one_particle_state(box5):
 def test_embed_trace_one_with_background_particle(box5):
     basis, model = box5
     reg = region([0, 1])
-    rho_bg = one_particle_state(basis, 3, 5)
+    rho_bg = oracles.one_particle(basis, 3, 5)
     psi = one_quanton(reg, [1.0, 1.0j], dx=model.dx)
     rho = embed(psi, rho_bg, basis, model, reg)
     assert abs(np.trace(rho).real - 1.0) < 1e-10
@@ -101,7 +89,7 @@ def test_embed_trace_one_with_background_particle(box5):
 def test_embed_gate_on_vacuum_violation(box5):
     basis, model = box5
     reg = region([1, 2])
-    rho_bad = one_particle_state(basis, 1, 5)
+    rho_bad = oracles.one_particle(basis, 1, 5)
     psi = one_quanton(reg, [1.0, 0.0], dx=model.dx)
     with pytest.raises(ValueError, match="vacuum"):
         embed(psi, rho_bad, basis, model, reg)
@@ -163,9 +151,7 @@ def test_reduced_step_norm_conservation_long_run():
 
 
 def test_reduced_step_matches_full_field_evolution():
-    model = LatticeModel(L=9, dx=1.0)
-    basis = build_basis(BOSE, L=9, g=1, n_max=1)
-    h = build_hamiltonian(basis, model)
+    basis, model, h, _ = oracles.contact_model(L=9, n_max=1, v0=0.0)
     reg = region(range(9))  # region walls coincide with the box walls
     psi0 = gaussian_packet(reg, center=4.0, width=0.9, k=0.6, dx=model.dx)
     vac = np.zeros((basis.dim, basis.dim))
@@ -184,9 +170,7 @@ def test_reduced_step_matches_full_field_evolution():
 def test_reduced_step_interior_agreement_with_subregion():
     # while the packet stays clear of the region edge, evolving inside the
     # subregion agrees with the full-lattice evolution
-    model = LatticeModel(L=9, dx=1.0)
-    basis = build_basis(BOSE, L=9, g=1, n_max=1)
-    h = build_hamiltonian(basis, model)
+    basis, model, h, _ = oracles.contact_model(L=9, n_max=1, v0=0.0)
     reg = region([1, 2, 3, 4, 5, 6, 7])
     psi0 = gaussian_packet(reg, center=4.0, width=0.55, dx=model.dx)
     vac = np.zeros((basis.dim, basis.dim))
@@ -213,8 +197,7 @@ def make_residual_inputs(center, width, model, basis, reg, n_grid=5, dt=2e-4):
 
 
 def test_embedding_residual_interior_vs_boundary():
-    model = LatticeModel(L=11, dx=1.0)
-    basis = build_basis(BOSE, L=11, g=1, n_max=1)
+    basis, model, _, _ = oracles.contact_model(L=11, n_max=1, v0=0.0)
     reg = region([1, 2, 3, 4, 5, 6, 7, 8, 9])
     psis, rhops = make_residual_inputs(5.0, 0.5, model, basis, reg, dt=1e-4)
     h = build_hamiltonian(basis, model)
@@ -226,8 +209,7 @@ def test_embedding_residual_interior_vs_boundary():
 
 
 def test_embedding_residual_scales_with_potential_error():
-    model = LatticeModel(L=9, dx=1.0)
-    basis = build_basis(BOSE, L=9, g=1, n_max=1)
+    basis, model, _, _ = oracles.contact_model(L=9, n_max=1, v0=0.0)
     reg = region([1, 2, 3, 4, 5, 6, 7])
     vac = np.zeros((basis.dim, basis.dim))
     vac[0, 0] = 1.0
@@ -244,8 +226,7 @@ def test_embedding_residual_scales_with_potential_error():
 
 
 def test_residual_coarse_grid_flag():
-    model = LatticeModel(L=9, dx=1.0)
-    basis = build_basis(BOSE, L=9, g=1, n_max=1)
+    basis, model, _, _ = oracles.contact_model(L=9, n_max=1, v0=0.0)
     reg = region([1, 2, 3, 4, 5, 6, 7])
     psis, rhops = make_residual_inputs(4.0, 0.45, model, basis, reg,
                                        n_grid=5, dt=0.3)
@@ -255,8 +236,7 @@ def test_residual_coarse_grid_flag():
 
 
 def test_surface_term_zero_for_flat_boundary():
-    model = LatticeModel(L=7, dx=1.0)
-    basis = build_basis(BOSE, L=7, g=1, n_max=1)
+    basis, model, _, _ = oracles.contact_model(L=7, n_max=1, v0=0.0)
     reg = region([1, 2, 3, 4, 5])
     amps = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     # zero amplitude and zero one-sided gradient at both edges
@@ -268,8 +248,7 @@ def test_surface_term_zero_for_flat_boundary():
 
 
 def test_surface_term_small_for_interior_packet():
-    model = LatticeModel(L=13, dx=1.0)
-    basis = build_basis(BOSE, L=13, g=1, n_max=1)
+    basis, model, _, _ = oracles.contact_model(L=13, n_max=1, v0=0.0)
     reg = region(range(1, 12))
     psi = gaussian_packet(reg, center=6.0, width=0.42, dx=model.dx)
     vac = np.zeros((basis.dim, basis.dim))
@@ -281,8 +260,7 @@ def test_surface_term_small_for_interior_packet():
 def test_surface_term_tracks_residual_across_positions():
     from scipy.stats import spearmanr
 
-    model = LatticeModel(L=9, dx=1.0)
-    basis = build_basis(BOSE, L=9, g=1, n_max=1)
+    basis, model, _, _ = oracles.contact_model(L=9, n_max=1, v0=0.0)
     reg = region([1, 2, 3, 4, 5, 6, 7])
     vac = np.zeros((basis.dim, basis.dim))
     vac[0, 0] = 1.0
@@ -316,7 +294,7 @@ def test_induced_number_on_vacuum_is_identity(box5):
 def test_induced_kernel_hermitian_and_split(box5):
     basis, model = box5
     reg = region([0, 1, 2])
-    rho_bg = one_particle_state(basis, 4, 5)
+    rho_bg = oracles.one_particle(basis, 4, 5)
     h = build_hamiltonian(basis, model)
     obs = induced_observable(h, rho_bg, basis, model, reg)
     assert np.max(np.abs(obs.kernel - obs.kernel.conj().T)) < 1e-12
@@ -326,7 +304,7 @@ def test_induced_kernel_hermitian_and_split(box5):
 def test_reduction_duality_multiple_observables(box5):
     basis, model = box5
     reg = region([0, 1, 2])
-    rho_bg = one_particle_state(basis, 4, 5)
+    rho_bg = oracles.one_particle(basis, 4, 5)
     psi = one_quanton(reg, [0.6, -0.3 + 0.2j, 0.8j], dx=model.dx)
     rho = embed(psi, rho_bg, basis, model, reg)
     h = build_hamiltonian(basis, model)
@@ -341,7 +319,7 @@ def test_reduction_duality_multiple_observables(box5):
 def test_pov_positive_and_complete(box5):
     basis, model = box5
     reg = region([0, 1, 2])
-    rho_bg = one_particle_state(basis, 4, 5)
+    rho_bg = oracles.one_particle(basis, 4, 5)
     h = build_hamiltonian(basis, model)
     w = np.linalg.eigvalsh(h.to_dense())
     edges = np.linspace(w.min() - 1.0, w.max() + 1.0, 5)
@@ -384,10 +362,8 @@ def test_drift_zero_for_stationary_background(box5):
 
 
 def test_drift_small_far_background_short_window():
-    model = LatticeModel(L=6, dx=1.0)
-    basis = build_basis(BOSE, L=6, g=1, n_max=2)
-    h = build_hamiltonian(basis, model)
-    rho_bg = one_particle_state(basis, 0, 6)
+    basis, model, h, _ = oracles.contact_model(L=6, v0=0.0)
+    rho_bg = oracles.one_particle(basis, 0, 6)
     reg = region([3, 4, 5])
     ts = np.linspace(0.0, 0.005, 4)
     path = [evolve_state(rho_bg, h, 0.0, t) for t in ts]
@@ -396,10 +372,8 @@ def test_drift_small_far_background_short_window():
 
 
 def test_drift_large_when_particle_approaches():
-    model = LatticeModel(L=6, dx=1.0)
-    basis = build_basis(BOSE, L=6, g=1, n_max=2)
-    h = build_hamiltonian(basis, model)
-    rho_bg = one_particle_state(basis, 2, 6)
+    basis, model, h, _ = oracles.contact_model(L=6, v0=0.0)
+    rho_bg = oracles.one_particle(basis, 2, 6)
     reg = region([3, 4, 5])
     ts = np.linspace(0.0, 2.0, 6)
     path = [evolve_state(rho_bg, h, 0.0, t) for t in ts]
